@@ -19,11 +19,12 @@ from .. import coral, deep as deep_mod, lda as lda_mod
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import mean_and_covariance
 from .data import Dataset
-from .io import load_bin, load_csv, save_bin, save_csv
+from .io import load_dataset, save_dataset
 from .runner import (
     ExperimentConfig,
     _load_file_pair,
     _make_trial,
+    _train_deep,
     config_from_dict,
     lambda_sweep,
     run_experiment,
@@ -40,20 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # for numerical failures, so argument problems become invalid-input
     def error(self, message):
         raise InvalidInputError(message)
-
-
-def _load_dataset(path, has_header=False, has_labels=False, name=None):
-    if str(path).endswith(".bin"):
-        return load_bin(path, domain_name=name)
-    return load_csv(path, has_header=has_header, has_labels=has_labels,
-                    domain_name=name)
-
-
-def _save_dataset(ds, path, header=False):
-    if str(path).endswith(".bin"):
-        save_bin(ds, path)
-    else:
-        save_csv(ds, path, header=header)
 
 
 def _read_config(path) -> ExperimentConfig:
@@ -81,16 +68,16 @@ def _float_list(text: str):
 
 
 def _cmd_transform(args) -> int:
-    src = _load_dataset(args.source, args.csv_has_header, args.source_labels,
-                        "source")
-    tgt = _load_dataset(args.target, args.csv_has_header, args.target_labels,
-                        "target")
+    src = load_dataset(args.source, args.csv_has_header, args.source_labels,
+                       "source")
+    tgt = load_dataset(args.target, args.csv_has_header, args.target_labels,
+                       "target")
     if args.analytical:
         tr = coral.fit_analytical(src.features, tgt.features)
     else:
         tr = coral.fit_regularized(src.features, tgt.features, args.lam)
     moved = coral.apply_to_features(tr, src.features)
-    _save_dataset(Dataset(moved, src.labels, src.domain_name), args.out)
+    save_dataset(Dataset(moved, src.labels, src.domain_name), args.out)
     ct = mean_and_covariance(tgt.features).cov
     pre = np.linalg.norm(mean_and_covariance(src.features).cov - ct)
     post = np.linalg.norm(mean_and_covariance(moved).cov - ct)
@@ -101,7 +88,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_lda(args) -> int:
-    train = _load_dataset(args.train, args.csv_has_header, True, "train")
+    train = load_dataset(args.train, args.csv_has_header, True, "train")
     if train.labels is None:
         raise InvalidInputError("training dataset must carry labels")
     if int(train.labels.max()) + 1 != 2:
@@ -113,7 +100,7 @@ def _cmd_lda(args) -> int:
     if args.mode == "coral":
         if not args.stats_from:
             raise InvalidInputError("--stats-from is required with --mode coral")
-        other = _load_dataset(args.stats_from, args.csv_has_header, False, "stats")
+        other = load_dataset(args.stats_from, args.csv_has_header, False, "stats")
         stats_other = mean_and_covariance(other.features)
         model = lda_mod.fit_coral_lda(lda_mod.LdaInputs(
             mu_pos=mu1, mu_neg=mu0,
@@ -129,7 +116,7 @@ def _cmd_lda(args) -> int:
         ))
         print(f"plain discriminant fitted (dim {train.d})")
     if args.out:
-        _save_dataset(Dataset(model.w[None, :], None, "weights"), args.out)
+        save_dataset(Dataset(model.w[None, :], None, "weights"), args.out)
     else:
         print(",".join(format(v, ".17g") for v in model.w))
     return EXIT_OK
@@ -177,32 +164,13 @@ def _cmd_deep(args) -> int:
     cfg = _read_config(args.config)
     pair = _load_file_pair(cfg) if cfg.spec is None else None
     trial = _make_trial(cfg, cfg.seed_base, pair)
-    s = cfg.deep
-    K = int(trial.ys.max()) + 1
-    net = deep_mod.init_network([trial.Xs.shape[1], s.hidden, K],
-                                seed=cfg.seed_base)
-    tc = deep_mod.TrainConfig(
-        coral_weights=[s.coral_weight],
-        learning_rate=s.learning_rate,
-        batch_size=s.batch_size,
-        iterations=s.iterations,
-        seed=cfg.seed_base,
-        momentum=s.momentum,
-    )
-    _, rep = deep_mod.train_joint(net, trial.Xs, trial.ys, trial.Xt, tc,
-                                  target_labels=trial.yt)
+    _, _, rep = _train_deep(trial, cfg.deep, cfg.deep.coral_weight)
     if args.curves_out:
-        n_layers = rep.coral_loss.shape[1]
-        head = ["iteration", "class_loss"]
-        head += [f"coral_loss_{i}" for i in range(n_layers)]
-        head += ["source_acc", "target_acc"]
-        lines = [",".join(head)]
+        lines = ["iteration,class_loss,coral_loss,source_acc,target_acc"]
         for i in range(len(rep.class_loss)):
-            cells = [str(i), format(rep.class_loss[i], ".10g")]
-            cells += [format(v, ".10g") for v in rep.coral_loss[i]]
-            cells += [format(rep.source_acc[i], ".10g"),
-                      format(rep.target_acc[i], ".10g")]
-            lines.append(",".join(cells))
+            cells = (rep.class_loss[i], rep.coral_loss[i],
+                     rep.source_acc[i], rep.target_acc[i])
+            lines.append(f"{i}," + ",".join(format(v, ".10g") for v in cells))
         Path(args.curves_out).write_text("\n".join(lines) + "\n")
     print(f"final source acc {rep.source_acc[-1]:.4f}, "
           f"target acc {rep.target_acc[-1]:.4f}, "
@@ -229,18 +197,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    src, dst = str(args.input), str(args.output)
-    if src.endswith(".csv") and dst.endswith(".bin"):
-        ds = load_csv(args.input, has_header=args.csv_has_header,
-                      has_labels=args.csv_has_labels)
-        save_bin(ds, args.output)
-    elif src.endswith(".bin") and dst.endswith(".csv"):
-        ds = load_bin(args.input)
-        save_csv(ds, args.output, header=args.csv_has_header)
-    else:
+    kinds = (Path(args.input).suffix, Path(args.output).suffix)
+    if kinds not in ((".csv", ".bin"), (".bin", ".csv")):
         raise InvalidInputError(
             "convert supports .csv -> .bin and .bin -> .csv"
         )
+    ds = load_dataset(args.input, has_header=args.csv_has_header,
+                      has_labels=args.csv_has_labels)
+    save_dataset(ds, args.output, header=args.csv_has_header)
     print(f"converted {ds.n} rows, dim {ds.d} "
           f"({'with' if ds.labels is not None else 'no'} labels)")
     return EXIT_OK

@@ -158,3 +158,27 @@ def load_bin(path, domain_name: Optional[str] = None) -> Dataset:
         labels=labels,
         domain_name=domain_name if domain_name is not None else path.stem,
     )
+
+
+def load_dataset(
+    path,
+    has_header: bool = False,
+    has_labels: bool = False,
+    domain_name: Optional[str] = None,
+) -> Dataset:
+    """Load a ``.bin`` file as CORF and any other path as CSV.
+
+    The CSV flags are ignored for CORF, whose header records the labels.
+    """
+    if str(path).endswith(".bin"):
+        return load_bin(path, domain_name=domain_name)
+    return load_csv(path, has_header=has_header, has_labels=has_labels,
+                    domain_name=domain_name)
+
+
+def save_dataset(dataset: Dataset, path, header: bool = False) -> None:
+    """Save to a ``.bin`` path as CORF and to any other path as CSV."""
+    if str(path).endswith(".bin"):
+        save_bin(dataset, path)
+    else:
+        save_csv(dataset, path, header=header)

@@ -38,20 +38,7 @@ from .. import classify, coral, deep, lda
 from ..errors import InvalidInputError
 from ..linalg import mean_and_covariance, standardize
 from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
-from .io import load_bin, load_csv
-
-METHODS = (
-    "NA",
-    "CORAL-reg",
-    "CORAL-analytical",
-    "whiten-both",
-    "target-recolor-source-direction",
-    "LDA",
-    "CORAL-LDA",
-    "CORAL-LDA-mismatched",
-    "deep",
-    "deep-no-coral",
-)
+from .io import load_dataset
 
 # Seed offset deriving the "unrelated" third domain; a large prime so it
 # never collides with trial indexing.
@@ -216,18 +203,9 @@ class _Trial:
 
 
 def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    def load(path, name, want_labels):
-        if str(path).endswith(".bin"):
-            return load_bin(path, domain_name=name)
-        return load_csv(
-            path,
-            has_header=config.csv_has_header,
-            has_labels=want_labels,
-            domain_name=name,
-        )
-
-    src = load(config.source_path, "source", True)
-    tgt = load(config.target_path, "target", config.target_csv_has_labels)
+    src = load_dataset(config.source_path, config.csv_has_header, True, "source")
+    tgt = load_dataset(config.target_path, config.csv_has_header,
+                       config.target_csv_has_labels, "target")
     if src.labels is None:
         raise InvalidInputError("source dataset must carry labels")
     if src.d != tgt.d:
@@ -271,11 +249,62 @@ def _class_means(X, y):
     return np.stack([X[y == k].mean(axis=0) for k in range(K)])
 
 
-def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov):
+# Every handler maps (trial, config) to
+# (target_acc, source_acc, pre, post, domain_distance).
+
+
+def _svm_method(feature_map):
+    """Handler for a method that trains the SVM on mapped features.
+
+    ``feature_map(trial, config)`` returns the (source, target) features
+    the SVM is trained and scored on; post and domain_distance compare
+    their covariances, reusing the trial's statistics for an unmapped side.
+    """
+
+    def run(trial: _Trial, config: ExperimentConfig):
+        Xs, Xt = feature_map(trial, config)
+        stats_s = trial.stats_s if Xs is trial.Xs else mean_and_covariance(Xs)
+        stats_t = trial.stats_t if Xt is trial.Xt else mean_and_covariance(Xt)
+        model = _svm_fit(Xs, trial.ys, config, trial.seed)
+        post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
+        return (_acc(model, Xt, trial.yt), _acc(model, Xs, trial.ys), trial.pre,
+                post, lda.domain_distance(stats_s, stats_t))
+
+    return run
+
+
+# Feature maps of the SVM methods: (trial, config) -> (source, target).
+
+
+def _no_adaptation(trial, config):
+    return trial.Xs, trial.Xt
+
+
+def _coral_regularized(trial, config):
+    tr = coral.fit_regularized(trial.Xs, trial.Xt, config.lam)
+    return coral.apply_to_features(tr, trial.Xs), trial.Xt
+
+
+def _coral_analytical(trial, config):
+    tr = coral.fit_analytical(trial.Xs, trial.Xt)
+    return coral.apply_to_features(tr, trial.Xs), trial.Xt
+
+
+def _whiten_both(trial, config):
+    return coral.whiten_both_baseline(trial.Xs, trial.Xt)
+
+
+def _recolor_target(trial, config):
+    tr = coral.fit_regularized(trial.Xt, trial.Xs, config.lam)
+    return trial.Xs, coral.apply_to_features(tr, trial.Xt)
+
+
+def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
     """One-vs-background discriminants; argmax over midpoint-shifted scores.
 
     whiten_cov selects the covariance whitening the evaluated features;
-    None means plain source-space scoring.
+    None means plain source-space scoring.  ``dmd`` is the method's
+    domain distance, reported as is.
     """
     mus = _class_means(trial.Xs, trial.ys)
     mu0 = trial.Xs.mean(axis=0)
@@ -305,90 +334,68 @@ def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov):
         if trial.yt is not None
         else float("nan")
     )
-    return tacc, sacc
+    return tacc, sacc, trial.pre, trial.pre, dmd
 
 
-def _run_method(name: str, trial: _Trial, config: ExperimentConfig):
-    """Returns (target_acc, source_acc, pre, post, domain_distance)."""
-    seed = trial.seed
-    pre, post = trial.pre, trial.pre
-    dmd = lda.domain_distance(trial.stats_s, trial.stats_t)
+def _lda_mismatched(trial: _Trial, config: ExperimentConfig):
+    Xu, _ = trial.unrelated()
+    stats_u = mean_and_covariance(Xu)
+    return _lda_family(trial, config, stats_u.cov,
+                       lda.domain_distance(stats_u, trial.stats_t))
 
-    if name == "NA":
-        model = _svm_fit(trial.Xs, trial.ys, config, seed)
-        return _acc(model, trial.Xt, trial.yt), _acc(model, trial.Xs, trial.ys), pre, post, dmd
 
-    if name in ("CORAL-reg", "CORAL-analytical"):
-        if name == "CORAL-reg":
-            tr = coral.fit_regularized(trial.Xs, trial.Xt, config.lam)
-        else:
-            tr = coral.fit_analytical(trial.Xs, trial.Xt)
-        Xa = coral.apply_to_features(tr, trial.Xs)
-        stats_a = mean_and_covariance(Xa)
-        model = _svm_fit(Xa, trial.ys, config, seed)
-        post = float(np.linalg.norm(stats_a.cov - trial.stats_t.cov))
-        dmd = lda.domain_distance(stats_a, trial.stats_t)
-        return _acc(model, trial.Xt, trial.yt), _acc(model, Xa, trial.ys), pre, post, dmd
+def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float):
+    """The one place a deep run is built: network and TrainConfig from
+    ``settings``, both seeded with the trial seed.  Returns the initial
+    network, the trained one and the LossReport."""
+    K = int(trial.ys.max()) + 1
+    net = deep.init_network([trial.Xs.shape[1], settings.hidden, K], seed=trial.seed)
+    tc = deep.TrainConfig(
+        coral_weight=coral_weight,
+        learning_rate=settings.learning_rate,
+        batch_size=settings.batch_size,
+        iterations=settings.iterations,
+        seed=trial.seed,
+        momentum=settings.momentum,
+    )
+    trained, rep = deep.train_joint(
+        net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt
+    )
+    return net, trained, rep
 
-    if name == "whiten-both":
-        Xsw, Xtw = coral.whiten_both_baseline(trial.Xs, trial.Xt)
-        sw, tw = mean_and_covariance(Xsw), mean_and_covariance(Xtw)
-        model = _svm_fit(Xsw, trial.ys, config, seed)
-        post = float(np.linalg.norm(sw.cov - tw.cov))
-        dmd = lda.domain_distance(sw, tw)
-        return _acc(model, Xtw, trial.yt), _acc(model, Xsw, trial.ys), pre, post, dmd
 
-    if name == "target-recolor-source-direction":
-        tr = coral.fit_regularized(trial.Xt, trial.Xs, config.lam)
-        Xtm = coral.apply_to_features(tr, trial.Xt)
-        stats_m = mean_and_covariance(Xtm)
-        model = _svm_fit(trial.Xs, trial.ys, config, seed)
-        post = float(np.linalg.norm(trial.stats_s.cov - stats_m.cov))
-        dmd = lda.domain_distance(trial.stats_s, stats_m)
-        return _acc(model, Xtm, trial.yt), _acc(model, trial.Xs, trial.ys), pre, post, dmd
-
-    if name == "LDA":
-        tacc, sacc = _lda_family(trial, config, whiten_cov=None)
-        return tacc, sacc, pre, post, dmd
-
-    if name == "CORAL-LDA":
-        tacc, sacc = _lda_family(trial, config, whiten_cov=trial.stats_t.cov)
-        return tacc, sacc, pre, post, 0.0
-
-    if name == "CORAL-LDA-mismatched":
-        Xu, _ = trial.unrelated()
-        stats_u = mean_and_covariance(Xu)
-        tacc, sacc = _lda_family(trial, config, whiten_cov=stats_u.cov)
-        dmd = lda.domain_distance(stats_u, trial.stats_t)
-        return tacc, sacc, pre, post, dmd
-
-    if name in ("deep", "deep-no-coral"):
-        s = config.deep
-        K = int(trial.ys.max()) + 1
-        weight = s.coral_weight if name == "deep" else 0.0
-        net = deep.init_network([trial.Xs.shape[1], s.hidden, K], seed=seed)
+def _deep_method(with_coral: bool):
+    def run(trial: _Trial, config: ExperimentConfig):
+        weight = config.deep.coral_weight if with_coral else 0.0
+        net, trained, rep = _train_deep(trial, config.deep, weight)
         logits_s, _ = deep.forward(net, trial.Xs)
         logits_t, _ = deep.forward(net, trial.Xt)
         pre = deep.coral_loss(logits_s, logits_t)
-        tc = deep.TrainConfig(
-            coral_weights=[weight],
-            learning_rate=s.learning_rate,
-            batch_size=s.batch_size,
-            iterations=s.iterations,
-            seed=seed,
-            momentum=s.momentum,
-        )
-        trained, rep = deep.train_joint(
-            net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt
-        )
-        post = rep.final_coral_distance
         ls, _ = deep.forward(trained, trial.Xs)
         lt, _ = deep.forward(trained, trial.Xt)
         dmd = lda.domain_distance(mean_and_covariance(ls), mean_and_covariance(lt))
         tacc = rep.target_acc[-1] if trial.yt is not None else float("nan")
-        return float(tacc), float(rep.source_acc[-1]), pre, post, dmd
+        return float(tacc), float(rep.source_acc[-1]), pre, rep.final_coral_distance, dmd
 
-    raise InvalidInputError(f"unknown method identifier {name!r}")
+    return run
+
+
+_HANDLERS = {
+    "NA": _svm_method(_no_adaptation),
+    "CORAL-reg": _svm_method(_coral_regularized),
+    "CORAL-analytical": _svm_method(_coral_analytical),
+    "whiten-both": _svm_method(_whiten_both),
+    "target-recolor-source-direction": _svm_method(_recolor_target),
+    "LDA": lambda trial, config: _lda_family(
+        trial, config, None, lda.domain_distance(trial.stats_s, trial.stats_t)),
+    "CORAL-LDA": lambda trial, config: _lda_family(
+        trial, config, trial.stats_t.cov, 0.0),
+    "CORAL-LDA-mismatched": _lda_mismatched,
+    "deep": _deep_method(with_coral=True),
+    "deep-no-coral": _deep_method(with_coral=False),
+}
+
+METHODS = tuple(_HANDLERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -398,7 +405,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trial = _make_trial(config, config.seed_base + t, file_pair)
         for name in config.methods:
             t0 = time.perf_counter()
-            tacc, sacc, pre, post, dmd = _run_method(name, trial, config)
+            tacc, sacc, pre, post, dmd = _HANDLERS[name](trial, config)
             agg[name].wall_clock_seconds += time.perf_counter() - t0
             if not np.isnan(tacc) and not 0.0 <= tacc <= 1.0:
                 raise InvalidInputError(f"{name}: accuracy {tacc} out of range")

@@ -23,6 +23,7 @@ from .classify import LinearModel
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     DEFAULT_RANK_TOL,
+    _rank_mask,
     as_feature_matrix,
     mean_and_covariance,
     pseudo_inv_sqrt,
@@ -109,9 +110,7 @@ def fit_analytical(D_S, D_T, rank_tol: float = DEFAULT_RANK_TOL) -> CoralTransfo
     inv_root_S, rank_S = pseudo_inv_sqrt(C_S, rank_tol=rank_tol)
     eig_T = sym_eigen(C_T)
     w_T = eig_T.eigenvalues
-    lam_max = max(w_T[0], 0.0)
-    rank_T = int(np.sum(w_T > rank_tol * lam_max)) if lam_max > 0 else 0
-    r = min(rank_S, rank_T)
+    r = min(rank_S, int(_rank_mask(w_T, rank_tol).sum()))
 
     U_r = eig_T.eigenvectors[:, :r]
     root_T = (U_r * np.sqrt(np.maximum(w_T[:r], 0.0))) @ U_r.T

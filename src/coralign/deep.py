@@ -20,7 +20,7 @@ two passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +55,21 @@ class Network:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    coral_weights: list
+    coral_weight: float
     learning_rate: float
     batch_size: int
     iterations: int
     seed: int
     momentum: float = 0.9
-    balance: str = "fixed"  # "fixed" or "auto"
     class_loss_weight: float = 1.0
 
     def __post_init__(self):
-        if any(w < 0 for w in self.coral_weights):
-            raise InvalidInputError("alignment loss weights must be >= 0")
+        if self.coral_weight < 0:
+            raise InvalidInputError("alignment loss weight must be >= 0")
         if self.batch_size < 2:
             raise InvalidInputError("batch size must be >= 2 (covariances need it)")
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        if self.balance not in ("fixed", "auto"):
-            raise InvalidInputError(f"unknown balance mode {self.balance!r}")
 
 
 @dataclass
@@ -80,11 +77,10 @@ class LossReport:
     """Per-iteration curves plus the end-of-training alignment distance."""
 
     class_loss: np.ndarray
-    coral_loss: np.ndarray  # (iterations, monitored layers)
+    coral_loss: np.ndarray
     source_acc: np.ndarray
     target_acc: np.ndarray
     final_coral_distance: float
-    coral_weights_final: list = field(default_factory=list)
 
 
 def coral_loss(S, T) -> float:
@@ -115,16 +111,6 @@ def coral_loss_grad(S, T) -> tuple[np.ndarray, np.ndarray]:
     grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
     grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
     return grad_S, grad_T
-
-
-def joint_loss(class_loss: float, coral_losses, weights) -> float:
-    """class_loss + sum of weight_i * coral_loss_i."""
-    if len(coral_losses) != len(weights):
-        raise InvalidInputError("one weight per alignment loss required")
-    total = float(class_loss)
-    for l, w in zip(coral_losses, weights):
-        total += w * l
-    return total
 
 
 def finite_diff_check(S, T, step: float = 1e-5) -> float:
@@ -250,12 +236,12 @@ def train_joint(
     cfg: TrainConfig,
     target_labels=None,
 ) -> tuple[Network, LossReport]:
-    """Minimize class_loss_weight * CE + sum w_i * alignment loss.
+    """Minimize class_loss_weight * CE + coral_weight * alignment loss.
 
     Each step draws one labeled source batch and one unlabeled target
     batch (independent RNG streams, so the source draw sequence does not
-    depend on whether alignment is active).  With all coral_weights zero
-    the target is never touched and the run is bit-identical to
+    depend on whether alignment is active).  With coral_weight zero the
+    target is never touched and the run is bit-identical to
     train_classifier.  ``target_labels``, when given, are used only to
     report per-iteration target accuracy.
     """
@@ -279,15 +265,13 @@ def _train(net, source, labels, target, cfg, target_labels):
     if cfg.batch_size > n_s:
         raise InvalidInputError("batch size exceeds source dataset size")
 
-    use_coral = target is not None and any(w != 0 for w in cfg.coral_weights)
+    Xt = as_feature_matrix(target, "target features") if target is not None else None
+    use_coral = Xt is not None and cfg.coral_weight != 0
     if use_coral:
-        Xt = as_feature_matrix(target, "target features")
         if Xt.shape[1] != X.shape[1]:
             raise InvalidInputError("source and target dimensions differ")
         if cfg.batch_size > Xt.shape[0]:
             raise InvalidInputError("batch size exceeds target dataset size")
-    else:
-        Xt = as_feature_matrix(target, "target features") if target is not None else None
 
     ss = np.random.SeedSequence(cfg.seed)
     src_child, tgt_child = ss.spawn(2)
@@ -297,16 +281,13 @@ def _train(net, source, labels, target, cfg, target_labels):
     layers = [(W.copy(), b.copy(), act) for W, b, act in net.layers]
     work = Network(layers=layers)
     velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b, _ in layers]
-    weights = [float(w) for w in cfg.coral_weights]
+    weight = float(cfg.coral_weight)
     onehot = np.eye(K)
 
-    n_monitored = max(len(weights), 1)
     class_curve = np.zeros(cfg.iterations)
-    coral_curve = np.zeros((cfg.iterations, n_monitored))
+    coral_curve = np.zeros(cfg.iterations)
     src_acc = np.zeros(cfg.iterations)
     tgt_acc = np.full(cfg.iterations, np.nan)
-    epoch_len = max(1, n_s // cfg.batch_size)
-    epoch_cl, epoch_co = 0.0, np.zeros(n_monitored)
 
     for it in range(cfg.iterations):
         idx = src_rng.integers(0, n_s, size=cfg.batch_size)
@@ -317,16 +298,15 @@ def _train(net, source, labels, target, cfg, target_labels):
         ce = float(-np.mean(np.log(np.maximum(probs[np.arange(len(yb)), yb], 1e-300))))
         d_logits_s = cfg.class_loss_weight * (probs - onehot[yb]) / len(yb)
 
-        co_vals = np.zeros(n_monitored)
         grads_t = None
         if use_coral:
             t_idx = tgt_rng.integers(0, Xt.shape[0], size=cfg.batch_size)
             logits_t, cache_t = forward(work, Xt[t_idx])
             _check_not_diverged(logits_t, it)
-            co_vals[0] = coral_loss(logits_s, logits_t)
+            coral_curve[it] = coral_loss(logits_s, logits_t)
             g_s, g_t = coral_loss_grad(logits_s, logits_t)
-            d_logits_s = d_logits_s + weights[0] * g_s
-            grads_t = _backward(work, cache_t, weights[0] * g_t)
+            d_logits_s = d_logits_s + weight * g_s
+            grads_t = _backward(work, cache_t, weight * g_t)
 
         grads = _backward(work, cache_s, d_logits_s)
         if grads_t is not None:
@@ -343,23 +323,9 @@ def _train(net, source, labels, target, cfg, target_labels):
         work = Network(layers=new_layers)
 
         class_curve[it] = ce
-        coral_curve[it] = co_vals
         src_acc[it] = _accuracy(work, X, y)
         if target_labels is not None and Xt is not None:
             tgt_acc[it] = _accuracy(work, Xt, target_labels)
-
-        epoch_cl += cfg.class_loss_weight * ce
-        epoch_co += co_vals
-        if cfg.balance == "auto" and use_coral and (it + 1) % epoch_len == 0:
-            mean_cl = epoch_cl / epoch_len
-            mean_co = epoch_co / epoch_len
-            for i in range(len(weights)):
-                if mean_co[i] > 0 and weights[i] > 0:
-                    desired = mean_cl / mean_co[i]
-                    weights[i] = float(
-                        np.clip(desired, 0.5 * weights[i], 2.0 * weights[i])
-                    )
-            epoch_cl, epoch_co = 0.0, np.zeros(n_monitored)
 
     if Xt is not None:
         logits_s_full, _ = forward(work, X)
@@ -374,6 +340,5 @@ def _train(net, source, labels, target, cfg, target_labels):
         source_acc=src_acc,
         target_acc=tgt_acc,
         final_coral_distance=final_dist,
-        coral_weights_final=weights,
     )
     return work, report

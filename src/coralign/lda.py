@@ -16,7 +16,7 @@ and a validation-driven convex combination of two fitted weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -103,12 +103,12 @@ def sym_eigen(M) -> SymmetricEigen:
     return SymmetricEigen(eigenvalues=w[order], eigenvectors=V[:, order])
 
 
-def sym_power(M, p: float, floor: float | None = None) -> np.ndarray:
-    """Spectral power V diag(max(w, floor)^p) V^T of a symmetric PSD matrix.
+def _psd_eigh(M):
+    """Ascending eigenpairs (w, V) of a symmetric PSD matrix, or None for
+    the zero matrix, whose powers each caller defines for itself.
 
-    ``floor`` defaults to DEFAULT_POWER_FLOOR times the largest
-    eigenvalue; it keeps negative powers finite in the face of round-off.
-    Eigenvalues below -1e-6 * lambda_max raise NotPSDError.
+    The one eigen kernel of sym_power and pseudo_inv_sqrt.  Eigenvalues
+    below -NEGATIVE_EIG_TOL * lambda_max raise NotPSDError.
     """
     M = _check_symmetric(M, 1e-9)
     w, V = np.linalg.eigh(M)
@@ -117,16 +117,40 @@ def sym_power(M, p: float, floor: float | None = None) -> np.ndarray:
         raise NotPSDError(
             f"matrix has negative eigenvalue {w[0]:.3e} (largest {lam_max:.3e})"
         )
-    if floor is None:
-        floor = DEFAULT_POWER_FLOOR * lam_max
     if lam_max <= 0.0:
+        return None
+    return w, V
+
+
+def _from_spectrum(V, f_w) -> np.ndarray:
+    """V diag(f_w) V^T, symmetrized against round-off."""
+    out = (V * f_w) @ V.T
+    return (out + out.T) / 2.0
+
+
+def _rank_mask(w, rank_tol: float) -> np.ndarray:
+    """Eigenvalues counted in the rank: those above rank_tol * lambda_max
+    (none for a matrix with no positive eigenvalue)."""
+    return w > rank_tol * max(w.max(), 0.0)
+
+
+def sym_power(M, p: float, floor: float | None = None) -> np.ndarray:
+    """Spectral power V diag(max(w, floor)^p) V^T of a symmetric PSD matrix.
+
+    ``floor`` defaults to DEFAULT_POWER_FLOOR times the largest
+    eigenvalue; it keeps negative powers finite in the face of round-off.
+    Eigenvalues below -1e-6 * lambda_max raise NotPSDError.
+    """
+    eig = _psd_eigh(M)
+    if eig is None:
         # zero matrix: non-negative powers are zero, negative powers undefined
         if p >= 0:
-            return np.zeros_like(M)
+            return np.zeros(np.shape(M))
         raise NumericalError("cannot raise the zero matrix to a negative power")
-    w = np.maximum(w, floor)
-    out = (V * w**p) @ V.T
-    return (out + out.T) / 2.0
+    w, V = eig
+    if floor is None:
+        floor = DEFAULT_POWER_FLOOR * w[-1]
+    return _from_spectrum(V, np.maximum(w, floor) ** p)
 
 
 def pseudo_inv_sqrt(M, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
@@ -136,19 +160,13 @@ def pseudo_inv_sqrt(M, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, 
     to w^{-1/2}.  Returns the matrix together with the retained rank; an
     all-zero input yields the zero matrix with rank 0.
     """
-    M = _check_symmetric(M, 1e-9)
-    w, V = np.linalg.eigh(M)
-    lam_max = w[-1]
-    if lam_max < 0 or w[0] < -NEGATIVE_EIG_TOL * max(lam_max, 0.0):
-        raise NotPSDError(
-            f"matrix has negative eigenvalue {w[0]:.3e} (largest {lam_max:.3e})"
-        )
-    if lam_max <= 0.0:
-        return np.zeros_like(M), 0
-    keep = w > rank_tol * lam_max
+    eig = _psd_eigh(M)
+    if eig is None:
+        return np.zeros(np.shape(M)), 0
+    w, V = eig
+    keep = _rank_mask(w, rank_tol)
     inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    out = (V * inv_root) @ V.T
-    return (out + out.T) / 2.0, int(keep.sum())
+    return _from_spectrum(V, inv_root), int(keep.sum())
 
 
 def frobenius_distance_sq(A, B) -> float:

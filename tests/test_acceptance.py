@@ -246,7 +246,7 @@ class TestAcceptance:
             Xs, _, _ = standardize(src.features)
             Xt, _, _ = standardize(tgt.features)
             cfg = deep.TrainConfig(
-                coral_weights=[0.0], learning_rate=0.05, batch_size=64,
+                coral_weight=0.0, learning_rate=0.05, batch_size=64,
                 iterations=150, seed=11,
             )
             net_a, _ = deep.train_joint(

@@ -6,6 +6,7 @@ main() is invoked in-process with explicit argv; one test goes through
 commands.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from coralign import coral, lda
 from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift
 from coralign.bench.io import load_bin, load_csv, save_csv
+from coralign.bench.runner import config_from_dict, run_experiment
 from coralign.linalg import mean_and_covariance
 
 
@@ -243,6 +245,30 @@ class TestDeepCommand:
         lines = curves.read_text().splitlines()
         assert lines[0].startswith("iteration,class_loss,coral_loss")
         assert len(lines) == 13  # header + one row per iteration
+
+    def test_matches_the_runner_deep_method(self, tmp_path, capsys):
+        # the command and the bench's "deep" method build the same run
+        cfg = {
+            "spec": {
+                "d": 4, "K": 3, "n_source": 90, "n_target": 90,
+                "separation": 3.0, "scales": [2.0, 0.5, 1.0, 1.0],
+                "mean_shift": [0.5, 0.0, 0.0, 0.0],
+                "noise_std": 0.1, "seed": 0,
+            },
+            "methods": ["deep"],
+            "seed_base": 4,
+            "deep": {"hidden": 6, "iterations": 40, "batch_size": 16,
+                     "learning_rate": 0.05, "coral_weight": 1.0,
+                     "momentum": 0.9},
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["deep", "--config", str(p)]) == 0
+        printed = capsys.readouterr().out
+        config = dataclasses.replace(config_from_dict(cfg), trials=1)
+        m = run_experiment(config).methods["deep"]
+        assert f"target acc {m.target_acc[0]:.4f}," in printed
+        assert f"alignment distance {m.post_dist[0]:.6g}\n" in printed
 
 
 class TestGradcheckCommand:

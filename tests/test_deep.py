@@ -18,7 +18,6 @@ from coralign.deep import (
     finite_diff_check,
     forward,
     init_network,
-    joint_loss,
     network_predict,
     train_classifier,
     train_joint,
@@ -132,28 +131,6 @@ class TestCoralLossGrad:
         assert coral_loss(S, T - step * Gt) < coral_loss(S, T)
 
 
-class TestJointLoss:
-    def test_zero_weights(self):
-        assert joint_loss(1.7, [3.0, 4.0], [0.0, 0.0]) == 1.7
-
-    def test_single_unit_weight(self):
-        assert joint_loss(1.0, [2.5], [1.0]) == pytest.approx(3.5)
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(8)
-        cl = float(rng.random())
-        losses = list(rng.random(3))
-        weights = list(rng.random(3))
-        want = cl
-        for l, w in zip(losses, weights):
-            want += w * l
-        assert joint_loss(cl, losses, weights) == pytest.approx(want, rel=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            joint_loss(1.0, [1.0, 2.0], [1.0])
-
-
 class TestForward:
     def test_single_identity_layer(self):
         net = Network(layers=[(np.eye(3), np.zeros(3), "identity")])
@@ -217,7 +194,7 @@ class TestFiniteDiffCheck:
 class TestTraining:
     def _cfg(self, **kw):
         base = dict(
-            coral_weights=[1.0],
+            coral_weight=1.0,
             learning_rate=0.05,
             batch_size=32,
             iterations=60,
@@ -231,7 +208,7 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng)
         net0 = init_network([6, 8, 3], seed=42)
         net1 = init_network([6, 8, 3], seed=42)
-        cfg = self._cfg(coral_weights=[0.0])
+        cfg = self._cfg(coral_weight=0.0)
         trained_joint, _ = train_joint(net0, Xs, y, Xt, cfg)
         trained_plain, _ = train_classifier(net1, Xs, y, cfg)
         for (Wa, ba, _), (Wb, bb, _) in zip(trained_joint.layers, trained_plain.layers):
@@ -259,7 +236,7 @@ class TestTraining:
         cfg = self._cfg(iterations=25)
         _, report = train_joint(net, Xs, y, Xt, cfg)
         assert len(report.class_loss) == 25
-        assert report.coral_loss.shape == (25, 1)
+        assert report.coral_loss.shape == (25,)
         assert len(report.source_acc) == 25
         assert len(report.target_acc) == 25
 
@@ -267,7 +244,7 @@ class TestTraining:
         rng = np.random.default_rng(18)
         Xs, y, Xt, _ = shifted_blobs(rng, sep=5.0)
         net = init_network([6, 8, 3], seed=2)
-        cfg = self._cfg(coral_weights=[0.0], iterations=300, learning_rate=0.1)
+        cfg = self._cfg(coral_weight=0.0, iterations=300, learning_rate=0.1)
         net, report = train_joint(net, Xs, y, Xt, cfg)
         assert report.source_acc[-1] >= 0.95
 
@@ -278,13 +255,13 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng, sep=4.0)
         net = init_network([6, 8, 3], seed=5)
         cfg = self._cfg(
-            coral_weights=[50.0],
+            coral_weight=50.0,
             class_loss_weight=0.0,
             iterations=400,
             learning_rate=0.1,
         )
         net, report = train_joint(net, Xs, y, Xt, cfg)
-        assert report.coral_loss[-1, 0] < report.coral_loss[0, 0]
+        assert report.coral_loss[-1] < report.coral_loss[0]
         assert report.source_acc[-1] <= 1.0 / 3.0 + 0.15
 
     def test_divergence_raises_numerical_error(self):
