@@ -8,12 +8,15 @@ commands.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coralign
 from coralign import coral, lda
 from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift
@@ -313,10 +316,14 @@ class TestArgumentErrors:
     def test_module_entry_point(self, tmp_path):
         cfg = TestBenchCommand()._config_file(tmp_path, trials=1)
         out = tmp_path / "rep.json"
+        # the child imports coralign from where this process found it
+        package_root = str(Path(coralign.__file__).resolve().parent.parent)
+        paths = [package_root, os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "coralign", "bench",
              "--config", str(cfg), "--report-out", str(out)],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["trials"] == 1
