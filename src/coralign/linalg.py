@@ -69,17 +69,20 @@ def as_feature_matrix(D, name: str = "features") -> np.ndarray:
 def mean_and_covariance(D) -> DomainStats:
     """Column means and unbiased covariance of a feature matrix.
 
-    Uses the one-pass form (D^T D - (1^T D)^T (1^T D) / n) / (n - 1) and
-    symmetrizes the result to remove float round-off asymmetry.  With a
-    single row the covariance is defined as the zero matrix.
+    Centers first, Dc^T Dc / (n - 1) with Dc = D - mean, and symmetrizes
+    the result to remove float round-off asymmetry.  The one-pass form
+    D^T D - s s^T / n cancels catastrophically when the means are large
+    against the spread: at mean 1e8 and unit variance it gave negative
+    variances.  With a single row the covariance is defined as the zero
+    matrix.
     """
     D = as_feature_matrix(D)
     n, d = D.shape
     mean = D.mean(axis=0)
     if n == 1:
         return DomainStats(mean=mean, cov=np.zeros((d, d)), n=n)
-    col_sums = D.sum(axis=0)
-    cov = (D.T @ D - np.outer(col_sums, col_sums) / n) / (n - 1)
+    Dc = D - mean
+    cov = (Dc.T @ Dc) / (n - 1)
     cov = (cov + cov.T) / 2.0
     return DomainStats(mean=mean, cov=cov, n=n)
 

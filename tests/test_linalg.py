@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coralign.coral import fit_regularized
 from coralign.errors import InvalidInputError, NotPSDError
 from coralign.linalg import (
     frobenius_distance_sq,
@@ -62,6 +63,19 @@ class TestMeanAndCovariance:
             got = mean_and_covariance(X).cov
             want = two_pass_cov(X)
             assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+    @pytest.mark.parametrize("offset, scale", [(1e4, 1e-3), (1e8, 1.0)])
+    def test_large_offset_matches_numpy(self, offset, scale):
+        # unstandardized features far from the origin: summing squares
+        # before subtracting the mean cancels away the variance
+        rng = np.random.default_rng(5)
+        X = offset + scale * rng.standard_normal((400, 6))
+        got = mean_and_covariance(X).cov
+        want = np.cov(X, rowvar=False)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        Y = offset + scale * rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6))
+        A = fit_regularized(X, Y, lam=scale**2).A
+        assert np.all(np.isfinite(A))
 
     def test_single_row_gives_zero_matrix(self):
         stats = mean_and_covariance(np.array([[4.0, 5.0, 6.0]]))
