@@ -106,17 +106,27 @@ def domain_distance(a: DomainStats, b: DomainStats) -> float:
     Each term is ||x_a - x_b|| / (||x_a|| + ||x_b||) and contributes 0
     when its denominator is 0, so the result lies in [0, 2] and is 0
     exactly for identical statistics.
+
+    The mean term also contributes 0 when ||mu_a|| + ||mu_b|| is at or
+    below eps * max(n_a, n_b) * (sqrt(tr C_a) + sqrt(tr C_b)), the
+    round-off resolution of a mean of that many rows of that spread.
+    Means of centered or standardized data sit at that level, and their
+    ratio is rounding noise: on standardized benchmark trials it added
+    0.60-0.77, more than the covariance term itself.
     """
     if a.mean.shape != b.mean.shape:
         raise InvalidInputError("domain statistics have different dimensions")
 
-    def term(x, y):
+    def term(x, y, resolution=0.0):
         denom = np.linalg.norm(x) + np.linalg.norm(y)
-        if denom == 0.0:
+        if denom <= resolution:
             return 0.0
         return float(np.linalg.norm(x - y) / denom)
 
-    return term(a.cov, b.cov) + term(a.mean, b.mean)
+    mean_resolution = np.finfo(float).eps * max(a.n, b.n) * (
+        np.sqrt(np.trace(a.cov)) + np.sqrt(np.trace(b.cov))
+    )
+    return term(a.cov, b.cov) + term(a.mean, b.mean, mean_resolution)
 
 
 def semi_supervised_combine(

@@ -19,7 +19,8 @@ from coralign.lda import (
     score,
     semi_supervised_combine,
 )
-from coralign.linalg import DomainStats
+from coralign.bench.data import generate_shift, rotated_anisotropic_spec
+from coralign.linalg import DomainStats, mean_and_covariance, standardize
 
 
 def random_spd(d, rng):
@@ -201,6 +202,16 @@ class TestDomainDistance:
             d_ba = domain_distance(b, a)
             assert d_ab == pytest.approx(d_ba, rel=1e-12)
             assert 0.0 <= d_ab <= 2.0
+
+    def test_standardized_domains_give_the_covariance_term(self):
+        # both means are round-off after standardizing; their ratio is noise
+        src, tgt = generate_shift(rotated_anisotropic_spec(0))
+        a = mean_and_covariance(standardize(src.features)[0])
+        b = mean_and_covariance(standardize(tgt.features)[0])
+        cov_term = np.linalg.norm(a.cov - b.cov) / (
+            np.linalg.norm(a.cov) + np.linalg.norm(b.cov)
+        )
+        assert domain_distance(a, b) == cov_term
 
     def test_zero_denominators_contribute_zero(self):
         zero = DomainStats(mean=np.zeros(3), cov=np.zeros((3, 3)), n=5)
