@@ -249,10 +249,6 @@ def _class_means(X, y):
     return np.stack([X[y == k].mean(axis=0) for k in range(K)])
 
 
-# Every handler maps (trial, config) to
-# (target_acc, source_acc, pre, post, domain_distance).
-
-
 def _svm_method(feature_map):
     """Handler for a method that trains the SVM on mapped features.
 
@@ -380,6 +376,8 @@ def _deep_method(with_coral: bool):
     return run
 
 
+# Method name -> handler mapping (trial, config) to
+# (target_acc, source_acc, pre, post, domain_distance).
 _HANDLERS = {
     "NA": _svm_method(_no_adaptation),
     "CORAL-reg": _svm_method(_coral_regularized),

@@ -281,7 +281,6 @@ def _train(net, source, labels, target, cfg, target_labels):
     layers = [(W.copy(), b.copy(), act) for W, b, act in net.layers]
     work = Network(layers=layers)
     velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b, _ in layers]
-    weight = float(cfg.coral_weight)
     onehot = np.eye(K)
 
     class_curve = np.zeros(cfg.iterations)
@@ -305,8 +304,8 @@ def _train(net, source, labels, target, cfg, target_labels):
             _check_not_diverged(logits_t, it)
             coral_curve[it] = coral_loss(logits_s, logits_t)
             g_s, g_t = coral_loss_grad(logits_s, logits_t)
-            d_logits_s = d_logits_s + weight * g_s
-            grads_t = _backward(work, cache_t, weight * g_t)
+            d_logits_s = d_logits_s + cfg.coral_weight * g_s
+            grads_t = _backward(work, cache_t, cfg.coral_weight * g_t)
 
         grads = _backward(work, cache_s, d_logits_s)
         if grads_t is not None:
