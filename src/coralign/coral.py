@@ -5,9 +5,15 @@ Fits a d x d matrix A so that source features multiplied by A have
 
 * regularized: A = (C_S + lam I)^{-1/2} (C_T + lam I)^{1/2} — whiten the
   source against its shrunk covariance, then re-color with the target's,
-* analytical: the exact minimizer of || A^T C_S A - C_T ||_F^2 built
-  from the pseudo-inverse square root of C_S and the rank-truncated
-  square root of C_T.
+* analytical: A = pinv_sqrt(C_S) root_r(C_T), built from the
+  pseudo-inverse square root of C_S and the rank-truncated square root
+  of C_T.
+
+When a domain has fewer rows than dimensions (n - 1 < d) its covariance
+has rank at most n - 1, and every eigenpair it has with a non-zero
+eigenvalue comes from the n x n Gram matrix of the centred rows.  Wide
+fits are built from those eigenpairs, so they eigendecompose n x n
+matrices and never form or decompose a d x d covariance.
 
 The transform can be applied to feature rows (D @ A) or pushed into a
 linear model's weights (w -> A w), which scores identically.
@@ -43,23 +49,46 @@ class CoralTransform:
     source_dim: int
 
 
-def _regularized_power(X: np.ndarray, lam: float, p: float) -> np.ndarray:
-    """(cov(X) + lam I)^p without forming the covariance when n - 1 < d.
+def _cov_eigenpairs(X: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kept eigenpairs (w, V) of cov(X), eigenvalues descending.
 
-    For wide data the covariance is (1/(n-1)) Xc^T Xc, so its spectrum
-    is s^2/(n-1) on the right-singular directions of the centered data
-    and exactly 0 elsewhere.  Shifting by lam and raising to p gives
-    lam^p I + V (diag((s^2/(n-1) + lam)^p) - lam^p) V^T, which costs a
-    thin SVD instead of a dense d x d eigendecomposition.
+    Wide data (n - 1 < d) never forms the covariance: with Xc the centred
+    rows and Xc Xc^T = U diag(g) U^T, cov(X) = Xc^T Xc / (n - 1) has the
+    eigenvalues w = g / (n - 1) on the orthonormal directions
+    V = Xc^T U diag(g)^{-1/2}, and is 0 elsewhere.  Tall data
+    eigendecomposes the covariance.  Either way an eigenpair is kept by
+    pseudo_inv_sqrt's rank rule, which drops the null direction that
+    centering leaves in the Gram matrix.
+    """
+    n, d = X.shape
+    if n - 1 >= d:
+        eig = sym_eigen(mean_and_covariance(X).cov)
+        keep = _rank_mask(eig.eigenvalues, rank_tol)
+        return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+    Xc = X - X.mean(axis=0)
+    G = Xc @ Xc.T
+    eig = sym_eigen((G + G.T) / 2.0)
+    keep = _rank_mask(eig.eigenvalues, rank_tol)
+    g = eig.eigenvalues[keep]
+    V = Xc.T @ eig.eigenvectors[:, keep]
+    V /= np.sqrt(g)
+    return g / max(n - 1, 1), V
+
+
+def _regularized_power(X: np.ndarray, lam: float, p: float) -> np.ndarray:
+    """(cov(X) + lam I)^p, without forming the covariance when n - 1 < d.
+
+    On wide data cov(X) is w on the directions V of _cov_eigenpairs and 0
+    elsewhere, so shifting by lam and raising to p gives
+    lam^p I + V diag((w + lam)^p - lam^p) V^T.  That costs an n x n
+    eigendecomposition instead of a dense d x d one.
     """
     n, d = X.shape
     if n - 1 >= d:
         C = mean_and_covariance(X).cov
         return sym_power(C + lam * np.eye(d), p)
-    Xc = X - X.mean(axis=0)
-    _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    shifted = s * s / max(n - 1, 1) + lam
-    out = (Vt.T * (shifted**p - lam**p)) @ Vt
+    w, V = _cov_eigenpairs(X, DEFAULT_RANK_TOL)
+    out = (V * ((w + lam) ** p - lam**p)) @ V.T
     out[np.diag_indices(d)] += lam**p
     return (out + out.T) / 2.0
 
@@ -96,29 +125,47 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
 
 
 def fit_analytical(D_S, D_T, rank_tol: float = DEFAULT_RANK_TOL) -> CoralTransform:
-    """Fit the exact covariance-alignment optimum.
+    """Fit A = pinv_sqrt(C_S) · root_r(C_T).
 
-    A = pinv_sqrt(C_S) · U_r diag(w_r)^{1/2} U_r^T where U_r, w_r are the
-    top r eigenpairs of C_T and r = min(rank C_S, rank C_T).  With
-    deficient source rank the aligned covariance is the best rank-r
-    approximation of C_T rather than C_T itself.
+    root_r(C_T) = U_r diag(w_r)^{1/2} U_r^T, where U_r, w_r are the top r
+    eigenpairs of C_T and r = min(rank C_S, rank C_T).  The aligned
+    source covariance is A^T C_S A = R P_S R, with R = root_r(C_T) and P_S
+    the projector onto the range of C_S (the span of the source's
+    centred rows).  It equals the rank-r truncation C_T,r of C_T, the
+    closest covariance of rank r, exactly when C_T's top-r eigenvectors
+    lie in that range.  That always holds when C_S has full rank, and
+    then the result is C_T itself.  Otherwise, as on most wide source
+    data, R P_S R falls short of C_T,r.
+
+    When either side is wide (n - 1 < d) the fit is assembled from the
+    kept eigenpairs of both covariances, A = V_S diag(w_S)^{-1/2}
+    (V_S^T U_r) diag(w_r)^{1/2} U_r^T, so no d x d matrix is decomposed
+    for the wide side.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    C_S = mean_and_covariance(D_S).cov
-    C_T = mean_and_covariance(D_T).cov
+    d = D_S.shape[1]
+    if len(D_S) - 1 >= d and len(D_T) - 1 >= d:
+        C_S = mean_and_covariance(D_S).cov
+        C_T = mean_and_covariance(D_T).cov
 
-    inv_root_S, rank_S = pseudo_inv_sqrt(C_S, rank_tol=rank_tol)
-    eig_T = sym_eigen(C_T)
-    w_T = eig_T.eigenvalues
-    r = min(rank_S, int(_rank_mask(w_T, rank_tol).sum()))
+        inv_root_S, rank_S = pseudo_inv_sqrt(C_S, rank_tol=rank_tol)
+        eig_T = sym_eigen(C_T)
+        w_T = eig_T.eigenvalues
+        r = min(rank_S, int(_rank_mask(w_T, rank_tol).sum()))
 
-    U_r = eig_T.eigenvectors[:, :r]
-    root_T = (U_r * np.sqrt(np.maximum(w_T[:r], 0.0))) @ U_r.T
-    A = inv_root_S @ root_T
+        U_r = eig_T.eigenvectors[:, :r]
+        root_T = (U_r * np.sqrt(np.maximum(w_T[:r], 0.0))) @ U_r.T
+        A = inv_root_S @ root_T
+    else:
+        w_S, V_S = _cov_eigenpairs(D_S, rank_tol)
+        w_T, U_T = _cov_eigenpairs(D_T, rank_tol)
+        r = min(len(w_S), len(w_T))
+        U_r = U_T[:, :r]
+        A = (V_S / np.sqrt(w_S)) @ (((V_S.T @ U_r) * np.sqrt(w_T[:r])) @ U_r.T)
     if not np.all(np.isfinite(A)):
         raise NumericalError("fitted transform contains non-finite entries")
     return CoralTransform(
-        A=A, mode="analytical", lam=None, rank_used=r, source_dim=D_S.shape[1]
+        A=A, mode="analytical", lam=None, rank_used=r, source_dim=d
     )
 
 

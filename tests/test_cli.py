@@ -18,7 +18,7 @@ import pytest
 
 import coralign
 from coralign import coral, lda
-from coralign.bench.cli import main
+from coralign.bench.cli import _covariance_gaps, main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift
 from coralign.bench.io import load_bin, load_csv, save_csv
 from coralign.bench.runner import config_from_dict, run_experiment
@@ -72,6 +72,28 @@ class TestTransform:
         tr = coral.fit_analytical(src.features, tgt.features)
         want = coral.apply_to_features(tr, src.features)
         np.testing.assert_array_equal(got.features, want)
+
+    @pytest.mark.parametrize("n_target", [12, 40], ids=["both-wide", "target-tall"])
+    @pytest.mark.parametrize("mode", [["--lambda", "0.5"], ["--analytical"]],
+                             ids=["regularized", "analytical"])
+    def test_wide_pair_gaps_match_dense_covariances(self, tmp_path, capsys, n_target, mode):
+        # a 9-row source in 16 dimensions takes the Gram-product gap route
+        rng = np.random.default_rng(17)
+        Ds = 3.0 * rng.standard_normal((9, 16)) + 5.0
+        Dt = rng.standard_normal((n_target, 16)) @ rng.standard_normal((16, 16))
+        sp, tp, out = tmp_path / "s.csv", tmp_path / "t.csv", tmp_path / "o.csv"
+        save_csv(Dataset(Ds, None, "source"), sp)
+        save_csv(Dataset(Dt, None, "target"), tp)
+        rc = main(["transform", "--source", str(sp), "--target", str(tp),
+                   "--out", str(out), *mode])
+        assert rc == 0
+        moved = load_csv(out).features
+        ct = mean_and_covariance(Dt).cov
+        want = [np.linalg.norm(mean_and_covariance(X).cov - ct) for X in (Ds, moved)]
+        np.testing.assert_allclose(_covariance_gaps(Ds, moved, Dt), want, rtol=1e-8)
+        line = capsys.readouterr().out
+        printed = [float(x) for x in line.split("covariance gap ")[1].split(" -> ")]
+        np.testing.assert_allclose(printed, want, rtol=1e-5)
 
     def test_missing_file_exits_1(self, tmp_path):
         rc = main([

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coralign import coral
 from coralign.classify import LinearModel, predict
 from coralign.coral import (
     CoralTransform,
@@ -19,7 +20,13 @@ from coralign.coral import (
     whiten_both_baseline,
 )
 from coralign.errors import InvalidInputError
-from coralign.linalg import mean_and_covariance, standardize
+from coralign.linalg import (
+    DEFAULT_RANK_TOL,
+    mean_and_covariance,
+    pseudo_inv_sqrt,
+    standardize,
+    sym_power,
+)
 
 
 def random_full_rank(n, d, rng):
@@ -157,6 +164,97 @@ class TestFitAnalytical:
                 Ct = mean_and_covariance(Dt).cov
                 num = np.linalg.norm(got - Ct) ** 2
                 assert num <= 1e-10 * np.linalg.norm(Ct) ** 2
+
+
+def dense_analytical(Ds, Dt):
+    """pseudo_inv_sqrt(C_S) @ root_r(C_T) from dense d x d covariances."""
+    inv_root, rank_s = pseudo_inv_sqrt(mean_and_covariance(Ds).cov)
+    w, V = np.linalg.eigh(mean_and_covariance(Dt).cov)
+    w, V = w[::-1], V[:, ::-1]
+    r = min(rank_s, int(np.sum(w > DEFAULT_RANK_TOL * max(w[0], 0.0))))
+    root = (V[:, :r] * np.sqrt(w[:r])) @ V[:, :r].T
+    return inv_root @ root, r
+
+
+def dense_regularized(Ds, Dt, lam):
+    I = np.eye(Ds.shape[1])
+    return (sym_power(mean_and_covariance(Ds).cov + lam * I, -0.5)
+            @ sym_power(mean_and_covariance(Dt).cov + lam * I, 0.5))
+
+
+def wide_case(name, rng, d=24):
+    """A (source, target) pair where at least one side has n - 1 < d."""
+    def draw(n):
+        return rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+
+    if name == "both-wide":
+        return draw(10), draw(14)
+    if name == "source-wide-target-tall":
+        return draw(10), draw(60)
+    if name == "source-tall-target-wide":
+        return draw(60), draw(10)
+    if name == "duplicated-source-rows":
+        base = draw(6)
+        return np.vstack([base, base[::-1]]), draw(14)
+    if name == "constant-source":
+        return np.full((8, d), 3.0), draw(14)
+    if name == "single-row-source":
+        return draw(1), draw(14)
+    raise ValueError(name)
+
+
+WIDE_CASES = [
+    "both-wide", "source-wide-target-tall", "source-tall-target-wide",
+    "duplicated-source-rows", "constant-source", "single-row-source",
+]
+
+
+class TestWideRoute:
+    @pytest.mark.parametrize("case", WIDE_CASES)
+    def test_analytical_matches_dense_formula(self, case):
+        Ds, Dt = wide_case(case, np.random.default_rng(60))
+        want, r = dense_analytical(Ds, Dt)
+        T = fit_analytical(Ds, Dt)
+        assert T.rank_used == r
+        assert np.linalg.norm(T.A - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_degenerate_sources_give_zero_transform(self):
+        rng = np.random.default_rng(61)
+        for case in ("constant-source", "single-row-source"):
+            T = fit_analytical(*wide_case(case, rng))
+            assert T.rank_used == 0
+            np.testing.assert_array_equal(T.A, 0.0)
+
+    @pytest.mark.parametrize("case", WIDE_CASES)
+    def test_regularized_matches_dense_route(self, case):
+        Ds, Dt = wide_case(case, np.random.default_rng(62))
+        want = dense_regularized(Ds, Dt, lam=0.5)
+        got = fit_regularized(Ds, Dt, lam=0.5).A
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
+    def test_large_offset_is_centred_away(self, fit):
+        # the Gram matrix of uncentred rows at mean 1e8 would swamp the spread
+        Ds, Dt = wide_case("both-wide", np.random.default_rng(63))
+        A0 = fit(Ds, Dt).A
+        A1 = fit(Ds + 1e8, Dt - 1e8).A
+        assert np.linalg.norm(A1 - A0) <= 1e-6 * np.linalg.norm(A0)
+
+    def test_wide_fits_stay_in_row_space(self, monkeypatch):
+        seen = {"mean_and_covariance": [], "sym_eigen": [], "sym_power": [],
+                "pseudo_inv_sqrt": []}
+        for name, calls in seen.items():
+            def record(M, *args, _fn=getattr(coral, name), _calls=calls, **kwargs):
+                _calls.append(np.shape(M))
+                return _fn(M, *args, **kwargs)
+            monkeypatch.setattr(coral, name, record)
+        Ds, Dt = wide_case("both-wide", np.random.default_rng(64))
+        fit_regularized(Ds, Dt, lam=1.0)
+        fit_analytical(Ds, Dt)
+        whiten_both_baseline(Ds, Dt)
+        assert seen["mean_and_covariance"] == []
+        assert seen["sym_power"] == [] and seen["pseudo_inv_sqrt"] == []
+        assert seen["sym_eigen"] and set(seen["sym_eigen"]) <= {(10, 10), (14, 14)}
 
 
 class TestTransformProperties:
