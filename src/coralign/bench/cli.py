@@ -67,36 +67,6 @@ def _float_list(text: str):
         raise InvalidInputError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _covariance_gaps(S, M, T) -> tuple[float, float]:
-    """||cov(S) - cov(T)||_F and ||cov(M) - cov(T)||_F, S and M of one shape.
-
-    When a side is wide (n - 1 < d) no d x d covariance is formed.  With
-    Ac, Bc the centred rows, ||Ac^T Ac||_F = ||Ac Ac^T||_F and
-    <Ac^T Ac, Bc^T Bc>_F = ||Ac Bc^T||_F^2, so the squared gap comes from
-    n x n products.
-    """
-    (n_S, d), n_T = S.shape, len(T)
-    if n_S - 1 >= d and n_T - 1 >= d:
-        ct = mean_and_covariance(T).cov
-        return (float(np.linalg.norm(mean_and_covariance(S).cov - ct)),
-                float(np.linalg.norm(mean_and_covariance(M).cov - ct)))
-
-    def centred(X):
-        return (X - X.mean(axis=0)) / np.sqrt(max(len(X) - 1, 1))
-
-    def sq(P):
-        return float(np.sum(P * P))
-
-    Tc = centred(T)
-    tt = sq(Tc @ Tc.T)
-
-    def gap(X):
-        Xc = centred(X)
-        return float(np.sqrt(max(sq(Xc @ Xc.T) - 2.0 * sq(Xc @ Tc.T) + tt, 0.0)))
-
-    return gap(S), gap(M)
-
-
 def _cmd_transform(args) -> int:
     src = load_dataset(args.source, args.csv_has_header, args.source_labels,
                        "source")
@@ -108,7 +78,9 @@ def _cmd_transform(args) -> int:
         tr = coral.fit_regularized(src.features, tgt.features, args.lam)
     moved = coral.apply_to_features(tr, src.features)
     save_dataset(Dataset(moved, src.labels, src.domain_name), args.out)
-    pre, post = _covariance_gaps(src.features, moved, tgt.features)
+    ct = mean_and_covariance(tgt.features).cov
+    pre = np.linalg.norm(mean_and_covariance(src.features).cov - ct)
+    post = np.linalg.norm(mean_and_covariance(moved).cov - ct)
     mode = "analytical" if args.analytical else f"lambda={args.lam:g}"
     print(f"transformed {src.n} rows, dim {src.d} ({mode}); "
           f"covariance gap {pre:.6g} -> {post:.6g}")

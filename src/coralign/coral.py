@@ -56,9 +56,10 @@ def _cov_eigenpairs(X: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndar
     rows and Xc Xc^T = U diag(g) U^T, cov(X) = Xc^T Xc / (n - 1) has the
     eigenvalues w = g / (n - 1) on the orthonormal directions
     V = Xc^T U diag(g)^{-1/2}, and is 0 elsewhere.  Tall data
-    eigendecomposes the covariance.  Either way an eigenpair is kept by
-    pseudo_inv_sqrt's rank rule, which drops the null direction that
-    centering leaves in the Gram matrix.
+    eigendecomposes the covariance.  Either way an eigenpair is kept when
+    its eigenvalue exceeds rank_tol times the largest (_rank_mask), which
+    also drops the null direction that centering leaves in the Gram
+    matrix.
     """
     n, d = X.shape
     if n - 1 >= d:
@@ -82,12 +83,19 @@ def _regularized_power(X: np.ndarray, lam: float, p: float) -> np.ndarray:
     elsewhere, so shifting by lam and raising to p gives
     lam^p I + V diag((w + lam)^p - lam^p) V^T.  That costs an n x n
     eigendecomposition instead of a dense d x d one.
+
+    A shifted power needs no rank decision, so the wide branch keeps
+    every direction above the Gram matrix's round-off, n * eps * g_max,
+    not only those above the analytical fit's rank cutoff.  Dropping a
+    direction of eigenvalue w moves the power by about p lam^(p-1) w, and
+    on raw features of very different scales w can sit far above
+    round-off yet below 1e-10 * w_max.
     """
     n, d = X.shape
     if n - 1 >= d:
         C = mean_and_covariance(X).cov
         return sym_power(C + lam * np.eye(d), p)
-    w, V = _cov_eigenpairs(X, DEFAULT_RANK_TOL)
+    w, V = _cov_eigenpairs(X, n * np.finfo(float).eps)
     out = (V * ((w + lam) ** p - lam**p)) @ V.T
     out[np.diag_indices(d)] += lam**p
     return (out + out.T) / 2.0

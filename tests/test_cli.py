@@ -18,7 +18,7 @@ import pytest
 
 import coralign
 from coralign import coral, lda
-from coralign.bench.cli import _covariance_gaps, main
+from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift
 from coralign.bench.io import load_bin, load_csv, save_csv
 from coralign.bench.runner import config_from_dict, run_experiment
@@ -73,13 +73,15 @@ class TestTransform:
         want = coral.apply_to_features(tr, src.features)
         np.testing.assert_array_equal(got.features, want)
 
-    @pytest.mark.parametrize("n_target", [12, 40], ids=["both-wide", "target-tall"])
+    @pytest.mark.parametrize("n_source,n_target", [(9, 12), (9, 40), (40, 12)],
+                             ids=["both-wide", "source-wide", "target-wide"])
     @pytest.mark.parametrize("mode", [["--lambda", "0.5"], ["--analytical"]],
                              ids=["regularized", "analytical"])
-    def test_wide_pair_gaps_match_dense_covariances(self, tmp_path, capsys, n_target, mode):
-        # a 9-row source in 16 dimensions takes the Gram-product gap route
+    def test_wide_pair_gaps_match_dense_covariances(self, tmp_path, capsys,
+                                                    n_source, n_target, mode):
+        # pairs with a side of fewer rows than its 16 dimensions
         rng = np.random.default_rng(17)
-        Ds = 3.0 * rng.standard_normal((9, 16)) + 5.0
+        Ds = 3.0 * rng.standard_normal((n_source, 16)) + 5.0
         Dt = rng.standard_normal((n_target, 16)) @ rng.standard_normal((16, 16))
         sp, tp, out = tmp_path / "s.csv", tmp_path / "t.csv", tmp_path / "o.csv"
         save_csv(Dataset(Ds, None, "source"), sp)
@@ -90,10 +92,12 @@ class TestTransform:
         moved = load_csv(out).features
         ct = mean_and_covariance(Dt).cov
         want = [np.linalg.norm(mean_and_covariance(X).cov - ct) for X in (Ds, moved)]
-        np.testing.assert_allclose(_covariance_gaps(Ds, moved, Dt), want, rtol=1e-8)
         line = capsys.readouterr().out
         printed = [float(x) for x in line.split("covariance gap ")[1].split(" -> ")]
         np.testing.assert_allclose(printed, want, rtol=1e-5)
+        if mode == ["--analytical"] and n_source > 16:
+            # a full-rank source is moved onto C_T itself
+            assert printed[1] <= 1e-10 * np.linalg.norm(ct)
 
     def test_missing_file_exits_1(self, tmp_path):
         rc = main([

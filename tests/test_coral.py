@@ -182,6 +182,14 @@ def dense_regularized(Ds, Dt, lam):
             @ sym_power(mean_and_covariance(Dt).cov + lam * I, 0.5))
 
 
+def svd_power(X, lam, p):
+    """(cov(X) + lam I)^p from the thin SVD of the centred rows."""
+    n, d = X.shape
+    _, s, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    out = (Vt.T * ((s * s / (n - 1) + lam) ** p - lam**p)) @ Vt
+    return out + lam**p * np.eye(d)
+
+
 def wide_case(name, rng, d=24):
     """A (source, target) pair where at least one side has n - 1 < d."""
     def draw(n):
@@ -231,6 +239,19 @@ class TestWideRoute:
         want = dense_regularized(Ds, Dt, lam=0.5)
         got = fit_regularized(Ds, Dt, lam=0.5).A
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_regularized_keeps_directions_below_the_rank_cutoff(self):
+        # one raw feature 1e6 times the scale of the rest puts every other
+        # source direction below 1e-10 * w_max; each must still get
+        # (w + lam)^(-1/2), not lam^(-1/2).  The reference is the thin SVD:
+        # the dense route floors eigenvalues at 1e-12 * w_max, above lam
+        # here.  The Gram spectrum's own round-off, eps * w_max, leaves
+        # about 1e-5 relative; dropping those directions costs about 0.5
+        Ds, Dt = wide_case("both-wide", np.random.default_rng(65))
+        Ds[:, 3] *= 1e6
+        want = svd_power(Ds, 1.0, -0.5) @ svd_power(Dt, 1.0, 0.5)
+        got = fit_regularized(Ds, Dt, lam=1.0).A
+        assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
     def test_large_offset_is_centred_away(self, fit):
