@@ -102,11 +102,10 @@ def _cmd_lda(args) -> int:
             raise InvalidInputError("--stats-from is required with --mode coral")
         other = load_dataset(args.stats_from, args.csv_has_header, False, "stats")
         stats_other = mean_and_covariance(other.features)
-        model = lda_mod.fit_coral_lda(lda_mod.LdaInputs(
-            mu_pos=mu1, mu_neg=mu0,
-            cov_source=stats_train.cov, cov_target=stats_other.cov,
-            lam=args.lam,
-        ))
+        model = lda_mod.fit_coral_lda(
+            mu1, mu0, lda_mod.whitening(stats_train.cov, args.lam),
+            lda_mod.whitening(stats_other.cov, args.lam),
+        )
         dist = lda_mod.domain_distance(stats_train, stats_other)
         print(f"coral discriminant fitted (dim {train.d}); "
               f"domain distance {dist:.6g}")

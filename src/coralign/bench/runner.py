@@ -306,6 +306,9 @@ def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
     mu0 = trial.Xs.mean(axis=0)
     Cs = trial.stats_s.cov
     K = mus.shape[0]
+    if whiten_cov is not None:
+        whiten_s = lda.whitening(Cs, config.lda_lam)
+        whiten_t = lda.whitening(whiten_cov, config.lda_lam)
     plain_cols, eval_cols, thresholds = [], [], []
     for k in range(K):
         base = lda.LdaInputs(
@@ -317,8 +320,7 @@ def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
         if whiten_cov is None:
             eval_cols.append(v)
         else:
-            cross = dataclasses.replace(base, cov_target=whiten_cov)
-            eval_cols.append(lda.fit_coral_lda(cross).w)
+            eval_cols.append(lda.fit_coral_lda(mus[k], mu0, whiten_s, whiten_t).w)
     V = np.stack(plain_cols, axis=1)
     W = np.stack(eval_cols, axis=1)
     thr = np.array(thresholds)
@@ -512,9 +514,10 @@ def stats_mismatch_experiment(config: ExperimentConfig) -> MismatchReport:
         stats = {}
         for name, (X, y) in doms.items():
             mus = _class_means(X, y)
-            stats[name] = (mus[1], mus[0], mean_and_covariance(X))
+            st = mean_and_covariance(X)
+            stats[name] = (mus[1], mus[0], st, lda.whitening(st.cov, config.lda_lam))
         for i, m in enumerate(names):
-            mu_pos, mu_neg, st_m = stats[m]
+            mu_pos, mu_neg, st_m, whiten_m = stats[m]
             base = lda.LdaInputs(
                 mu_pos=mu_pos, mu_neg=mu_neg,
                 cov_source=st_m.cov, lam=config.lda_lam,
@@ -522,10 +525,8 @@ def stats_mismatch_experiment(config: ExperimentConfig) -> MismatchReport:
             v = lda.fit_lda(base).w
             thr = 0.5 * float(v @ (mu_pos + mu_neg))
             for j, c in enumerate(names):
-                st_c = stats[c][2]
-                w = lda.fit_coral_lda(
-                    dataclasses.replace(base, cov_target=st_c.cov)
-                ).w
+                _, _, st_c, whiten_c = stats[c]
+                w = lda.fit_coral_lda(mu_pos, mu_neg, whiten_m, whiten_c).w
                 pred = (trial.Xt @ w - thr) > 0
                 acc[t, i, j] = float(np.mean(pred == (trial.yt == 1)))
                 dist[t, i, j] = lda.domain_distance(st_m, st_c)

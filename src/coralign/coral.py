@@ -9,11 +9,10 @@ Fits a d x d matrix A so that source features multiplied by A have
   pseudo-inverse square root of C_S and the rank-truncated square root
   of C_T.
 
-When a domain has fewer rows than dimensions (n - 1 < d) its covariance
-has rank at most n - 1, and every eigenpair it has with a non-zero
-eigenvalue comes from the n x n Gram matrix of the centred rows.  Wide
-fits are built from those eigenpairs, so they eigendecompose n x n
-matrices and never form or decompose a d x d covariance.
+Both take each domain's covariance as a ``linalg.SymOperator``
+(``covariance_operator``).  When a domain has fewer rows than dimensions
+(n - 1 < d) that operator comes from the n x n Gram matrix of the
+centred rows, so wide fits never form or decompose a d x d covariance.
 
 The transform can be applied to feature rows (D @ A) or pushed into a
 linear model's weights (w -> A w), which scores identically.
@@ -29,12 +28,8 @@ from .classify import LinearModel
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     DEFAULT_RANK_TOL,
-    _rank_mask,
     as_feature_matrix,
-    mean_and_covariance,
-    pseudo_inv_sqrt,
-    sym_eigen,
-    sym_power,
+    covariance_operator,
 )
 
 
@@ -47,58 +42,6 @@ class CoralTransform:
     lam: float | None
     rank_used: int | None
     source_dim: int
-
-
-def _cov_eigenpairs(X: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kept eigenpairs (w, V) of cov(X), eigenvalues descending.
-
-    Wide data (n - 1 < d) never forms the covariance: with Xc the centred
-    rows and Xc Xc^T = U diag(g) U^T, cov(X) = Xc^T Xc / (n - 1) has the
-    eigenvalues w = g / (n - 1) on the orthonormal directions
-    V = Xc^T U diag(g)^{-1/2}, and is 0 elsewhere.  Tall data
-    eigendecomposes the covariance.  Either way an eigenpair is kept when
-    its eigenvalue exceeds rank_tol times the largest (_rank_mask), which
-    also drops the null direction that centering leaves in the Gram
-    matrix.
-    """
-    n, d = X.shape
-    if n - 1 >= d:
-        eig = sym_eigen(mean_and_covariance(X).cov)
-        keep = _rank_mask(eig.eigenvalues, rank_tol)
-        return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
-    Xc = X - X.mean(axis=0)
-    G = Xc @ Xc.T
-    eig = sym_eigen((G + G.T) / 2.0)
-    keep = _rank_mask(eig.eigenvalues, rank_tol)
-    g = eig.eigenvalues[keep]
-    V = Xc.T @ eig.eigenvectors[:, keep]
-    V /= np.sqrt(g)
-    return g / max(n - 1, 1), V
-
-
-def _regularized_power(X: np.ndarray, lam: float, p: float) -> np.ndarray:
-    """(cov(X) + lam I)^p, without forming the covariance when n - 1 < d.
-
-    On wide data cov(X) is w on the directions V of _cov_eigenpairs and 0
-    elsewhere, so shifting by lam and raising to p gives
-    lam^p I + V diag((w + lam)^p - lam^p) V^T.  That costs an n x n
-    eigendecomposition instead of a dense d x d one.
-
-    A shifted power needs no rank decision, so the wide branch keeps
-    every direction above the Gram matrix's round-off, n * eps * g_max,
-    not only those above the analytical fit's rank cutoff.  Dropping a
-    direction of eigenvalue w moves the power by about p lam^(p-1) w, and
-    on raw features of very different scales w can sit far above
-    round-off yet below 1e-10 * w_max.
-    """
-    n, d = X.shape
-    if n - 1 >= d:
-        C = mean_and_covariance(X).cov
-        return sym_power(C + lam * np.eye(d), p)
-    w, V = _cov_eigenpairs(X, n * np.finfo(float).eps)
-    out = (V * ((w + lam) ** p - lam**p)) @ V.T
-    out[np.diag_indices(d)] += lam**p
-    return (out + out.T) / 2.0
 
 
 def _check_pair(D_S, D_T) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +65,9 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
         raise InvalidInputError(
             "lambda must be > 0 in regularized mode; use the analytical fit for lambda = 0"
         )
-    inv_root = _regularized_power(D_S, lam, -0.5)
-    color = _regularized_power(D_T, lam, 0.5)
-    A = inv_root @ color
+    inv_root = covariance_operator(D_S, lam).power(-0.5)
+    color = covariance_operator(D_T, lam).power(0.5)
+    A = inv_root.dense() @ color.dense()
     if not np.all(np.isfinite(A)):
         raise NumericalError("fitted transform contains non-finite entries")
     return CoralTransform(
@@ -145,31 +88,22 @@ def fit_analytical(D_S, D_T, rank_tol: float = DEFAULT_RANK_TOL) -> CoralTransfo
     then the result is C_T itself.  Otherwise, as on most wide source
     data, R P_S R falls short of C_T,r.
 
-    When either side is wide (n - 1 < d) the fit is assembled from the
-    kept eigenpairs of both covariances, A = V_S diag(w_S)^{-1/2}
-    (V_S^T U_r) diag(w_r)^{1/2} U_r^T, so no d x d matrix is decomposed
-    for the wide side.
+    When either side is wide (n - 1 < d) the product is taken in
+    factored form, A = V_S diag(w_S)^{-1/2} (V_S^T U_r) diag(w_r)^{1/2}
+    U_r^T, so no d x d matrix is formed before A itself.
     """
     D_S, D_T = _check_pair(D_S, D_T)
     d = D_S.shape[1]
-    if len(D_S) - 1 >= d and len(D_T) - 1 >= d:
-        C_S = mean_and_covariance(D_S).cov
-        C_T = mean_and_covariance(D_T).cov
-
-        inv_root_S, rank_S = pseudo_inv_sqrt(C_S, rank_tol=rank_tol)
-        eig_T = sym_eigen(C_T)
-        w_T = eig_T.eigenvalues
-        r = min(rank_S, int(_rank_mask(w_T, rank_tol).sum()))
-
-        U_r = eig_T.eigenvectors[:, :r]
-        root_T = (U_r * np.sqrt(np.maximum(w_T[:r], 0.0))) @ U_r.T
-        A = inv_root_S @ root_T
+    S, T = covariance_operator(D_S), covariance_operator(D_T)
+    inv_root = S.pinv_sqrt(rank_tol)
+    r = min(int(S.rank_mask(rank_tol).sum()), int(T.rank_mask(rank_tol).sum()))
+    top = np.argsort(T.spectrum)[::-1][:r]
+    U_r, root_w = T.basis[:, top], np.sqrt(T.spectrum[top])
+    if S.basis.shape[1] == d and T.basis.shape[1] == d:
+        A = inv_root.dense() @ ((U_r * root_w) @ U_r.T)
     else:
-        w_S, V_S = _cov_eigenpairs(D_S, rank_tol)
-        w_T, U_T = _cov_eigenpairs(D_T, rank_tol)
-        r = min(len(w_S), len(w_T))
-        U_r = U_T[:, :r]
-        A = (V_S / np.sqrt(w_S)) @ (((V_S.T @ U_r) * np.sqrt(w_T[:r])) @ U_r.T)
+        V_S = inv_root.basis
+        A = (V_S * inv_root.spectrum) @ (((V_S.T @ U_r) * root_w) @ U_r.T)
     if not np.all(np.isfinite(A)):
         raise NumericalError("fitted transform contains non-finite entries")
     return CoralTransform(
@@ -208,6 +142,6 @@ def whiten_both_baseline(D_S, D_T, lam: float = 1.0) -> tuple[np.ndarray, np.nda
     and is provided to show it underperforms alignment.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    out_S = D_S @ _regularized_power(D_S, lam, -0.5)
-    out_T = D_T @ _regularized_power(D_T, lam, -0.5)
+    out_S = covariance_operator(D_S, lam).power(-0.5).apply(D_S)
+    out_T = covariance_operator(D_T, lam).power(-0.5).apply(D_T)
     return out_S, out_T

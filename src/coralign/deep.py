@@ -241,19 +241,10 @@ def train_joint(
     Each step draws one labeled source batch and one unlabeled target
     batch (independent RNG streams, so the source draw sequence does not
     depend on whether alignment is active).  With coral_weight zero the
-    target is never touched and the run is bit-identical to
-    train_classifier.  ``target_labels``, when given, are used only to
-    report per-iteration target accuracy.
+    target is never touched, so the run is bit-identical to source-only
+    training, ``target`` None.  ``target_labels``, when given, are used
+    only to report per-iteration target accuracy.
     """
-    return _train(net, source, labels, target, cfg, target_labels)
-
-
-def train_classifier(net: Network, source, labels, cfg: TrainConfig):
-    """Source-only cross-entropy training; same loop minus the target pass."""
-    return _train(net, source, labels, None, cfg, None)
-
-
-def _train(net, source, labels, target, cfg, target_labels):
     X = as_feature_matrix(source, "source features")
     y = np.asarray(labels)
     n_s = X.shape[0]

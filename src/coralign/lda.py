@@ -1,17 +1,21 @@
 """Linear discriminant scoring with shared covariance statistics.
 
 The plain fit solves (C_S + lam I) w = mu_pos - mu_neg.  The cross-domain
-variant whitens the weight with the source covariance and the incoming
-features (implicitly) with the target covariance:
+variant is CORAL applied to the classifier weights: it whitens the mean
+difference with the source covariance and the incoming features
+(implicitly) with the target covariance,
 
-    w = ((C_T + lam I)^{-1/2})^T (C_S + lam I)^{-1/2} (mu_pos - mu_neg)
+    w = W_T W_S (mu_pos - mu_neg),   W = (C + lam I)^{-1/2},
 
 so that w . u equals the inner product of the source-whitened weight with
 the target-whitened input.  When both covariances agree, the composition
-collapses to the plain solve.
+collapses to the plain solve.  Each W is a ``linalg.SymOperator`` the
+caller builds once per covariance (``whitening``) and shares across every
+class and every pairing that whitens with it.  It is applied to the weight
+in factored form, O(d k) for a d x k basis: one built from wide data by
+``covariance_operator`` is never formed as a d x d matrix.
 
-Also provides the normalized covariance+mean distance between domains
-and a validation-driven convex combination of two fitted weights.
+Also provides the normalized covariance+mean distance between domains.
 """
 
 from __future__ import annotations
@@ -21,17 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DomainStats, sym_power
+from .linalg import DomainStats, SymOperator, psd_operator
 
 
 @dataclass(frozen=True)
 class LdaInputs:
-    """Class means plus the covariance(s) used to shape the discriminant."""
+    """Class means plus the source covariance that shapes the plain discriminant."""
 
     mu_pos: np.ndarray
     mu_neg: np.ndarray
     cov_source: np.ndarray
-    cov_target: np.ndarray | None = None
     lam: float = 1.0
 
 
@@ -48,8 +51,6 @@ def _check_inputs(inp: LdaInputs) -> None:
         raise InvalidInputError("mean vectors disagree in dimension")
     if inp.cov_source.shape != (d, d):
         raise InvalidInputError("source covariance shape does not match the means")
-    if inp.cov_target is not None and inp.cov_target.shape != (d, d):
-        raise InvalidInputError("target covariance shape does not match the means")
     if inp.lam < 0:
         raise InvalidInputError("lambda must be >= 0")
 
@@ -69,16 +70,23 @@ def fit_lda(inp: LdaInputs) -> LdaModel:
     return LdaModel(w=w, mode="plain", provenance="source covariance")
 
 
-def fit_coral_lda(inp: LdaInputs) -> LdaModel:
-    """Source-whiten the mean difference, then target-whiten the row space."""
-    _check_inputs(inp)
-    if inp.cov_target is None:
-        raise InvalidInputError("cross-domain fit needs the target covariance")
-    d = inp.mu_pos.shape[0]
-    I = np.eye(d)
-    whiten_source = sym_power(inp.cov_source + inp.lam * I, -0.5)
-    whiten_target = sym_power(inp.cov_target + inp.lam * I, -0.5)
-    w = whiten_target.T @ (whiten_source @ (inp.mu_pos - inp.mu_neg))
+def whitening(cov, lam: float) -> SymOperator:
+    """(cov + lam I)^{-1/2}, for every fit_coral_lda call that whitens with
+    this covariance; lam >= 0."""
+    return psd_operator(cov, lam).power(-0.5)
+
+
+def fit_coral_lda(mu_pos, mu_neg, whiten_source: SymOperator,
+                  whiten_target: SymOperator) -> LdaModel:
+    """w = W_T W_S (mu_pos - mu_neg): source-whiten the mean difference,
+    then target-whiten the row space.  Each W is a whitening operator,
+    (C + lam I)^{-1/2}, from ``whitening`` or, for wide data,
+    ``covariance_operator(X, lam).power(-0.5)``."""
+    mu_pos, mu_neg = np.asarray(mu_pos, dtype=float), np.asarray(mu_neg, dtype=float)
+    d = whiten_source.dim
+    if not mu_pos.shape == mu_neg.shape == (d,) or whiten_target.dim != d:
+        raise InvalidInputError("means and whitening operators disagree in dimension")
+    w = whiten_target.apply(whiten_source.apply(mu_pos - mu_neg))
     return LdaModel(w=w, mode="coral", provenance="source+target covariances")
 
 
@@ -127,43 +135,3 @@ def domain_distance(a: DomainStats, b: DomainStats) -> float:
         np.sqrt(np.trace(a.cov)) + np.sqrt(np.trace(b.cov))
     )
     return term(a.cov, b.cov) + term(a.mean, b.mean, mean_resolution)
-
-
-def semi_supervised_combine(
-    w_source: LdaModel,
-    w_target: LdaModel,
-    validation,
-    labels,
-    grid,
-) -> tuple[LdaModel, float]:
-    """Pick alpha in the grid maximizing validation accuracy of
-    alpha * w_source + (1 - alpha) * w_target.
-
-    Decision rule: predict class 1 when the combined score is positive.
-    Ties resolve toward the larger alpha (lean on the source model).
-    """
-    X = np.asarray(validation, dtype=float)
-    y = np.asarray(labels)
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise InvalidInputError("empty alpha grid")
-    if any(a < 0 or a > 1 for a in grid):
-        raise InvalidInputError("alpha grid values must lie in [0, 1]")
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise InvalidInputError("validation features and labels disagree")
-    if len(np.unique(y)) < 2:
-        raise InvalidInputError("validation set must contain both classes")
-
-    best_alpha, best_acc = None, -1.0
-    for alpha in sorted(grid):
-        w = alpha * w_source.w + (1.0 - alpha) * w_target.w
-        pred = (X @ w > 0).astype(int)
-        acc = float(np.mean(pred == y))
-        if acc >= best_acc:  # ascending grid, so >= keeps the larger alpha
-            best_alpha, best_acc = alpha, acc
-    combined = LdaModel(
-        w=best_alpha * w_source.w + (1.0 - best_alpha) * w_target.w,
-        mode=w_source.mode,
-        provenance=f"alpha={best_alpha} combination",
-    )
-    return combined, best_alpha

@@ -1,15 +1,16 @@
 """Dense symmetric linear algebra used by every other module.
 
-Covariance estimation, symmetric eigendecomposition, matrix powers,
-pseudo-inverse square roots, Frobenius distances and per-column
-standardization.  Everything operates on plain float64 numpy arrays with
-rows as examples.
+Covariance estimation, per-column standardization, and the one spectral
+type behind every covariance power: ``SymOperator``, the symmetric
+matrix s I + V diag(f) V^T.  Everything operates on plain float64 numpy
+arrays with rows as examples.
 
 Conventions fixed here and relied on elsewhere:
 
 * covariance uses the unbiased 1/(n-1) normalization; a single row
   yields the zero matrix,
-* eigenvalues are sorted descending, so "the top r" is a prefix slice,
+* every eigendecomposition is ``sym_eigen``'s, eigenvalues ascending as
+  ``eigh`` returns them; "the top r" is selected with argsort,
 * eigenvector signs are not unique; downstream code must only consume
   sign-invariant combinations such as ``V f(w) V^T``.
 """
@@ -22,9 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotPSDError, NumericalError
 
-# Relative eigenvalue floor for sym_power when the caller does not pass one.
-DEFAULT_POWER_FLOOR = 1e-12
-# Relative cutoff below which pseudo_inv_sqrt treats an eigenvalue as zero.
+# Relative cutoff below which SymOperator.rank_mask treats an eigenvalue as zero.
 DEFAULT_RANK_TOL = 1e-10
 # Eigenvalues below -NEGATIVE_EIG_TOL * lambda_max mean the input was not PSD.
 NEGATIVE_EIG_TOL = 1e-6
@@ -44,14 +43,72 @@ class DomainStats:
 
 
 @dataclass(frozen=True)
-class SymmetricEigen:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+class SymOperator:
+    """The symmetric matrix shift * I + basis diag(spectrum) basis^T.
 
-    Column ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.
+    The basis columns are orthonormal and column i pairs with
+    spectrum[i]; every direction outside their span has eigenvalue
+    ``shift``.  A d x d basis (from a dense eigendecomposition) covers
+    the whole space; a thin d x k one (from a Gram matrix) lets wide data
+    stay in row space, where the operator costs O(d k) per applied row
+    and is never formed as a d x d matrix unless ``dense`` is asked for.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    shift: float
+    basis: np.ndarray
+    spectrum: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    def power(self, p: float) -> "SymOperator":
+        """The operator raised to p: each eigenvalue e becomes e^p.
+
+        With a shift s > 0 that is s^p I + V diag((s + f)^p - s^p) V^T.
+        With s = 0 the spectrum is raised directly and directions outside
+        the basis stay 0, so on a thin basis it is the power on the range;
+        a negative power then needs every eigenvalue positive.
+        """
+        if self.shift > 0:
+            s = self.shift**p
+            return SymOperator(s, self.basis, (self.spectrum + self.shift) ** p - s)
+        if p < 0 and not np.all(self.spectrum > 0):
+            raise NumericalError("cannot raise a singular matrix to a negative power")
+        return SymOperator(0.0, self.basis, self.spectrum**p)
+
+    def rank_mask(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Basis directions counted in the rank: eigenvalue above rank_tol
+        times the largest (none when no eigenvalue is positive)."""
+        return self.spectrum > rank_tol * self.spectrum.max(initial=0.0)
+
+    def pinv_sqrt(self, rank_tol: float = DEFAULT_RANK_TOL) -> "SymOperator":
+        """Moore-Penrose inverse square root of an unshifted operator:
+        eigenvalues in rank_mask map to w^{-1/2}, the rest to 0."""
+        keep = self.rank_mask(rank_tol)
+        inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, self.spectrum, 1.0)), 0.0)
+        return SymOperator(0.0, self.basis, inv_root)
+
+    def dense(self) -> np.ndarray:
+        """The d x d matrix, symmetrized against round-off."""
+        out = (self.basis * self.spectrum) @ self.basis.T
+        if self.shift:
+            out[np.diag_indices(self.dim)] += self.shift
+        return (out + out.T) / 2.0
+
+    def apply(self, X) -> np.ndarray:
+        """X @ M for the rows of X, or M x for one vector.
+
+        Takes whichever of the dense product and the factored form
+        s X + ((X V) * f) V^T needs fewer flops: 2 d^2 (k + m) against
+        4 d k m for m rows and a d x k basis.
+        """
+        d, k = self.basis.shape
+        m = len(X) if np.ndim(X) == 2 else 1
+        if 2 * k * m >= d * (k + m):
+            return X @ self.dense()
+        out = ((X @ self.basis) * self.spectrum) @ self.basis.T
+        return out + self.shift * X if self.shift else out
 
 
 def as_feature_matrix(D, name: str = "features") -> np.ndarray:
@@ -98,88 +155,71 @@ def _check_symmetric(M, tol: float) -> np.ndarray:
     return M
 
 
-def sym_eigen(M) -> SymmetricEigen:
-    """Eigendecomposition of a symmetric matrix, sorted descending."""
-    M = _check_symmetric(M, 1e-9)
-    w, V = np.linalg.eigh(M)
-    order = np.argsort(w)[::-1]
-    return SymmetricEigen(eigenvalues=w[order], eigenvectors=V[:, order])
+def sym_eigen(M, shift: float = 0.0) -> SymOperator:
+    """M + shift I = V diag(w) V^T for a symmetric PSD matrix M, with the
+    eigenvalues ascending as eigh returns them.
 
-
-def _psd_eigh(M):
-    """Ascending eigenpairs (w, V) of a symmetric PSD matrix, or None for
-    the zero matrix, whose powers each caller defines for itself.
-
-    The one eigen kernel of sym_power and pseudo_inv_sqrt.  Eigenvalues
-    below -NEGATIVE_EIG_TOL * lambda_max raise NotPSDError.
+    The one eigendecomposition in the package: every SymOperator comes
+    from it.  Eigenvalues below -NEGATIVE_EIG_TOL * lambda_max raise
+    NotPSDError.
     """
     M = _check_symmetric(M, 1e-9)
+    if shift:
+        M = M + shift * np.eye(len(M))
     w, V = np.linalg.eigh(M)
-    lam_max = w[-1]
-    if lam_max < 0 or w[0] < -NEGATIVE_EIG_TOL * max(lam_max, 0.0):
+    if w[-1] < 0 or w[0] < -NEGATIVE_EIG_TOL * max(w[-1], 0.0):
         raise NotPSDError(
-            f"matrix has negative eigenvalue {w[0]:.3e} (largest {lam_max:.3e})"
+            f"matrix has negative eigenvalue {w[0]:.3e} (largest {w[-1]:.3e})"
         )
-    if lam_max <= 0.0:
-        return None
-    return w, V
+    return SymOperator(0.0, V, w)
 
 
-def _from_spectrum(V, f_w) -> np.ndarray:
-    """V diag(f_w) V^T, symmetrized against round-off."""
-    out = (V * f_w) @ V.T
-    return (out + out.T) / 2.0
+def psd_operator(M, lam: float = 0.0) -> SymOperator:
+    """M + lam I for a symmetric PSD matrix M and lam >= 0, from one dense
+    eigendecomposition, ready for any power.
 
-
-def _rank_mask(w, rank_tol: float) -> np.ndarray:
-    """Eigenvalues counted in the rank: those above rank_tol * lambda_max
-    (none for a matrix with no positive eigenvalue)."""
-    return w > rank_tol * max(w.max(), 0.0)
-
-
-def sym_power(M, p: float, floor: float | None = None) -> np.ndarray:
-    """Spectral power V diag(max(w, floor)^p) V^T of a symmetric PSD matrix.
-
-    ``floor`` defaults to DEFAULT_POWER_FLOOR times the largest
-    eigenvalue; it keeps negative powers finite in the face of round-off.
-    Eigenvalues below -1e-6 * lambda_max raise NotPSDError.
+    Eigenvalues are clamped below at lam: M + lam I has none smaller, and
+    the clamp keeps negative powers finite against round-off without
+    touching any other eigenvalue.  With lam = 0 the clamp is 1e-12 times
+    the largest eigenvalue, below the rank cutoff of pinv_sqrt.
     """
-    eig = _psd_eigh(M)
-    if eig is None:
-        # zero matrix: non-negative powers are zero, negative powers undefined
-        if p >= 0:
-            return np.zeros(np.shape(M))
-        raise NumericalError("cannot raise the zero matrix to a negative power")
-    w, V = eig
-    if floor is None:
-        floor = DEFAULT_POWER_FLOOR * w[-1]
-    return _from_spectrum(V, np.maximum(w, floor) ** p)
+    if lam < 0:
+        raise InvalidInputError("lambda must be >= 0")
+    op = sym_eigen(M, lam)
+    floor = lam if lam > 0 else 1e-12 * max(op.spectrum[-1], 0.0)
+    return SymOperator(0.0, op.basis, np.maximum(op.spectrum, floor))
 
 
-def pseudo_inv_sqrt(M, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
-    """Moore-Penrose style inverse square root of a symmetric PSD matrix.
+def covariance_operator(X, lam: float = 0.0) -> SymOperator:
+    """cov(X) + lam I for the feature rows X, lam >= 0.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` map to 0, the rest
-    to w^{-1/2}.  Returns the matrix together with the retained rank; an
-    all-zero input yields the zero matrix with rank 0.
+    Tall data (n - 1 >= d) goes through the d x d covariance
+    (psd_operator).  Wide data never forms it: with Xc the centred rows
+    and Xc Xc^T = U diag(g) U^T, cov(X) has the eigenvalues g / (n - 1)
+    on the orthonormal directions Xc^T U diag(g)^{-1/2} and is 0
+    elsewhere, so cov(X) + lam I is the operator of shift lam on that
+    thin basis.  Only the n x n Gram matrix is decomposed.
+
+    The thin basis keeps every pair above the Gram matrix's round-off,
+    n * eps * g_max, which also drops the null direction centring leaves.
+    Rank decisions are the caller's (rank_mask): a shifted power needs
+    none, and on raw features of very different scales a real direction
+    can sit far below 1e-10 * g_max.
     """
-    eig = _psd_eigh(M)
-    if eig is None:
-        return np.zeros(np.shape(M)), 0
-    w, V = eig
-    keep = _rank_mask(w, rank_tol)
-    inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    return _from_spectrum(V, inv_root), int(keep.sum())
-
-
-def frobenius_distance_sq(A, B) -> float:
-    """Sum of squared entrywise differences between two equal-shape matrices."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise InvalidInputError(f"shape mismatch: {A.shape} vs {B.shape}")
-    diff = A - B
-    return float(np.sum(diff * diff))
+    X = as_feature_matrix(X)
+    n, d = X.shape
+    if lam < 0:
+        raise InvalidInputError("lambda must be >= 0")
+    if n - 1 >= d:
+        return psd_operator(mean_and_covariance(X).cov, lam)
+    Xc = X - X.mean(axis=0)
+    G = Xc @ Xc.T
+    gram = sym_eigen((G + G.T) / 2.0)
+    g = gram.spectrum
+    keep = g > n * np.finfo(float).eps * g.max()
+    V = Xc.T @ gram.basis[:, keep]
+    V /= np.sqrt(g[keep])
+    return SymOperator(float(lam), V, g[keep] / max(n - 1, 1))
 
 
 def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

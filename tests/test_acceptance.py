@@ -197,7 +197,8 @@ class TestAcceptance:
                 mu_pos = 2.0 * rng.standard_normal(d)
                 mu_neg = 2.0 * rng.standard_normal(d)
                 plain = lda.fit_lda(lda.LdaInputs(mu_pos, mu_neg, C))
-                cross = lda.fit_coral_lda(lda.LdaInputs(mu_pos, mu_neg, C, C.copy()))
+                cross = lda.fit_coral_lda(mu_pos, mu_neg, lda.whitening(C, 1.0),
+                                          lda.whitening(C.copy(), 1.0))
                 worst = max(worst, float(np.abs(plain.w - cross.w).max()))
             assert worst <= 1e-8
 
@@ -252,8 +253,8 @@ class TestAcceptance:
             net_a, _ = deep.train_joint(
                 deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, Xt, cfg
             )
-            net_b, _ = deep.train_classifier(
-                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, cfg
+            net_b, _ = deep.train_joint(
+                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, None, cfg
             )
             for (Wa, ba, _), (Wb, bb, _) in zip(net_a.layers, net_b.layers):
                 assert np.array_equal(Wa, Wb)

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from coralign import linalg
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
@@ -22,6 +23,18 @@ from coralign.bench.runner import (
     stats_mismatch_experiment,
 )
 from coralign.errors import InvalidInputError, NumericalError
+
+
+def count_eigendecompositions(monkeypatch):
+    """Record the shape of every matrix the shared eigen kernel decomposes."""
+    calls = []
+
+    def record(M, *args, _fn=linalg.sym_eigen, **kwargs):
+        calls.append(np.shape(M))
+        return _fn(M, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "sym_eigen", record)
+    return calls
 
 
 def zero_shift_spec(n=300, d=4, K=2, seed=0):
@@ -151,6 +164,20 @@ class TestRunExperiment:
             accs = report.methods[name].target_acc
             assert all(0.0 <= a <= 1.0 for a in accs)
 
+    def test_lda_family_decomposes_each_whitening_covariance_once(self, monkeypatch):
+        # K = 10 discriminants per method share one source and one target
+        # whitening operator: at most 2 eigendecompositions per method,
+        # where one per class and covariance made 2 K = 20
+        calls = count_eigendecompositions(monkeypatch)
+        cfg = ExperimentConfig(
+            spec=rotated_anisotropic_spec(seed=4, d=16, K=10, n_source=400, n_target=400),
+            methods=("CORAL-LDA", "CORAL-LDA-mismatched"),
+            trials=2,
+        )
+        run_experiment(cfg)
+        assert 0 < len(calls) <= 4 * cfg.trials
+        assert set(calls) == {(16, 16)}
+
     def test_deep_methods_smoke(self):
         spec = rotated_anisotropic_spec(seed=3, d=6, K=2, n_source=120, n_target=120)
         cfg = ExperimentConfig(
@@ -256,6 +283,17 @@ class TestStatsMismatch:
         np.testing.assert_allclose(np.diag(rep.distance_mean), 0.0, atol=1e-12)
         assert ((rep.accuracy_mean >= 0) & (rep.accuracy_mean <= 1)).all()
         assert json.dumps(rep.to_dict())
+
+    def test_one_eigendecomposition_per_domain(self, monkeypatch):
+        # three domains' whitening operators serve all nine pairings
+        calls = count_eigendecompositions(monkeypatch)
+        cfg = ExperimentConfig(
+            spec=rotated_anisotropic_spec(seed=1, d=8, K=2, n_source=200, n_target=200),
+            methods=("CORAL-LDA",),
+            trials=2,
+        )
+        stats_mismatch_experiment(cfg)
+        assert len(calls) == 3 * cfg.trials
 
     def test_matched_beats_unrelated_stats(self):
         cfg = ExperimentConfig(

@@ -152,8 +152,7 @@ class TestLdaCommand:
         cov_s = mean_and_covariance(src.features).cov
         cov_t = mean_and_covariance(tgt.features).cov
         want = lda.fit_coral_lda(
-            lda.LdaInputs(mu_pos=mu1, mu_neg=mu0, cov_source=cov_s,
-                          cov_target=cov_t, lam=1.0)
+            mu1, mu0, lda.whitening(cov_s, 1.0), lda.whitening(cov_t, 1.0)
         ).w
         np.testing.assert_array_equal(w, want)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coralign import coral
+from coralign import linalg
 from coralign.classify import LinearModel, predict
 from coralign.coral import (
     CoralTransform,
@@ -20,13 +20,7 @@ from coralign.coral import (
     whiten_both_baseline,
 )
 from coralign.errors import InvalidInputError
-from coralign.linalg import (
-    DEFAULT_RANK_TOL,
-    mean_and_covariance,
-    pseudo_inv_sqrt,
-    standardize,
-    sym_power,
-)
+from coralign.linalg import DEFAULT_RANK_TOL, mean_and_covariance, standardize
 
 
 def random_full_rank(n, d, rng):
@@ -166,20 +160,32 @@ class TestFitAnalytical:
                 assert num <= 1e-10 * np.linalg.norm(Ct) ** 2
 
 
+def eigh_power(M, p, keep=None):
+    """V diag(w^p) V^T from plain np.linalg.eigh; eigenpairs outside keep -> 0."""
+    w, V = np.linalg.eigh(M)
+    keep = np.ones(len(w), bool) if keep is None else keep(w)
+    return (V[:, keep] * w[keep] ** p) @ V[:, keep].T
+
+
 def dense_analytical(Ds, Dt):
-    """pseudo_inv_sqrt(C_S) @ root_r(C_T) from dense d x d covariances."""
-    inv_root, rank_s = pseudo_inv_sqrt(mean_and_covariance(Ds).cov)
+    """pinv_sqrt(C_S) @ root_r(C_T) from dense d x d covariances."""
+    def kept(w):
+        return w > DEFAULT_RANK_TOL * max(w.max(), 0.0)
+
+    Cs = mean_and_covariance(Ds).cov
+    inv_root = eigh_power(Cs, -0.5, kept)
+    rank_s = int(kept(np.linalg.eigvalsh(Cs)).sum())
     w, V = np.linalg.eigh(mean_and_covariance(Dt).cov)
     w, V = w[::-1], V[:, ::-1]
-    r = min(rank_s, int(np.sum(w > DEFAULT_RANK_TOL * max(w[0], 0.0))))
+    r = min(rank_s, int(kept(w).sum()))
     root = (V[:, :r] * np.sqrt(w[:r])) @ V[:, :r].T
     return inv_root @ root, r
 
 
 def dense_regularized(Ds, Dt, lam):
     I = np.eye(Ds.shape[1])
-    return (sym_power(mean_and_covariance(Ds).cov + lam * I, -0.5)
-            @ sym_power(mean_and_covariance(Dt).cov + lam * I, 0.5))
+    return (eigh_power(mean_and_covariance(Ds).cov + lam * I, -0.5)
+            @ eigh_power(mean_and_covariance(Dt).cov + lam * I, 0.5))
 
 
 def svd_power(X, lam, p):
@@ -243,15 +249,21 @@ class TestWideRoute:
     def test_regularized_keeps_directions_below_the_rank_cutoff(self):
         # one raw feature 1e6 times the scale of the rest puts every other
         # source direction below 1e-10 * w_max; each must still get
-        # (w + lam)^(-1/2), not lam^(-1/2).  The reference is the thin SVD:
-        # the dense route floors eigenvalues at 1e-12 * w_max, above lam
-        # here.  The Gram spectrum's own round-off, eps * w_max, leaves
-        # about 1e-5 relative; dropping those directions costs about 0.5
-        Ds, Dt = wide_case("both-wide", np.random.default_rng(65))
-        Ds[:, 3] *= 1e6
-        want = svd_power(Ds, 1.0, -0.5) @ svd_power(Dt, 1.0, 0.5)
-        got = fit_regularized(Ds, Dt, lam=1.0).A
-        assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
+        # (w + lam)^(-1/2), not lam^(-1/2) on the wide route, nor the
+        # power of a floor at 1e-12 * w_max (about 29 here, far above
+        # lam) on the tall one.  The reference is the thin SVD.  The
+        # spectrum's own round-off, eps * w_max, leaves about 1e-5
+        # relative wide and 1e-4 tall; dropping those directions, or
+        # flooring them, costs about 0.5-0.7
+        rng = np.random.default_rng(65)
+        wide_S, wide_T = wide_case("both-wide", rng)
+        tall_S = rng.standard_normal((200, 24)) @ rng.standard_normal((24, 24))
+        tall_T = rng.standard_normal((200, 24)) @ rng.standard_normal((24, 24))
+        for Ds, Dt in ((wide_S, wide_T), (tall_S, tall_T)):
+            Ds[:, 3] *= 1e6
+            want = svd_power(Ds, 1.0, -0.5) @ svd_power(Dt, 1.0, 0.5)
+            got = fit_regularized(Ds, Dt, lam=1.0).A
+            assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
     def test_large_offset_is_centred_away(self, fit):
@@ -262,19 +274,17 @@ class TestWideRoute:
         assert np.linalg.norm(A1 - A0) <= 1e-6 * np.linalg.norm(A0)
 
     def test_wide_fits_stay_in_row_space(self, monkeypatch):
-        seen = {"mean_and_covariance": [], "sym_eigen": [], "sym_power": [],
-                "pseudo_inv_sqrt": []}
+        seen = {"mean_and_covariance": [], "sym_eigen": []}
         for name, calls in seen.items():
-            def record(M, *args, _fn=getattr(coral, name), _calls=calls, **kwargs):
+            def record(M, *args, _fn=getattr(linalg, name), _calls=calls, **kwargs):
                 _calls.append(np.shape(M))
                 return _fn(M, *args, **kwargs)
-            monkeypatch.setattr(coral, name, record)
+            monkeypatch.setattr(linalg, name, record)
         Ds, Dt = wide_case("both-wide", np.random.default_rng(64))
         fit_regularized(Ds, Dt, lam=1.0)
         fit_analytical(Ds, Dt)
         whiten_both_baseline(Ds, Dt)
         assert seen["mean_and_covariance"] == []
-        assert seen["sym_power"] == [] and seen["pseudo_inv_sqrt"] == []
         assert seen["sym_eigen"] and set(seen["sym_eigen"]) <= {(10, 10), (14, 14)}
 
 

@@ -19,7 +19,6 @@ from coralign.deep import (
     forward,
     init_network,
     network_predict,
-    train_classifier,
     train_joint,
 )
 from coralign.errors import InvalidInputError
@@ -210,7 +209,7 @@ class TestTraining:
         net1 = init_network([6, 8, 3], seed=42)
         cfg = self._cfg(coral_weight=0.0)
         trained_joint, _ = train_joint(net0, Xs, y, Xt, cfg)
-        trained_plain, _ = train_classifier(net1, Xs, y, cfg)
+        trained_plain, _ = train_joint(net1, Xs, y, None, cfg)
         for (Wa, ba, _), (Wb, bb, _) in zip(trained_joint.layers, trained_plain.layers):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)

@@ -2,7 +2,7 @@
 cross-domain weight correction.
 
 Oracles: hand linear solves, scipy matrix powers composed independently,
-direct formula evaluation, and brute-force grid search.
+and direct formula evaluation.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ from coralign.lda import (
     fit_coral_lda,
     fit_lda,
     score,
-    semi_supervised_combine,
+    whitening,
 )
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
-from coralign.linalg import DomainStats, mean_and_covariance, standardize
+from coralign.linalg import DomainStats, covariance_operator, mean_and_covariance, standardize
 
 
 def random_spd(d, rng):
@@ -80,7 +80,6 @@ class TestFitLda:
 
 class TestFitCoralLda:
     def test_matching_covariances_reduce_to_plain_lda(self):
-        rng = np.random.default_rng(2)
         for seed in range(20):
             g = np.random.default_rng(seed)
             d = int(g.integers(2, 8))
@@ -89,32 +88,25 @@ class TestFitCoralLda:
                 mu_pos=g.standard_normal(d),
                 mu_neg=g.standard_normal(d),
                 cov_source=C,
-                cov_target=C.copy(),
                 lam=1.0,
             )
-            w_coral = fit_coral_lda(inp).w
+            w_coral = fit_coral_lda(
+                inp.mu_pos, inp.mu_neg, whitening(C, 1.0), whitening(C.copy(), 1.0)
+            ).w
             w_plain = fit_lda(inp).w
             assert np.linalg.norm(w_coral - w_plain) <= 1e-8 * max(np.linalg.norm(w_plain), 1e-12)
 
     def test_identity_covariances_identity_reduction(self):
-        inp = LdaInputs(
-            mu_pos=np.array([2.0, -1.0]),
-            mu_neg=np.array([0.5, 0.5]),
-            cov_source=np.eye(2),
-            cov_target=np.eye(2),
-            lam=0.0,
-        )
-        np.testing.assert_allclose(fit_coral_lda(inp).w, [1.5, -1.5], atol=1e-10)
+        W = whitening(np.eye(2), 0.0)
+        got = fit_coral_lda(np.array([2.0, -1.0]), np.array([0.5, 0.5]), W, W).w
+        np.testing.assert_allclose(got, [1.5, -1.5], atol=1e-10)
 
     def test_matches_scipy_composition_oracle(self):
         rng = np.random.default_rng(3)
         Cs = random_spd(6, rng)
         Ct = random_spd(6, rng)
         diff = rng.standard_normal(6)
-        inp = LdaInputs(
-            mu_pos=diff, mu_neg=np.zeros(6), cov_source=Cs, cov_target=Ct, lam=0.0
-        )
-        got = fit_coral_lda(inp).w
+        got = fit_coral_lda(diff, np.zeros(6), whitening(Cs, 0.0), whitening(Ct, 0.0)).w
         want = (
             scipy.linalg.fractional_matrix_power(Ct, -0.5).real.T
             @ scipy.linalg.fractional_matrix_power(Cs, -0.5).real
@@ -128,8 +120,7 @@ class TestFitCoralLda:
         Cs, Ct = random_spd(5, rng), random_spd(5, rng)
         mu_pos, mu_neg = rng.standard_normal(5), rng.standard_normal(5)
         lam = 1.0
-        inp = LdaInputs(mu_pos=mu_pos, mu_neg=mu_neg, cov_source=Cs, cov_target=Ct, lam=lam)
-        model = fit_coral_lda(inp)
+        model = fit_coral_lda(mu_pos, mu_neg, whitening(Cs, lam), whitening(Ct, lam))
         I = np.eye(5)
         w_hat = scipy.linalg.fractional_matrix_power(Cs + lam * I, -0.5).real @ (mu_pos - mu_neg)
         for _ in range(20):
@@ -137,12 +128,25 @@ class TestFitCoralLda:
             u_hat = scipy.linalg.fractional_matrix_power(Ct + lam * I, -0.5).real @ u
             assert score(model, u) == pytest.approx(w_hat @ u_hat, abs=1e-9)
 
-    def test_missing_target_covariance_rejected(self):
-        inp = LdaInputs(
-            mu_pos=np.array([1.0]), mu_neg=np.array([0.0]), cov_source=np.eye(1)
-        )
+    def test_thin_whitening_matches_dense(self):
+        # wide data: operators from the Gram route, never d x d, give the
+        # weight the dense covariances give
+        rng = np.random.default_rng(7)
+        Xs, Xt = rng.standard_normal((9, 30)), 2.0 * rng.standard_normal((12, 30))
+        mu_pos, mu_neg = rng.standard_normal(30), rng.standard_normal(30)
+        thin = [covariance_operator(X, 0.5).power(-0.5) for X in (Xs, Xt)]
+        assert thin[0].basis.shape == (30, 8)
+        dense = [whitening(mean_and_covariance(X).cov, 0.5) for X in (Xs, Xt)]
+        want = fit_coral_lda(mu_pos, mu_neg, *dense).w
+        np.testing.assert_allclose(fit_coral_lda(mu_pos, mu_neg, *thin).w, want,
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        W1, W2 = whitening(np.eye(1), 1.0), whitening(np.eye(2), 1.0)
         with pytest.raises(InvalidInputError):
-            fit_coral_lda(inp)
+            fit_coral_lda(np.array([1.0]), np.array([0.0]), W1, W2)
+        with pytest.raises(InvalidInputError):
+            whitening(np.eye(2), -1.0)
 
 
 class TestScore:
@@ -222,64 +226,3 @@ class TestDomainDistance:
         rng = np.random.default_rng(10)
         with pytest.raises(InvalidInputError):
             domain_distance(random_stats(3, rng), random_stats(4, rng))
-
-
-class TestSemiSupervisedCombine:
-    def _labeled_blobs(self, rng, w, n=40, margin=2.0):
-        """Binary validation set separated along w with the given margin."""
-        w = w / np.linalg.norm(w)
-        d = len(w)
-        X = rng.standard_normal((n, d)) * 0.3
-        y = np.array([0, 1] * (n // 2))
-        X += np.where(y[:, None] == 1, margin, -margin) * w[None, :]
-        return X, y
-
-    def test_identical_models_tie_break_to_largest_alpha(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal(3)
-        m1 = LdaModel(w=w, mode="plain", provenance="s")
-        m2 = LdaModel(w=w.copy(), mode="plain", provenance="t")
-        X, y = self._labeled_blobs(rng, w)
-        _, alpha = semi_supervised_combine(m1, m2, X, y, grid=[0.0, 0.25, 0.5, 1.0])
-        assert alpha == 1.0
-
-    def test_opposed_models_pick_target(self):
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal(4)
-        m_src = LdaModel(w=-w, mode="plain", provenance="s")
-        m_tgt = LdaModel(w=w, mode="plain", provenance="t")
-        X, y = self._labeled_blobs(rng, w)
-        _, alpha = semi_supervised_combine(m_src, m_tgt, X, y, grid=[0.0, 0.5, 1.0])
-        assert alpha == 0.0
-
-    def test_matches_brute_force_grid_oracle(self):
-        rng = np.random.default_rng(13)
-        m_src = LdaModel(w=rng.standard_normal(5), mode="plain", provenance="s")
-        m_tgt = LdaModel(w=rng.standard_normal(5), mode="plain", provenance="t")
-        X = rng.standard_normal((60, 5))
-        y = (rng.random(60) < 0.5).astype(int)
-        grid = [0.0, 0.5, 1.0]
-        combined, alpha = semi_supervised_combine(m_src, m_tgt, X, y, grid=grid)
-
-        best_alpha, best_acc = None, -1.0
-        for a in grid:  # ascending, >= keeps the larger alpha on ties
-            w = a * m_src.w + (1 - a) * m_tgt.w
-            acc = np.mean((X @ w > 0).astype(int) == y)
-            if acc >= best_acc:
-                best_alpha, best_acc = a, acc
-        assert alpha == best_alpha
-        np.testing.assert_allclose(combined.w, alpha * m_src.w + (1 - alpha) * m_tgt.w)
-
-    def test_single_class_validation_rejected(self):
-        rng = np.random.default_rng(14)
-        m = LdaModel(w=rng.standard_normal(3), mode="plain", provenance="s")
-        X = rng.standard_normal((10, 3))
-        with pytest.raises(InvalidInputError):
-            semi_supervised_combine(m, m, X, np.zeros(10, dtype=int), grid=[0.0, 1.0])
-
-    def test_empty_grid_rejected(self):
-        rng = np.random.default_rng(15)
-        m = LdaModel(w=rng.standard_normal(3), mode="plain", provenance="s")
-        X, y = self._labeled_blobs(rng, m.w)
-        with pytest.raises(InvalidInputError):
-            semi_supervised_combine(m, m, X, y, grid=[])

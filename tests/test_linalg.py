@@ -1,4 +1,4 @@
-"""Tests for the dense symmetric linear-algebra kernel.
+"""Tests for the dense symmetric linear-algebra kernel and SymOperator.
 
 Expected values come from independent oracles: a two-pass centered
 covariance estimator, scipy's matrix-function routines, elementwise
@@ -10,14 +10,14 @@ import pytest
 import scipy.linalg
 
 from coralign.coral import fit_regularized
-from coralign.errors import InvalidInputError, NotPSDError
+from coralign.errors import InvalidInputError, NotPSDError, NumericalError
 from coralign.linalg import (
-    frobenius_distance_sq,
+    SymOperator,
+    covariance_operator,
     mean_and_covariance,
-    pseudo_inv_sqrt,
+    psd_operator,
     standardize,
     sym_eigen,
-    sym_power,
 )
 
 
@@ -100,29 +100,41 @@ class TestMeanAndCovariance:
             mean_and_covariance(X)
 
 
+def matrix_power(M, p):
+    """M^p through the operator: one eigendecomposition, one power."""
+    return psd_operator(M).power(p).dense()
+
+
+def pinv_root(M, rank_tol=1e-10):
+    """The operator's pseudo-inverse square root of M and its rank."""
+    op = psd_operator(M)
+    return op.pinv_sqrt(rank_tol).dense(), int(op.rank_mask(rank_tol).sum())
+
+
 class TestSymEigen:
     def test_identity(self):
         eig = sym_eigen(np.eye(3))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(eig.spectrum, [1.0, 1.0, 1.0])
+        assert eig.shift == 0.0
 
-    def test_diagonal_sorted_descending(self):
+    def test_diagonal_sorted_ascending(self):
         eig = sym_eigen(np.diag([9.0, 4.0, 1.0]))
-        np.testing.assert_allclose(eig.eigenvalues, [9.0, 4.0, 1.0])
+        np.testing.assert_allclose(eig.spectrum, [1.0, 4.0, 9.0])
         # eigenvectors of a diagonal matrix are signed unit vectors
-        np.testing.assert_allclose(np.abs(eig.eigenvectors), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.abs(eig.basis), np.eye(3)[:, ::-1], atol=1e-12)
 
     def test_reconstruction_random_spd(self):
         rng = np.random.default_rng(11)
         M = random_spd(6, rng)
         eig = sym_eigen(M)
-        rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
+        rebuilt = (eig.basis * eig.spectrum) @ eig.basis.T
         assert np.linalg.norm(rebuilt - M) <= 1e-8 * np.linalg.norm(M)
 
     def test_orthonormal_eigenvectors(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             M = random_spd(5, rng)
-            V = sym_eigen(M).eigenvectors
+            V = sym_eigen(M).basis
             np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-9)
 
     def test_asymmetric_input_rejected(self):
@@ -132,128 +144,168 @@ class TestSymEigen:
 
 
 class TestSymPower:
+    """Matrix powers of a PSD matrix: psd_operator(M).power(p).dense()."""
+
     def test_identity_inverse_sqrt(self):
-        np.testing.assert_allclose(sym_power(np.eye(4), -0.5), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(matrix_power(np.eye(4), -0.5), np.eye(4), atol=1e-12)
 
     def test_diagonal_inverse_sqrt(self):
-        got = sym_power(np.diag([4.0, 9.0]), -0.5)
+        got = matrix_power(np.diag([4.0, 9.0]), -0.5)
         np.testing.assert_allclose(got, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_sqrt_squared_recovers_input(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             M = random_spd(6, rng)
-            root = sym_power(M, 0.5)
+            root = matrix_power(M, 0.5)
             assert np.linalg.norm(root @ root - M) <= 1e-8 * np.linalg.norm(M)
 
     def test_inverse_sqrt_whitens(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             M = random_spd(5, rng)
-            W = sym_power(M, -0.5)
+            W = matrix_power(M, -0.5)
             np.testing.assert_allclose(W @ M @ W, np.eye(5), atol=1e-7)
 
     def test_matches_scipy_sqrtm(self):
         rng = np.random.default_rng(2)
         M = random_spd(7, rng)
-        np.testing.assert_allclose(sym_power(M, 0.5), scipy.linalg.sqrtm(M).real, atol=1e-9)
+        np.testing.assert_allclose(matrix_power(M, 0.5), scipy.linalg.sqrtm(M).real, atol=1e-9)
 
     def test_matches_scipy_fractional_power(self):
         rng = np.random.default_rng(4)
         M = random_spd(5, rng)
         for p in (-0.5, 0.5, 2.0, -1.0):
             want = scipy.linalg.fractional_matrix_power(M, p).real
-            np.testing.assert_allclose(sym_power(M, p), want, atol=1e-8)
+            np.testing.assert_allclose(matrix_power(M, p), want, atol=1e-8)
+        for lam in (0.3, 2.0):
+            want = scipy.linalg.fractional_matrix_power(M + lam * np.eye(5), -0.5).real
+            got = psd_operator(M, lam).power(-0.5).dense()
+            np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(5)
         M = random_spd(6, rng, spread=3.0)
-        out = sym_power(M, -0.5)
-        np.testing.assert_allclose(out, out.T, atol=1e-12)
+        out = matrix_power(M, -0.5)
+        np.testing.assert_array_equal(out, out.T)
 
     def test_clearly_indefinite_matrix_rejected(self):
         with pytest.raises(NotPSDError):
-            sym_power(np.diag([1.0, -1.0]), 0.5)
+            matrix_power(np.diag([1.0, -1.0]), 0.5)
 
     def test_floor_clamps_tiny_eigenvalues(self):
-        # rank-1 matrix: the zero eigenvalue is floored, so the inverse sqrt
-        # stays finite
+        # rank-1 matrix: with lam = 0 the zero eigenvalue is floored at
+        # 1e-12 * lambda_max, so the inverse sqrt stays finite
         v = np.array([1.0, 2.0])
-        M = np.outer(v, v)
-        out = sym_power(M, -0.5, floor=1e-8)
+        out = matrix_power(np.outer(v, v), -0.5)
         assert np.all(np.isfinite(out))
+        # with lam > 0 the clamp is lam itself, however large lambda_max:
+        # a floor of 1e-12 * lambda_max (100 here) would give the unit
+        # block about 0.1 instead of about 1; eigh's own error is about
+        # eps * lambda_max = 2e-2 absolute, 1e-6 on the inverse root
+        M = np.diag([1e14, 0.0, 0.5])
+        M[1, 2] = M[2, 1] = 1e-3
+        op = psd_operator(M, 1.0)
+        assert op.spectrum.min() >= 1.0
+        want = scipy.linalg.fractional_matrix_power(M + np.eye(3), -0.5).real
+        np.testing.assert_allclose(op.power(-0.5).dense(), want, atol=1e-5)
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(matrix_power(np.zeros((3, 3)), 0.5), 0.0)
+        with pytest.raises(NumericalError):
+            matrix_power(np.zeros((3, 3)), -0.5)
+        np.testing.assert_allclose(
+            psd_operator(np.zeros((3, 3)), 4.0).power(-0.5).dense(), 0.5 * np.eye(3)
+        )
 
 
 class TestPseudoInvSqrt:
+    """SymOperator.pinv_sqrt and rank_mask on psd_operator(M)."""
+
     def test_full_rank_matches_sym_power(self):
         rng = np.random.default_rng(6)
         M = random_spd(6, rng)
-        got, rank = pseudo_inv_sqrt(M)
+        got, rank = pinv_root(M)
         assert rank == 6
-        np.testing.assert_allclose(got, sym_power(M, -0.5, floor=1e-300), atol=1e-8)
+        np.testing.assert_allclose(got, matrix_power(M, -0.5), atol=1e-8)
 
     def test_rank_one_hand_case(self):
         # M = v v^T with ||v|| = 2 has the single eigenvalue 4 on the unit
         # direction v/2, so the pseudo inverse square root scales that axis
         # by 1/2:  P (v/2) = v/4  and  P v = v/2.
         v = np.array([2.0, 0.0])
-        P, rank = pseudo_inv_sqrt(np.outer(v, v))
+        P, rank = pinv_root(np.outer(v, v))
         assert rank == 1
         np.testing.assert_allclose(P @ (v / 2), v / 4, atol=1e-12)
         np.testing.assert_allclose(P @ v, v / 2, atol=1e-12)
         np.testing.assert_allclose(P, np.array([[0.5, 0.0], [0.0, 0.0]]), atol=1e-12)
 
     def test_zero_matrix(self):
-        P, rank = pseudo_inv_sqrt(np.zeros((3, 3)))
+        P, rank = pinv_root(np.zeros((3, 3)))
         assert rank == 0
         np.testing.assert_allclose(P, np.zeros((3, 3)))
 
     def test_rank_monotone_in_tolerance(self):
-        rng = np.random.default_rng(8)
         for seed in range(10):
             g = np.random.default_rng(seed)
             d = 8
             A = g.standard_normal((d, 3))
             M = A @ A.T  # rank 3
-            ranks = [pseudo_inv_sqrt(M, rank_tol=t)[1] for t in (1e-14, 1e-10, 1e-4, 1e-1, 10.0)]
+            ranks = [pinv_root(M, rank_tol=t)[1] for t in (1e-14, 1e-10, 1e-4, 1e-1, 10.0)]
             assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+            assert ranks[1] == 3 and ranks[-1] == 0
 
     def test_deficient_matches_scipy_pinv(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((6, 2))
         M = A @ A.T
-        P, rank = pseudo_inv_sqrt(M)
+        P, rank = pinv_root(M)
         assert rank == 2
         # P squared should equal the Moore-Penrose pseudoinverse of M
         np.testing.assert_allclose(P @ P, np.linalg.pinv(M), atol=1e-8)
 
 
-class TestFrobeniusDistanceSq:
-    def test_identical(self):
-        M = np.arange(6.0).reshape(2, 3)
-        assert frobenius_distance_sq(M, M) == 0.0
+class TestSymOperator:
+    """apply, dense and power agree across dense and thin bases."""
 
-    def test_identity_vs_zero(self):
-        assert frobenius_distance_sq(np.eye(2), np.zeros((2, 2))) == pytest.approx(2.0)
+    def _thin(self, rng, d=7, k=3, shift=0.4):
+        V, _ = np.linalg.qr(rng.standard_normal((d, k)))
+        return SymOperator(shift, V, rng.uniform(0.5, 2.0, k))
 
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(10)
-        A = rng.standard_normal((5, 7))
-        B = rng.standard_normal((5, 7))
-        acc = 0.0
-        for i in range(5):
-            for j in range(7):
-                acc += (A[i, j] - B[i, j]) ** 2
-        assert frobenius_distance_sq(A, B) == pytest.approx(acc, rel=1e-12)
+    def test_dense_is_shift_plus_low_rank(self):
+        op = self._thin(np.random.default_rng(70))
+        want = op.shift * np.eye(7) + (op.basis * op.spectrum) @ op.basis.T
+        np.testing.assert_allclose(op.dense(), want, atol=1e-14)
 
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(13)
-        A, B = rng.standard_normal((2, 4, 4))
-        assert frobenius_distance_sq(A, B) == pytest.approx(frobenius_distance_sq(B, A), rel=1e-12)
+    @pytest.mark.parametrize("rows", [None, 1, 2, 7, 40])
+    def test_apply_matches_dense_product(self, rows):
+        rng = np.random.default_rng(71)
+        for op in (self._thin(rng), psd_operator(random_spd(7, rng), 0.2)):
+            X = rng.standard_normal(7) if rows is None else rng.standard_normal((rows, 7))
+            np.testing.assert_allclose(op.apply(X), X @ op.dense(), rtol=1e-12, atol=1e-12)
 
-    def test_shape_mismatch_rejected(self):
+    def test_power_composes(self):
+        op = self._thin(np.random.default_rng(72))
+        M = op.dense()
+        np.testing.assert_allclose(op.power(-0.5).dense() @ op.power(-0.5).dense(),
+                                   np.linalg.inv(M), atol=1e-12)
+        np.testing.assert_allclose(op.power(0.5).dense(), scipy.linalg.sqrtm(M).real,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 9, 60])
+    def test_covariance_operator_matches_dense_covariance(self, n):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((n, 12)) @ rng.standard_normal((12, 12)) + 5.0
+        op = covariance_operator(X, 0.7)
+        assert op.basis.shape == ((12, n - 1) if n - 1 < 12 else (12, 12))
+        want = mean_and_covariance(X).cov + 0.7 * np.eye(12)
+        np.testing.assert_allclose(op.dense(), want, rtol=1e-10, atol=1e-10)
+
+    def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidInputError):
-            frobenius_distance_sq(np.eye(2), np.eye(3))
+            psd_operator(np.eye(2), -1.0)
+        with pytest.raises(InvalidInputError):
+            covariance_operator(np.ones((2, 5)), -1.0)
 
 
 class TestStandardize:
