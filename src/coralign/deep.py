@@ -83,34 +83,34 @@ class LossReport:
     final_coral_distance: float
 
 
+def _covariance_gap(S, T):
+    """Validated batches, C_S - C_T, and the loss ||C_S - C_T||_F^2 / (4 d^2)."""
+    S = as_feature_matrix(S, "source batch")
+    T = as_feature_matrix(T, "target batch")
+    if S.shape[1] != T.shape[1]:
+        raise InvalidInputError("batches must share the feature dimension")
+    if S.shape[0] < 2 or T.shape[0] < 2:
+        raise InvalidInputError("covariance needs at least 2 rows per batch")
+    d = S.shape[1]
+    diff = mean_and_covariance(S).cov - mean_and_covariance(T).cov
+    return S, T, diff, float(np.sum(diff * diff) / (4.0 * d * d))
+
+
 def coral_loss(S, T) -> float:
     """||C_S - C_T||_F^2 / (4 d^2) over unbiased batch covariances."""
-    S = as_feature_matrix(S, "source batch")
-    T = as_feature_matrix(T, "target batch")
-    if S.shape[1] != T.shape[1]:
-        raise InvalidInputError("batches must share the feature dimension")
-    if S.shape[0] < 2 or T.shape[0] < 2:
-        raise InvalidInputError("covariance needs at least 2 rows per batch")
-    d = S.shape[1]
-    diff = mean_and_covariance(S).cov - mean_and_covariance(T).cov
-    return float(np.sum(diff * diff) / (4.0 * d * d))
+    return _covariance_gap(S, T)[3]
 
 
-def coral_loss_grad(S, T) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of coral_loss w.r.t. both activation batches."""
-    S = as_feature_matrix(S, "source batch")
-    T = as_feature_matrix(T, "target batch")
-    if S.shape[1] != T.shape[1]:
-        raise InvalidInputError("batches must share the feature dimension")
-    if S.shape[0] < 2 or T.shape[0] < 2:
-        raise InvalidInputError("covariance needs at least 2 rows per batch")
+def coral_loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
+    """coral_loss and its analytic gradients w.r.t. both activation
+    batches, from one covariance per batch."""
+    S, T, diff, loss = _covariance_gap(S, T)
     d = S.shape[1]
-    diff = mean_and_covariance(S).cov - mean_and_covariance(T).cov
     Sc = S - S.mean(axis=0)
     Tc = T - T.mean(axis=0)
     grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
     grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
-    return grad_S, grad_T
+    return loss, grad_S, grad_T
 
 
 def finite_diff_check(S, T, step: float = 1e-5) -> float:
@@ -128,9 +128,9 @@ def finite_diff_check(S, T, step: float = 1e-5) -> float:
         raise InvalidInputError("step must be positive")
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
-    grad_S, grad_T = coral_loss_grad(S, T)
+    loss, grad_S, grad_T = coral_loss_and_grad(S, T)
     eps = np.finfo(float).eps
-    floor = max(1e-8, eps * (1.0 + abs(coral_loss(S, T))) / step**2)
+    floor = max(1e-8, eps * (1.0 + abs(loss)) / step**2)
     worst = 0.0
     for X, G, other, is_source in ((S, grad_S, T, True), (T, grad_T, S, False)):
         for i in range(X.shape[0]):
@@ -293,8 +293,7 @@ def train_joint(
             t_idx = tgt_rng.integers(0, Xt.shape[0], size=cfg.batch_size)
             logits_t, cache_t = forward(work, Xt[t_idx])
             _check_not_diverged(logits_t, it)
-            coral_curve[it] = coral_loss(logits_s, logits_t)
-            g_s, g_t = coral_loss_grad(logits_s, logits_t)
+            coral_curve[it], g_s, g_t = coral_loss_and_grad(logits_s, logits_t)
             d_logits_s = d_logits_s + cfg.coral_weight * g_s
             grads_t = _backward(work, cache_t, cfg.coral_weight * g_t)
 

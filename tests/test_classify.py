@@ -3,12 +3,15 @@
 The heavyweight oracle here is a flat replay of the training loop,
 written independently of the implementation module, which must agree
 bit-for-bit on the final objective.  Cross-validation is checked against
-brute-force re-evaluation of every grid point.
+brute-force re-evaluation of every grid point, and its lockstep kernel
+(every (fold, C) fit in one run) against a serial loop over train_svm.
 """
 
 import numpy as np
 import pytest
 
+from coralign import classify
+from coralign.bench.data import generate_shift, rotated_anisotropic_spec
 from coralign.classify import (
     LinearModel,
     MINIBATCH,
@@ -19,6 +22,7 @@ from coralign.classify import (
     train_svm,
 )
 from coralign.errors import InvalidInputError
+from coralign.linalg import standardize
 
 
 def blobs(rng, means, per_class):
@@ -227,6 +231,127 @@ class TestCrossValidateC:
         y = np.array([0, 1] * 5)
         with pytest.raises(InvalidInputError):
             cross_validate_C(X, y, [], folds=2, seed=0)
+
+
+def serial_cv(X, y, grid, folds, seed, epochs=20):
+    """Oracle: cross-validation as one train_svm fit per (C, fold) pair.
+
+    Returns the chosen C and the (G, F) held-out accuracies.
+    """
+    perm = np.random.default_rng(seed).permutation(len(X))
+    parts = np.array_split(perm, folds)
+    grid = sorted(grid)
+    accs = np.empty((len(grid), folds))
+    best_C, best_acc = None, -1.0
+    for i, C in enumerate(grid):
+        for f in range(folds):
+            te = parts[f]
+            tr = np.concatenate([parts[g] for g in range(folds) if g != f])
+            m = train_svm(X[tr], y[tr], C=C, epochs=epochs, seed=seed)
+            accs[i, f] = accuracy(predict(m, X[te]), y[te])
+        if np.mean(accs[i]) > best_acc:
+            best_C, best_acc = C, np.mean(accs[i])
+    return best_C, accs
+
+
+def awkward_case():
+    """41 rows in 4 folds (training sizes 30, 31, 31, 31); class 2 sits only
+    in held-out part 2, so that fold trains a 2-class model."""
+    rng = np.random.default_rng(12)
+    parts = np.array_split(np.random.default_rng(5).permutation(41), 4)
+    y = np.arange(41) % 2
+    y[parts[2][:4]] = 2
+    means = np.array([[2.0, 0.0, 0.0], [-1.0, 1.5, 0.0], [-1.0, -1.5, 1.0]])
+    X = means[y] + rng.standard_normal((41, 3))
+    return X, y, dict(folds=4, seed=5)
+
+
+def frozen_source():
+    """Standardized source of rotated_anisotropic_spec(0): rollbacks fire
+    1-2 times per fold at C=0.001 and C=10, never at the middle C values."""
+    src, _ = generate_shift(rotated_anisotropic_spec(0))
+    X, _, _ = standardize(src.features)
+    return X, src.labels, dict(folds=5, seed=0)
+
+
+GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
+
+
+class TestLockstepCrossValidation:
+    @pytest.mark.parametrize("case", [awkward_case, frozen_source])
+    def test_matches_serial_cv(self, case):
+        X, y, kw = case()
+        want_C, want_accs = serial_cv(X, y, GRID, **kw)
+        got = classify._cv_accuracies(X, y, GRID, kw["folds"], kw["seed"], 20)
+        np.testing.assert_array_equal(got, want_accs)  # every (C, fold), exact
+        assert cross_validate_C(X, y, GRID, **kw) == want_C
+
+    def test_awkward_case_is_awkward(self):
+        X, y, kw = awkward_case()
+        parts = np.array_split(np.random.default_rng(kw["seed"]).permutation(len(X)), 4)
+        train_sizes = {len(X) - len(p) for p in parts}
+        held_out_twos = [int(np.sum(y[p] == 2)) for p in parts]
+        assert train_sizes == {30, 31}
+        assert held_out_twos == [0, 0, int(np.sum(y == 2)), 0]
+
+    def test_kernel_weights_bit_identical_to_train_svm(self):
+        X, y, kw = frozen_source()
+        parts = np.array_split(np.random.default_rng(0).permutation(len(X)), 5)
+        rows = np.stack([np.concatenate(parts[:f] + parts[f + 1:]) for f in range(5)])
+        Wa = classify._sgd(classify._augment(X), classify._signs(y, 3), rows, GRID, 20, 0)
+        assert Wa.shape == (5, len(GRID) * 3, X.shape[1] + 1)
+        for f in range(5):
+            for g, C in enumerate(GRID):
+                m = train_svm(X[rows[f]], y[rows[f]], C=C, epochs=20, seed=0)
+                block = Wa[f, 3 * g : 3 * g + 3]
+                np.testing.assert_array_equal(block[:, :-1], m.W)
+                np.testing.assert_array_equal(block[:, -1], m.b)
+
+    def test_no_train_svm_calls_and_one_kernel_run_per_group(self, monkeypatch):
+        X, y, kw = awkward_case()
+        runs = []
+        kernel = classify._sgd
+
+        def counting(Xa, Ysign, rows, *args):
+            runs.append((rows.shape, Ysign.shape[1]))
+            return kernel(Xa, Ysign, rows, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross_validate_C called train_svm")
+
+        monkeypatch.setattr(classify, "_sgd", counting)
+        monkeypatch.setattr(classify, "train_svm", forbidden)
+        cross_validate_C(X, y, GRID, **kw)
+        # groups by (training size, class count): fold 0; folds 1, 3; fold 2
+        assert sorted(runs) == [((1, 30), 3), ((1, 31), 2), ((2, 31), 3)]
+
+    def test_single_class_training_fold_still_raises(self):
+        # class 1 only in held-out part 0: fold 0 trains on class 0 alone
+        parts = np.array_split(np.random.default_rng(3).permutation(20), 2)
+        y = np.zeros(20, dtype=int)
+        y[parts[0][:3]] = 1
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(InvalidInputError):
+            train_svm(X[parts[1]], y[parts[1]], C=1.0, epochs=5, seed=3)
+        with pytest.raises(InvalidInputError):
+            cross_validate_C(X, y, [1.0], folds=2, seed=3)
+
+    def test_fewer_rows_than_classes_in_a_fold_still_raises(self):
+        # 4 rows, 2 folds: one fold trains 2 rows on labels {0, 3}, K = 4
+        parts = np.array_split(np.random.default_rng(1).permutation(4), 2)
+        y = np.zeros(4, dtype=int)
+        y[parts[1][0]] = 3
+        y[parts[0][0]] = 1
+        X = np.random.default_rng(0).standard_normal((4, 2))
+        with pytest.raises(InvalidInputError, match="at least K"):
+            train_svm(X[parts[1]], y[parts[1]], C=1.0, epochs=5, seed=1)
+        with pytest.raises(InvalidInputError, match="at least K"):
+            cross_validate_C(X, y, [1.0], folds=2, seed=1)
+
+    def test_nonpositive_grid_value_rejected(self):
+        X, y, kw = awkward_case()
+        with pytest.raises(InvalidInputError):
+            cross_validate_C(X, y, [0.0, 1.0], **kw)
 
 
 class TestAccuracy:

@@ -14,7 +14,7 @@ from coralign.deep import (
     Network,
     TrainConfig,
     coral_loss,
-    coral_loss_grad,
+    coral_loss_and_grad,
     finite_diff_check,
     forward,
     init_network,
@@ -89,7 +89,7 @@ class TestCoralLoss:
 class TestCoralLossGrad:
     def test_identical_batches_zero_gradient(self):
         X = np.random.default_rng(4).standard_normal((7, 3))
-        Gs, Gt = coral_loss_grad(X, X.copy())
+        _, Gs, Gt = coral_loss_and_grad(X, X.copy())
         np.testing.assert_allclose(Gs, np.zeros_like(X), atol=1e-15)
         np.testing.assert_allclose(Gt, np.zeros_like(X), atol=1e-15)
 
@@ -98,7 +98,7 @@ class TestCoralLossGrad:
             rng = np.random.default_rng(seed)
             S = rng.standard_normal((8, 5))
             T = rng.standard_normal((8, 5))
-            Gs, Gt = coral_loss_grad(S, T)
+            _, Gs, Gt = coral_loss_and_grad(S, T)
             assert rel_err(Gs, fd_grad(lambda X: coral_loss(X, T), S)) <= 1e-5
             assert rel_err(Gt, fd_grad(lambda X: coral_loss(S, X), T)) <= 1e-5
 
@@ -106,7 +106,7 @@ class TestCoralLossGrad:
         rng = np.random.default_rng(5)
         S = rng.standard_normal((4, 2))
         T = rng.standard_normal((32, 2))
-        Gs, Gt = coral_loss_grad(S, T)
+        _, Gs, Gt = coral_loss_and_grad(S, T)
         assert rel_err(Gs, fd_grad(lambda X: coral_loss(X, T), S)) <= 1e-5
         assert rel_err(Gt, fd_grad(lambda X: coral_loss(S, X), T)) <= 1e-5
 
@@ -114,7 +114,7 @@ class TestCoralLossGrad:
         rng = np.random.default_rng(6)
         S = 2.0 * rng.standard_normal((8, 5))
         T = rng.standard_normal((8, 5))
-        Gs, _ = coral_loss_grad(S, T)
+        _, Gs, _ = coral_loss_and_grad(S, T)
         assert rel_err(Gs, fd_grad(lambda X: coral_loss(X, T), S)) <= 1e-5
 
     def test_target_gradient_carries_opposite_sign(self):
@@ -123,11 +123,18 @@ class TestCoralLossGrad:
         rng = np.random.default_rng(7)
         T = rng.standard_normal((10, 3))
         S = 2.0 * T
-        Gs, Gt = coral_loss_grad(S, T)
+        _, Gs, Gt = coral_loss_and_grad(S, T)
         # both push toward shrinking the covariance gap: check via a small step
         step = 1e-3
         assert coral_loss(S - step * Gs, T) < coral_loss(S, T)
         assert coral_loss(S, T - step * Gt) < coral_loss(S, T)
+
+    def test_fused_loss_is_coral_loss(self):
+        rng = np.random.default_rng(8)
+        S = rng.standard_normal((16, 4))
+        T = 1.5 * rng.standard_normal((9, 4))
+        loss, _, _ = coral_loss_and_grad(S, T)
+        assert loss == coral_loss(S, T)  # bit-identical
 
 
 class TestForward:
@@ -227,6 +234,21 @@ class TestTraining:
         np.testing.assert_array_equal(a.coral_loss, b.coral_loss)
         np.testing.assert_array_equal(a.source_acc, b.source_acc)
         np.testing.assert_array_equal(a.target_acc, b.target_acc)
+
+    def test_one_covariance_per_batch_per_iteration(self, monkeypatch):
+        import coralign.deep as deep_mod
+
+        calls = []
+        real = deep_mod.mean_and_covariance
+        monkeypatch.setattr(
+            deep_mod, "mean_and_covariance", lambda D: calls.append(1) or real(D)
+        )
+        rng = np.random.default_rng(22)
+        Xs, y, Xt, _ = shifted_blobs(rng)
+        cfg = self._cfg(iterations=10)
+        train_joint(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg)
+        # two batch covariances per step, two for the final distance
+        assert len(calls) == 2 * cfg.iterations + 2
 
     def test_report_lengths_match_iterations(self):
         rng = np.random.default_rng(17)
