@@ -163,7 +163,8 @@ def _cmd_deep(args) -> int:
     cfg = _read_config(args.config)
     pair = _load_file_pair(cfg) if cfg.spec is None else None
     trial = _make_trial(cfg, cfg.seed_base, pair)
-    _, _, rep = _train_deep(trial, cfg.deep, cfg.deep.coral_weight)
+    _, _, rep = _train_deep(trial, cfg.deep, cfg.deep.coral_weight,
+                            accuracy_curves=bool(args.curves_out))
     if args.curves_out:
         lines = ["iteration,class_loss,coral_loss,source_acc,target_acc"]
         for i in range(len(rep.class_loss)):
@@ -171,8 +172,8 @@ def _cmd_deep(args) -> int:
                      rep.source_acc[i], rep.target_acc[i])
             lines.append(f"{i}," + ",".join(format(v, ".10g") for v in cells))
         Path(args.curves_out).write_text("\n".join(lines) + "\n")
-    print(f"final source acc {rep.source_acc[-1]:.4f}, "
-          f"target acc {rep.target_acc[-1]:.4f}, "
+    print(f"final source acc {rep.final_source_acc:.4f}, "
+          f"target acc {rep.final_target_acc:.4f}, "
           f"alignment distance {rep.final_coral_distance:.6g}")
     return EXIT_OK
 
@@ -259,7 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report-out")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("deep", help="one joint training run with curves")
+    p = sub.add_parser("deep", help="one joint training run; curves with --curves-out")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--curves-out", help="per-iteration CSV")
     p.set_defaults(func=_cmd_deep)

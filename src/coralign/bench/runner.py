@@ -342,10 +342,12 @@ def _lda_mismatched(trial: _Trial, config: ExperimentConfig):
                        lda.domain_distance(stats_u, trial.stats_t))
 
 
-def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float):
+def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float,
+                accuracy_curves: bool = False):
     """The one place a deep run is built: network and TrainConfig from
     ``settings``, both seeded with the trial seed.  Returns the initial
-    network, the trained one and the LossReport."""
+    network, the trained one and the LossReport (with per-iteration
+    accuracy curves only if ``accuracy_curves``)."""
     K = int(trial.ys.max()) + 1
     net = deep.init_network([trial.Xs.shape[1], settings.hidden, K], seed=trial.seed)
     tc = deep.TrainConfig(
@@ -357,7 +359,8 @@ def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float):
         momentum=settings.momentum,
     )
     trained, rep = deep.train_joint(
-        net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt
+        net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt,
+        accuracy_curves=accuracy_curves,
     )
     return net, trained, rep
 
@@ -372,8 +375,8 @@ def _deep_method(with_coral: bool):
         ls, _ = deep.forward(trained, trial.Xs)
         lt, _ = deep.forward(trained, trial.Xt)
         dmd = lda.domain_distance(mean_and_covariance(ls), mean_and_covariance(lt))
-        tacc = rep.target_acc[-1] if trial.yt is not None else float("nan")
-        return float(tacc), float(rep.source_acc[-1]), pre, rep.final_coral_distance, dmd
+        return (rep.final_target_acc, rep.final_source_acc, pre,
+                rep.final_coral_distance, dmd)
 
     return run
 

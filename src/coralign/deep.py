@@ -15,12 +15,16 @@ The trainer runs a plain feedforward network (manual forward/backward,
 SGD with momentum) on labeled source batches plus unlabeled target
 batches, minimizing softmax cross-entropy + weighted alignment loss on
 the final layer's outputs.  Network parameters are shared between the
-two passes.
+two passes.  Final source and target accuracies come from the same
+full-data logits as the end-of-training alignment distance; the
+per-iteration accuracy curves, one full-data pass per step, are
+computed only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -74,12 +78,21 @@ class TrainConfig:
 
 @dataclass
 class LossReport:
-    """Per-iteration curves plus the end-of-training alignment distance."""
+    """Per-iteration loss curves, end-of-training accuracies and alignment
+    distance.
+
+    ``source_acc``/``target_acc`` are per-iteration accuracy curves when
+    training was asked for them and None otherwise.  ``final_source_acc``
+    and ``final_target_acc`` (NaN without target labels) score the
+    trained network; ``final_coral_distance`` is NaN without a target.
+    """
 
     class_loss: np.ndarray
     coral_loss: np.ndarray
-    source_acc: np.ndarray
-    target_acc: np.ndarray
+    source_acc: Optional[np.ndarray]
+    target_acc: Optional[np.ndarray]
+    final_source_acc: float
+    final_target_acc: float
     final_coral_distance: float
 
 
@@ -224,8 +237,9 @@ def network_predict(net: Network, X) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def _accuracy(net: Network, X, y) -> float:
-    return float(np.mean(network_predict(net, X) == y))
+def _score(logits, y) -> float:
+    """Accuracy of the argmax of ``logits``: what network_predict gives."""
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 def train_joint(
@@ -235,15 +249,20 @@ def train_joint(
     target,
     cfg: TrainConfig,
     target_labels=None,
+    accuracy_curves: bool = False,
 ) -> tuple[Network, LossReport]:
     """Minimize class_loss_weight * CE + coral_weight * alignment loss.
 
     Each step draws one labeled source batch and one unlabeled target
     batch (independent RNG streams, so the source draw sequence does not
     depend on whether alignment is active).  With coral_weight zero the
-    target is never touched, so the run is bit-identical to source-only
-    training, ``target`` None.  ``target_labels``, when given, are used
-    only to report per-iteration target accuracy.
+    target is never touched during training, so the network is
+    bit-identical to source-only training, ``target`` None.
+    ``target_labels`` (one per target row, in [0, K)) are used only to
+    score the target.  The report's final accuracies are argmax scores of
+    the trained network's full-data logits.  ``accuracy_curves`` adds a
+    full-data accuracy pass after every step, for the per-iteration
+    ``source_acc``/``target_acc`` curves; it changes no other output.
     """
     X = as_feature_matrix(source, "source features")
     y = np.asarray(labels)
@@ -257,6 +276,15 @@ def train_joint(
         raise InvalidInputError("batch size exceeds source dataset size")
 
     Xt = as_feature_matrix(target, "target features") if target is not None else None
+    yt = None
+    if target_labels is not None:
+        if Xt is None:
+            raise InvalidInputError("target labels given without target features")
+        yt = np.asarray(target_labels)
+        if yt.shape != (Xt.shape[0],):
+            raise InvalidInputError("target labels must align with target rows")
+        if yt.min() < 0 or yt.max() >= K:
+            raise InvalidInputError(f"target labels must lie in [0, {K})")
     use_coral = Xt is not None and cfg.coral_weight != 0
     if use_coral:
         if Xt.shape[1] != X.shape[1]:
@@ -276,8 +304,8 @@ def train_joint(
 
     class_curve = np.zeros(cfg.iterations)
     coral_curve = np.zeros(cfg.iterations)
-    src_acc = np.zeros(cfg.iterations)
-    tgt_acc = np.full(cfg.iterations, np.nan)
+    src_acc = np.zeros(cfg.iterations) if accuracy_curves else None
+    tgt_acc = np.full(cfg.iterations, np.nan) if accuracy_curves else None
 
     for it in range(cfg.iterations):
         idx = src_rng.integers(0, n_s, size=cfg.batch_size)
@@ -312,22 +340,27 @@ def train_joint(
         work = Network(layers=new_layers)
 
         class_curve[it] = ce
-        src_acc[it] = _accuracy(work, X, y)
-        if target_labels is not None and Xt is not None:
-            tgt_acc[it] = _accuracy(work, Xt, target_labels)
+        if accuracy_curves:
+            src_acc[it] = _score(forward(work, X)[0], y)
+            if yt is not None:
+                tgt_acc[it] = _score(forward(work, Xt)[0], yt)
 
+    logits_s_full, _ = forward(work, X)
+    final_src = _score(logits_s_full, y)
+    final_tgt = final_dist = float("nan")
     if Xt is not None:
-        logits_s_full, _ = forward(work, X)
         logits_t_full, _ = forward(work, Xt)
         final_dist = coral_loss(logits_s_full, logits_t_full)
-    else:
-        final_dist = float("nan")
+        if yt is not None:
+            final_tgt = _score(logits_t_full, yt)
 
     report = LossReport(
         class_loss=class_curve,
         coral_loss=coral_curve,
         source_acc=src_acc,
         target_acc=tgt_acc,
+        final_source_acc=final_src,
+        final_target_acc=final_tgt,
         final_coral_distance=final_dist,
     )
     return work, report

@@ -16,12 +16,15 @@ from coralign.bench.io import save_csv
 from coralign.bench.runner import (
     DeepSettings,
     ExperimentConfig,
+    _make_trial,
+    _train_deep,
     config_from_dict,
     config_to_dict,
     lambda_sweep,
     run_experiment,
     stats_mismatch_experiment,
 )
+from coralign.deep import network_predict
 from coralign.errors import InvalidInputError, NumericalError
 
 
@@ -193,6 +196,24 @@ class TestRunExperiment:
             assert a.methods[name].target_acc[0] == b.methods[name].target_acc[0]
         # no-coral leaves a bigger residual distance than the aligned run
         assert a.methods["deep"].post_dist[0] >= 0.0
+
+    def test_deep_accuracies_are_network_predict_scores(self):
+        spec = rotated_anisotropic_spec(seed=4, d=6, K=3, n_source=150, n_target=150)
+        cfg = ExperimentConfig(
+            spec=spec,
+            methods=("deep", "deep-no-coral"),
+            trials=1,
+            deep=DeepSettings(hidden=8, iterations=30, batch_size=32),
+        )
+        report = run_experiment(cfg)
+        trial = _make_trial(cfg, cfg.seed_base, None)
+        for name, weight in (("deep", cfg.deep.coral_weight), ("deep-no-coral", 0.0)):
+            _, trained, _ = _train_deep(trial, cfg.deep, weight)
+            m = report.methods[name]
+            src_pred = network_predict(trained, trial.Xs)
+            tgt_pred = network_predict(trained, trial.Xt)
+            assert m.source_acc[0] == np.mean(src_pred == trial.ys)
+            assert m.target_acc[0] == np.mean(tgt_pred == trial.yt)
 
     def test_default_deep_settings_train_every_default_trial(self):
         # the default experiment: 20 trials of the frozen shift, seeds 0-19

@@ -251,7 +251,7 @@ class TestSweepCommand:
 
 
 class TestDeepCommand:
-    def test_curves_written(self, tmp_path):
+    def test_curves_written(self, tmp_path, capsys):
         cfg = {
             "spec": {
                 "d": 4, "K": 2, "n_source": 64, "n_target": 64,
@@ -273,6 +273,11 @@ class TestDeepCommand:
         lines = curves.read_text().splitlines()
         assert lines[0].startswith("iteration,class_loss,coral_loss")
         assert len(lines) == 13  # header + one row per iteration
+        # the last curve entries are the printed final accuracies
+        last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        printed = capsys.readouterr().out
+        assert (f"final source acc {float(last['source_acc']):.4f}, "
+                f"target acc {float(last['target_acc']):.4f}, ") in printed
 
     def test_matches_the_runner_deep_method(self, tmp_path, capsys):
         # the command and the bench's "deep" method build the same run

@@ -227,13 +227,15 @@ class TestTraining:
         out = []
         for _ in range(2):
             net = init_network([6, 8, 3], seed=7)
-            _, report = train_joint(net, Xs, y, Xt, self._cfg(seed=3), target_labels=yt)
+            _, report = train_joint(net, Xs, y, Xt, self._cfg(seed=3),
+                                    target_labels=yt, accuracy_curves=True)
             out.append(report)
         a, b = out
         np.testing.assert_array_equal(a.class_loss, b.class_loss)
         np.testing.assert_array_equal(a.coral_loss, b.coral_loss)
         np.testing.assert_array_equal(a.source_acc, b.source_acc)
         np.testing.assert_array_equal(a.target_acc, b.target_acc)
+        assert a.final_target_acc == b.final_target_acc
 
     def test_one_covariance_per_batch_per_iteration(self, monkeypatch):
         import coralign.deep as deep_mod
@@ -255,7 +257,7 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng)
         net = init_network([6, 8, 3], seed=1)
         cfg = self._cfg(iterations=25)
-        _, report = train_joint(net, Xs, y, Xt, cfg)
+        _, report = train_joint(net, Xs, y, Xt, cfg, accuracy_curves=True)
         assert len(report.class_loss) == 25
         assert report.coral_loss.shape == (25,)
         assert len(report.source_acc) == 25
@@ -267,7 +269,7 @@ class TestTraining:
         net = init_network([6, 8, 3], seed=2)
         cfg = self._cfg(coral_weight=0.0, iterations=300, learning_rate=0.1)
         net, report = train_joint(net, Xs, y, Xt, cfg)
-        assert report.source_acc[-1] >= 0.95
+        assert report.final_source_acc >= 0.95
 
     def test_pure_coral_objective_collapses_class_structure(self):
         # with the classification term switched off and a large weight, the
@@ -283,7 +285,85 @@ class TestTraining:
         )
         net, report = train_joint(net, Xs, y, Xt, cfg)
         assert report.coral_loss[-1] < report.coral_loss[0]
-        assert report.source_acc[-1] <= 1.0 / 3.0 + 0.15
+        assert report.final_source_acc <= 1.0 / 3.0 + 0.15
+
+    def test_default_run_scores_once_from_final_logits(self, monkeypatch):
+        import coralign.deep as deep_mod
+
+        rows, predicted = [], []
+        monkeypatch.setattr(
+            deep_mod, "forward",
+            lambda net, X: rows.append(len(X)) or forward(net, X),
+        )
+        monkeypatch.setattr(
+            deep_mod, "network_predict",
+            lambda net, X: predicted.append(len(X)) or network_predict(net, X),
+        )
+        rng = np.random.default_rng(23)
+        Xs, y, Xt, yt = shifted_blobs(rng)
+        cfg = self._cfg(iterations=15)
+        net, report = train_joint(init_network([6, 8, 3], seed=4), Xs, y, Xt,
+                                  cfg, target_labels=yt)
+        assert predicted == []
+        assert sum(rows) <= cfg.iterations * 2 * cfg.batch_size + len(Xs) + len(Xt)
+        assert report.source_acc is None and report.target_acc is None
+        # the final scores are network_predict's, bit for bit
+        assert report.final_source_acc == np.mean(network_predict(net, Xs) == y)
+        assert report.final_target_acc == np.mean(network_predict(net, Xt) == yt)
+
+    def test_accuracy_curves_change_no_other_output(self):
+        rng = np.random.default_rng(24)
+        Xs, y, Xt, yt = shifted_blobs(rng)
+        cfg = self._cfg(iterations=20)
+        runs = [
+            train_joint(init_network([6, 8, 3], seed=6), Xs, y, Xt, cfg,
+                        target_labels=yt, accuracy_curves=curves)
+            for curves in (False, True)
+        ]
+        (plain, rep0), (curved, rep1) = runs
+        for (Wa, ba, _), (Wb, bb, _) in zip(plain.layers, curved.layers):
+            np.testing.assert_array_equal(Wa, Wb)
+            np.testing.assert_array_equal(ba, bb)
+        np.testing.assert_array_equal(rep0.class_loss, rep1.class_loss)
+        np.testing.assert_array_equal(rep0.coral_loss, rep1.coral_loss)
+        assert rep0.final_coral_distance == rep1.final_coral_distance
+        assert rep1.source_acc[-1] == rep0.final_source_acc == rep1.final_source_acc
+        assert rep1.target_acc[-1] == rep0.final_target_acc == rep1.final_target_acc
+
+    def test_without_target_labels_target_accuracy_is_nan(self):
+        rng = np.random.default_rng(25)
+        Xs, y, Xt, _ = shifted_blobs(rng)
+        cfg = self._cfg(iterations=5)
+        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, Xt, cfg)
+        assert np.isnan(report.final_target_acc)
+        assert 0.0 <= report.final_source_acc <= 1.0
+        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, None, cfg)
+        assert np.isnan(report.final_target_acc)
+        assert np.isnan(report.final_coral_distance)
+        assert 0.0 <= report.final_source_acc <= 1.0
+
+    @pytest.mark.parametrize("case", ["short", "long", "2-d", "negative", "too-large"])
+    def test_bad_target_labels_rejected(self, case):
+        rng = np.random.default_rng(26)
+        Xs, y, Xt, yt = shifted_blobs(rng)
+        bad = {
+            "short": yt[:-1],
+            "long": np.append(yt, 0),
+            "2-d": yt[:, None],
+            "negative": np.where(np.arange(len(yt)) == 0, -1, yt),
+            "too-large": np.where(np.arange(len(yt)) == 0, 7, yt),
+        }[case]
+        with pytest.raises(InvalidInputError, match="target labels"):
+            train_joint(init_network([6, 8, 3], seed=0), Xs, y, Xt,
+                        self._cfg(iterations=2), target_labels=bad)
+
+    def test_target_labels_without_target_rejected(self):
+        rng = np.random.default_rng(27)
+        Xs, y, _, yt = shifted_blobs(rng)
+        with pytest.raises(InvalidInputError, match="target labels"):
+            train_joint(init_network([6, 8, 3], seed=0), Xs, y, None,
+                        self._cfg(iterations=2, coral_weight=0.0),
+                        target_labels=yt)
 
     def test_divergence_raises_numerical_error(self):
         from coralign.errors import NumericalError
