@@ -102,60 +102,59 @@ def _cmd_lda(args) -> int:
             raise InvalidInputError("--stats-from is required with --mode coral")
         other = load_dataset(args.stats_from, args.csv_has_header, False, "stats")
         stats_other = mean_and_covariance(other.features)
-        model = lda_mod.fit_coral_lda(
-            mu1, mu0, lda_mod.whitening(stats_train.cov, args.lam),
+        w = lda_mod.fit_coral_lda(
+            mu1 - mu0, lda_mod.whitening(stats_train.cov, args.lam),
             lda_mod.whitening(stats_other.cov, args.lam),
         )
         dist = lda_mod.domain_distance(stats_train, stats_other)
         print(f"coral discriminant fitted (dim {train.d}); "
               f"domain distance {dist:.6g}")
     else:
-        model = lda_mod.fit_lda(lda_mod.LdaInputs(
-            mu_pos=mu1, mu_neg=mu0, cov_source=stats_train.cov, lam=args.lam,
-        ))
+        w = lda_mod.fit_lda(mu1 - mu0, stats_train.cov, args.lam)
         print(f"plain discriminant fitted (dim {train.d})")
     if args.out:
-        save_dataset(Dataset(model.w[None, :], None, "weights"), args.out)
+        save_dataset(Dataset(w[None, :], None, "weights"), args.out)
     else:
-        print(",".join(format(v, ".17g") for v in model.w))
+        print(",".join(format(v, ".17g") for v in w))
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
+def _read_run_config(args) -> ExperimentConfig:
+    """--config with the --trials and --seed overrides applied."""
     cfg = _read_config(args.config)
     if args.trials is not None:
         cfg = dataclasses.replace(cfg, trials=args.trials)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed_base=args.seed)
-    report = run_experiment(cfg)
+    return cfg
+
+
+def _write_report(report, path) -> None:
+    """The report's JSON to ``path`` (--report-out), else to stdout."""
+    blob = json.dumps(report.to_dict(), indent=2)
+    if path:
+        Path(path).write_text(blob + "\n")
+    else:
+        print(blob)
+
+
+def _cmd_bench(args) -> int:
+    report = run_experiment(_read_run_config(args))
     for name, m in report.methods.items():
         print(f"{name}: target {m.target_acc_mean:.4f} +/- {m.target_acc_std:.4f}"
               f" (source {m.source_acc_mean:.4f},"
               f" {m.wall_clock_seconds:.2f}s)")
-    blob = json.dumps(report.to_dict(), indent=2)
-    if args.report_out:
-        Path(args.report_out).write_text(blob + "\n")
-    else:
-        print(blob)
+    _write_report(report, args.report_out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _read_config(args.config)
-    if args.trials is not None:
-        cfg = dataclasses.replace(cfg, trials=args.trials)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed_base=args.seed)
-    rep = lambda_sweep(cfg, _float_list(args.lambdas),
+    rep = lambda_sweep(_read_run_config(args), _float_list(args.lambdas),
                        include_analytical=not args.no_analytical)
     for row in rep.rows:
         print(f"lambda={row['lam']}: target {row['target_acc_mean']:.4f} "
               f"+/- {row['target_acc_std']:.4f}")
-    blob = json.dumps(rep.to_dict(), indent=2)
-    if args.report_out:
-        Path(args.report_out).write_text(blob + "\n")
-    else:
-        print(blob)
+    _write_report(rep, args.report_out)
     return EXIT_OK
 
 

@@ -119,6 +119,9 @@ class ShiftSpec:
             )
         if self.rotation_angles is not None and len(self.rotation_angles) > self.d // 2:
             raise InvalidInputError("more rotation angles than axis pairs")
+        # numpy's generators take only non-negative seeds
+        if self.seed < 0 or (self.rotation_seed is not None and self.rotation_seed < 0):
+            raise InvalidInputError("seed and rotation_seed must be >= 0")
 
 
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:

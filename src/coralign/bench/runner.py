@@ -304,28 +304,16 @@ def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
     """
     mus = _class_means(trial.Xs, trial.ys)
     mu0 = trial.Xs.mean(axis=0)
-    Cs = trial.stats_s.cov
-    K = mus.shape[0]
+    diffs = mus - mu0
+    V = lda.fit_lda(diffs, trial.stats_s.cov, config.lda_lam)
+    # midpoint thresholds 0.5 v_k . (mu_k + mu0), one row-wise dot each
+    thr = 0.5 * (V[:, None, :] @ (mus + mu0)[:, :, None]).ravel()
+    W = V
     if whiten_cov is not None:
-        whiten_s = lda.whitening(Cs, config.lda_lam)
-        whiten_t = lda.whitening(whiten_cov, config.lda_lam)
-    plain_cols, eval_cols, thresholds = [], [], []
-    for k in range(K):
-        base = lda.LdaInputs(
-            mu_pos=mus[k], mu_neg=mu0, cov_source=Cs, lam=config.lda_lam
-        )
-        v = lda.fit_lda(base).w
-        plain_cols.append(v)
-        thresholds.append(0.5 * float(v @ (mus[k] + mu0)))
-        if whiten_cov is None:
-            eval_cols.append(v)
-        else:
-            eval_cols.append(lda.fit_coral_lda(mus[k], mu0, whiten_s, whiten_t).w)
-    V = np.stack(plain_cols, axis=1)
-    W = np.stack(eval_cols, axis=1)
-    thr = np.array(thresholds)
-    src_pred = np.argmax(trial.Xs @ V - thr, axis=1)
-    tgt_pred = np.argmax(trial.Xt @ W - thr, axis=1)
+        W = lda.fit_coral_lda(diffs, lda.whitening(trial.stats_s.cov, config.lda_lam),
+                              lda.whitening(whiten_cov, config.lda_lam))
+    src_pred = np.argmax(trial.Xs @ V.T - thr, axis=1)
+    tgt_pred = np.argmax(trial.Xt @ W.T - thr, axis=1)
     sacc = classify.accuracy(src_pred, trial.ys)
     tacc = (
         classify.accuracy(tgt_pred, trial.yt)
@@ -368,13 +356,11 @@ def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float,
 def _deep_method(with_coral: bool):
     def run(trial: _Trial, config: ExperimentConfig):
         weight = config.deep.coral_weight if with_coral else 0.0
-        net, trained, rep = _train_deep(trial, config.deep, weight)
+        net, _, rep = _train_deep(trial, config.deep, weight)
         logits_s, _ = deep.forward(net, trial.Xs)
         logits_t, _ = deep.forward(net, trial.Xt)
         pre = deep.coral_loss(logits_s, logits_t)
-        ls, _ = deep.forward(trained, trial.Xs)
-        lt, _ = deep.forward(trained, trial.Xt)
-        dmd = lda.domain_distance(mean_and_covariance(ls), mean_and_covariance(lt))
+        dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
         return (rep.final_target_acc, rep.final_source_acc, pre,
                 rep.final_coral_distance, dmd)
 
@@ -440,24 +426,16 @@ def lambda_sweep(
     lambdas = list(lambdas)
     if not lambdas and not include_analytical:
         raise InvalidInputError("empty lambda list")
-    rows = []
-    for lam in lambdas:
-        cfg = dataclasses.replace(config, methods=("CORAL-reg",), lam=float(lam))
-        m = run_experiment(cfg).methods["CORAL-reg"]
-        rows.append(
-            {
-                "lam": float(lam),
-                "target_acc": [float(x) for x in m.target_acc],
-                "target_acc_mean": m.target_acc_mean,
-                "target_acc_std": m.target_acc_std,
-            }
-        )
+    runs = [(float(lam), dict(methods=("CORAL-reg",), lam=float(lam))) for lam in lambdas]
     if include_analytical:
-        cfg = dataclasses.replace(config, methods=("CORAL-analytical",))
-        m = run_experiment(cfg).methods["CORAL-analytical"]
+        runs.append(("analytical", dict(methods=("CORAL-analytical",))))
+    rows = []
+    for lam, overrides in runs:
+        cfg = dataclasses.replace(config, **overrides)
+        m = run_experiment(cfg).methods[cfg.methods[0]]
         rows.append(
             {
-                "lam": "analytical",
+                "lam": lam,
                 "target_acc": [float(x) for x in m.target_acc],
                 "target_acc_mean": m.target_acc_mean,
                 "target_acc_std": m.target_acc_std,
@@ -518,18 +496,15 @@ def stats_mismatch_experiment(config: ExperimentConfig) -> MismatchReport:
         for name, (X, y) in doms.items():
             mus = _class_means(X, y)
             st = mean_and_covariance(X)
-            stats[name] = (mus[1], mus[0], st, lda.whitening(st.cov, config.lda_lam))
+            stats[name] = (mus[1] - mus[0], mus[1] + mus[0], st,
+                           lda.whitening(st.cov, config.lda_lam))
         for i, m in enumerate(names):
-            mu_pos, mu_neg, st_m, whiten_m = stats[m]
-            base = lda.LdaInputs(
-                mu_pos=mu_pos, mu_neg=mu_neg,
-                cov_source=st_m.cov, lam=config.lda_lam,
-            )
-            v = lda.fit_lda(base).w
-            thr = 0.5 * float(v @ (mu_pos + mu_neg))
+            diff, mean_sum, st_m, whiten_m = stats[m]
+            v = lda.fit_lda(diff, st_m.cov, config.lda_lam)
+            thr = 0.5 * float(v @ mean_sum)
             for j, c in enumerate(names):
                 _, _, st_c, whiten_c = stats[c]
-                w = lda.fit_coral_lda(mu_pos, mu_neg, whiten_m, whiten_c).w
+                w = lda.fit_coral_lda(diff, whiten_m, whiten_c)
                 pred = (trial.Xt @ w - thr) > 0
                 acc[t, i, j] = float(np.mean(pred == (trial.yt == 1)))
                 dist[t, i, j] = lda.domain_distance(st_m, st_c)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import as_feature_matrix, mean_and_covariance
+from .linalg import DomainStats, as_feature_matrix, mean_and_covariance
 
 # Layer weight-init spread: the monitored (final) layer is deliberately
 # started small so early alignment gradients do not swamp training.
@@ -84,7 +84,10 @@ class LossReport:
     ``source_acc``/``target_acc`` are per-iteration accuracy curves when
     training was asked for them and None otherwise.  ``final_source_acc``
     and ``final_target_acc`` (NaN without target labels) score the
-    trained network; ``final_coral_distance`` is NaN without a target.
+    trained network.  ``final_source_stats``/``final_target_stats`` are
+    the mean and covariance of its full-data logits, and
+    ``final_coral_distance`` is the alignment loss between them; without
+    a target the target statistics are None and the distance NaN.
     """
 
     class_loss: np.ndarray
@@ -94,6 +97,14 @@ class LossReport:
     final_source_acc: float
     final_target_acc: float
     final_coral_distance: float
+    final_source_stats: DomainStats
+    final_target_stats: Optional[DomainStats]
+
+
+def _gap_loss(diff) -> float:
+    """||C_S - C_T||_F^2 / (4 d^2) for diff = C_S - C_T."""
+    d = diff.shape[0]
+    return float(np.sum(diff * diff) / (4.0 * d * d))
 
 
 def _covariance_gap(S, T):
@@ -104,9 +115,8 @@ def _covariance_gap(S, T):
         raise InvalidInputError("batches must share the feature dimension")
     if S.shape[0] < 2 or T.shape[0] < 2:
         raise InvalidInputError("covariance needs at least 2 rows per batch")
-    d = S.shape[1]
     diff = mean_and_covariance(S).cov - mean_and_covariance(T).cov
-    return S, T, diff, float(np.sum(diff * diff) / (4.0 * d * d))
+    return S, T, diff, _gap_loss(diff)
 
 
 def coral_loss(S, T) -> float:
@@ -166,6 +176,8 @@ def init_network(widths, seed: int, final_std: float = FINAL_INIT_STD,
     """Gaussian-initialized network with zero biases, deterministic per seed."""
     if len(widths) < 2:
         raise InvalidInputError("need at least input and output widths")
+    if min(widths) < 1:
+        raise InvalidInputError(f"every layer width must be >= 1, got {list(widths)}")
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(len(widths) - 1):
@@ -347,10 +359,13 @@ def train_joint(
 
     logits_s_full, _ = forward(work, X)
     final_src = _score(logits_s_full, y)
+    stats_s = mean_and_covariance(logits_s_full)
+    stats_t = None
     final_tgt = final_dist = float("nan")
     if Xt is not None:
         logits_t_full, _ = forward(work, Xt)
-        final_dist = coral_loss(logits_s_full, logits_t_full)
+        stats_t = mean_and_covariance(logits_t_full)
+        final_dist = _gap_loss(stats_s.cov - stats_t.cov)
         if yt is not None:
             final_tgt = _score(logits_t_full, yt)
 
@@ -362,5 +377,7 @@ def train_joint(
         final_source_acc=final_src,
         final_target_acc=final_tgt,
         final_coral_distance=final_dist,
+        final_source_stats=stats_s,
+        final_target_stats=stats_t,
     )
     return work, report

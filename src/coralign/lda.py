@@ -1,4 +1,4 @@
-"""Linear discriminant scoring with shared covariance statistics.
+"""Linear discriminant weights with shared covariance statistics.
 
 The plain fit solves (C_S + lam I) w = mu_pos - mu_neg.  The cross-domain
 variant is CORAL applied to the classifier weights: it whitens the mean
@@ -11,8 +11,10 @@ so that w . u equals the inner product of the source-whitened weight with
 the target-whitened input.  When both covariances agree, the composition
 collapses to the plain solve.  Each W is a ``linalg.SymOperator`` the
 caller builds once per covariance (``whitening``) and shares across every
-class and every pairing that whitens with it.  It is applied to the weight
-in factored form, O(d k) for a d x k basis: one built from wide data by
+pairing that whitens with it.  Both fits take one mean difference or a
+stack of them, one row per class, and handle a stack in one solve or one
+pass of the operators.  An operator is applied in factored form, O(d k)
+per row for a d x k basis: one built from wide data by
 ``covariance_operator`` is never formed as a d x d matrix.
 
 Also provides the normalized covariance+mean distance between domains.
@@ -20,54 +22,31 @@ Also provides the normalized covariance+mean distance between domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import DomainStats, SymOperator, psd_operator
 
 
-@dataclass(frozen=True)
-class LdaInputs:
-    """Class means plus the source covariance that shapes the plain discriminant."""
-
-    mu_pos: np.ndarray
-    mu_neg: np.ndarray
-    cov_source: np.ndarray
-    lam: float = 1.0
-
-
-@dataclass(frozen=True)
-class LdaModel:
-    w: np.ndarray
-    mode: str  # "plain" or "coral"
-    provenance: str = ""
-
-
-def _check_inputs(inp: LdaInputs) -> None:
-    d = inp.mu_pos.shape[0]
-    if inp.mu_neg.shape != (d,):
-        raise InvalidInputError("mean vectors disagree in dimension")
-    if inp.cov_source.shape != (d, d):
+def fit_lda(mean_diffs, cov_source, lam: float = 1.0) -> np.ndarray:
+    """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
+    or one weight row per row of a stack of them, from one solve."""
+    diffs = np.asarray(mean_diffs, dtype=float)
+    cov_source = np.asarray(cov_source, dtype=float)
+    if diffs.ndim not in (1, 2):
+        raise InvalidInputError("mean differences must be a vector or rows of a matrix")
+    d = diffs.shape[-1]
+    if cov_source.shape != (d, d):
         raise InvalidInputError("source covariance shape does not match the means")
-    if inp.lam < 0:
+    if lam < 0:
         raise InvalidInputError("lambda must be >= 0")
-
-
-def fit_lda(inp: LdaInputs) -> LdaModel:
-    """w = (C_S + lam I)^{-1} (mu_pos - mu_neg)."""
-    _check_inputs(inp)
-    d = inp.mu_pos.shape[0]
-    diff = inp.mu_pos - inp.mu_neg
-    M = inp.cov_source + inp.lam * np.eye(d)
     try:
-        w = np.linalg.solve(M, diff)
+        w = np.linalg.solve(cov_source + lam * np.eye(d), diffs.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance not invertible: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise NumericalError("discriminant weights are non-finite")
-    return LdaModel(w=w, mode="plain", provenance="source covariance")
+    return w
 
 
 def whitening(cov, lam: float) -> SymOperator:
@@ -76,36 +55,18 @@ def whitening(cov, lam: float) -> SymOperator:
     return psd_operator(cov, lam).power(-0.5)
 
 
-def fit_coral_lda(mu_pos, mu_neg, whiten_source: SymOperator,
-                  whiten_target: SymOperator) -> LdaModel:
-    """w = W_T W_S (mu_pos - mu_neg): source-whiten the mean difference,
-    then target-whiten the row space.  Each W is a whitening operator,
-    (C + lam I)^{-1/2}, from ``whitening`` or, for wide data,
+def fit_coral_lda(mean_diffs, whiten_source: SymOperator,
+                  whiten_target: SymOperator) -> np.ndarray:
+    """w = W_T W_S (mu_pos - mu_neg) for one mean difference, or for each
+    row of a stack of them: source-whiten, then target-whiten the row
+    space.  Each W is a whitening operator, (C + lam I)^{-1/2}, from
+    ``whitening`` or, for wide data,
     ``covariance_operator(X, lam).power(-0.5)``."""
-    mu_pos, mu_neg = np.asarray(mu_pos, dtype=float), np.asarray(mu_neg, dtype=float)
+    diffs = np.asarray(mean_diffs, dtype=float)
     d = whiten_source.dim
-    if not mu_pos.shape == mu_neg.shape == (d,) or whiten_target.dim != d:
+    if diffs.ndim not in (1, 2) or diffs.shape[-1] != d or whiten_target.dim != d:
         raise InvalidInputError("means and whitening operators disagree in dimension")
-    w = whiten_target.apply(whiten_source.apply(mu_pos - mu_neg))
-    return LdaModel(w=w, mode="coral", provenance="source+target covariances")
-
-
-def score(model: LdaModel, u) -> float | np.ndarray:
-    """w . u for one vector, or one score per row of a matrix."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        if u.shape[0] != model.w.shape[0]:
-            raise InvalidInputError(
-                f"expected dimension {model.w.shape[0]}, got {u.shape[0]}"
-            )
-        return float(model.w @ u)
-    if u.ndim == 2:
-        if u.shape[1] != model.w.shape[0]:
-            raise InvalidInputError(
-                f"expected dimension {model.w.shape[0]}, got {u.shape[1]}"
-            )
-        return u @ model.w
-    raise InvalidInputError("score expects a vector or a matrix of rows")
+    return whiten_target.apply(whiten_source.apply(diffs))
 
 
 def domain_distance(a: DomainStats, b: DomainStats) -> float:

@@ -90,6 +90,12 @@ class TestShiftSpecValidation:
         with pytest.raises(InvalidInputError):
             make_spec(mean_shift=(0.0,))
 
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(InvalidInputError):
+            make_spec(seed=-1)
+        with pytest.raises(InvalidInputError):
+            make_spec(rotation_angles=None, rotation_seed=-1)
+
     def test_angles_and_rotation_seed_are_exclusive(self):
         with pytest.raises(InvalidInputError):
             make_spec(rotation_angles=(0.5,), rotation_seed=3)

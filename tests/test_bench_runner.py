@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from coralign import linalg
+from coralign import lda, linalg
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
@@ -160,9 +160,9 @@ class TestRunExperiment:
             trials=3,
         )
         report = run_experiment(cfg)
-        lda = report.methods["LDA"].target_acc_mean
+        plain = report.methods["LDA"].target_acc_mean
         clda = report.methods["CORAL-LDA"].target_acc_mean
-        assert clda >= lda - 0.01
+        assert clda >= plain - 0.01
         for name in ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched"):
             accs = report.methods[name].target_acc
             assert all(0.0 <= a <= 1.0 for a in accs)
@@ -170,8 +170,15 @@ class TestRunExperiment:
     def test_lda_family_decomposes_each_whitening_covariance_once(self, monkeypatch):
         # K = 10 discriminants per method share one source and one target
         # whitening operator: at most 2 eigendecompositions per method,
-        # where one per class and covariance made 2 K = 20
+        # where one per class and covariance made 2 K = 20.  They are
+        # stacked too: one solve and one fit_coral_lda call per method,
+        # where one per class made K of each
         calls = count_eigendecompositions(monkeypatch)
+        solves, coral_fits = [], []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, _fn=np.linalg.solve:
+                            solves.append(1) or _fn(*a))
+        monkeypatch.setattr(lda, "fit_coral_lda", lambda *a, _fn=lda.fit_coral_lda:
+                            coral_fits.append(1) or _fn(*a))
         cfg = ExperimentConfig(
             spec=rotated_anisotropic_spec(seed=4, d=16, K=10, n_source=400, n_target=400),
             methods=("CORAL-LDA", "CORAL-LDA-mismatched"),
@@ -180,6 +187,7 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert 0 < len(calls) <= 4 * cfg.trials
         assert set(calls) == {(16, 16)}
+        assert len(solves) == len(coral_fits) == len(cfg.methods) * cfg.trials
 
     def test_deep_methods_smoke(self):
         spec = rotated_anisotropic_spec(seed=3, d=6, K=2, n_source=120, n_target=120)

@@ -133,9 +133,7 @@ class TestLdaCommand:
         mu1 = src.features[src.labels == 1].mean(axis=0)
         mu0 = src.features[src.labels == 0].mean(axis=0)
         cov = mean_and_covariance(src.features).cov
-        want = lda.fit_lda(
-            lda.LdaInputs(mu_pos=mu1, mu_neg=mu0, cov_source=cov, lam=0.7)
-        ).w
+        want = lda.fit_lda(mu1 - mu0, cov, lam=0.7)
         np.testing.assert_array_equal(w, want)
 
     def test_coral_mode_uses_stats_file(self, tmp_path):
@@ -152,8 +150,8 @@ class TestLdaCommand:
         cov_s = mean_and_covariance(src.features).cov
         cov_t = mean_and_covariance(tgt.features).cov
         want = lda.fit_coral_lda(
-            mu1, mu0, lda.whitening(cov_s, 1.0), lda.whitening(cov_t, 1.0)
-        ).w
+            mu1 - mu0, lda.whitening(cov_s, 1.0), lda.whitening(cov_t, 1.0)
+        )
         np.testing.assert_array_equal(w, want)
 
     def test_coral_mode_requires_stats(self, tmp_path):
@@ -211,6 +209,12 @@ class TestBenchCommand:
         rep = json.loads(out.read_text())
         assert rep["trials"] == 3
         assert rep["seed_base"] == 17
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path)
+        rc = main(["bench", "--config", str(cfg), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_method_exits_1(self, tmp_path):
         cfg = self._config_file(tmp_path, methods=["teleport"])

@@ -22,6 +22,7 @@ from coralign.deep import (
     train_joint,
 )
 from coralign.errors import InvalidInputError
+from coralign.linalg import mean_and_covariance
 
 
 def fd_grad(loss_fn, X, step=1e-5):
@@ -174,6 +175,13 @@ class TestForward:
         net = Network(layers=[(np.eye(3), np.zeros(3), "identity")])
         with pytest.raises(InvalidInputError):
             forward(net, np.zeros((2, 4)))
+
+
+class TestInitNetwork:
+    @pytest.mark.parametrize("widths", [[6], [6, 0, 3], [0, 8, 3], [6, 8, 0]])
+    def test_degenerate_widths_rejected(self, widths):
+        with pytest.raises(InvalidInputError):
+            init_network(widths, seed=0)
 
 
 class TestFiniteDiffCheck:
@@ -330,6 +338,19 @@ class TestTraining:
         assert rep1.source_acc[-1] == rep0.final_source_acc == rep1.final_source_acc
         assert rep1.target_acc[-1] == rep0.final_target_acc == rep1.final_target_acc
 
+    def test_final_stats_are_those_of_the_trained_logits(self):
+        rng = np.random.default_rng(28)
+        Xs, y, Xt, _ = shifted_blobs(rng)
+        net, report = train_joint(init_network([6, 8, 3], seed=8), Xs, y, Xt,
+                                  self._cfg(iterations=10))
+        ls, lt = forward(net, Xs)[0], forward(net, Xt)[0]
+        for stats, logits in ((report.final_source_stats, ls),
+                              (report.final_target_stats, lt)):
+            want = mean_and_covariance(logits)
+            np.testing.assert_array_equal(stats.mean, want.mean)
+            np.testing.assert_array_equal(stats.cov, want.cov)
+        assert report.final_coral_distance == coral_loss(ls, lt)
+
     def test_without_target_labels_target_accuracy_is_nan(self):
         rng = np.random.default_rng(25)
         Xs, y, Xt, _ = shifted_blobs(rng)
@@ -340,6 +361,7 @@ class TestTraining:
         _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, None, cfg)
         assert np.isnan(report.final_target_acc)
         assert np.isnan(report.final_coral_distance)
+        assert report.final_target_stats is None
         assert 0.0 <= report.final_source_acc <= 1.0
 
     @pytest.mark.parametrize("case", ["short", "long", "2-d", "negative", "too-large"])

@@ -1,4 +1,4 @@
-"""Tests for shared-covariance linear discriminant scoring and the
+"""Tests for shared-covariance linear discriminant weights and the
 cross-domain weight correction.
 
 Oracles: hand linear solves, scipy matrix powers composed independently,
@@ -10,15 +10,7 @@ import pytest
 import scipy.linalg
 
 from coralign.errors import InvalidInputError, NumericalError
-from coralign.lda import (
-    LdaInputs,
-    LdaModel,
-    domain_distance,
-    fit_coral_lda,
-    fit_lda,
-    score,
-    whitening,
-)
+from coralign.lda import domain_distance, fit_coral_lda, fit_lda, whitening
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
 from coralign.linalg import DomainStats, covariance_operator, mean_and_covariance, standardize
 
@@ -34,48 +26,47 @@ def random_stats(d, rng):
 
 class TestFitLda:
     def test_identity_covariance(self):
-        inp = LdaInputs(
-            mu_pos=np.array([1.0, 0.0]),
-            mu_neg=np.array([0.0, 0.0]),
-            cov_source=np.eye(2),
-            lam=0.0,
-        )
-        np.testing.assert_allclose(fit_lda(inp).w, [1.0, 0.0], atol=1e-12)
+        w = fit_lda(np.array([1.0, 0.0]), np.eye(2), lam=0.0)
+        np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_equal_means_give_zero_weights(self):
         rng = np.random.default_rng(0)
         mu = rng.standard_normal(4)
-        inp = LdaInputs(mu_pos=mu, mu_neg=mu.copy(), cov_source=random_spd(4, rng), lam=0.5)
-        np.testing.assert_allclose(fit_lda(inp).w, np.zeros(4), atol=1e-12)
+        w = fit_lda(mu - mu.copy(), random_spd(4, rng), lam=0.5)
+        np.testing.assert_allclose(w, np.zeros(4), atol=1e-12)
 
     def test_diagonal_hand_solve(self):
-        inp = LdaInputs(
-            mu_pos=np.array([2.0, 3.0]),
-            mu_neg=np.array([0.0, 0.0]),
-            cov_source=np.diag([2.0, 1.0]),
-            lam=0.0,
-        )
-        np.testing.assert_allclose(fit_lda(inp).w, [1.0, 3.0], atol=1e-12)
+        w = fit_lda(np.array([2.0, 3.0]), np.diag([2.0, 1.0]), lam=0.0)
+        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
 
     def test_matches_scipy_solve(self):
         rng = np.random.default_rng(1)
         C = random_spd(5, rng)
         diff = rng.standard_normal(5)
-        inp = LdaInputs(
-            mu_pos=diff, mu_neg=np.zeros(5), cov_source=C, lam=1.0
-        )
         want = scipy.linalg.solve(C + np.eye(5), diff, assume_a="pos")
-        np.testing.assert_allclose(fit_lda(inp).w, want, atol=1e-10)
+        np.testing.assert_allclose(fit_lda(diff, C, lam=1.0), want, atol=1e-10)
 
     def test_singular_unregularized_rejected(self):
-        inp = LdaInputs(
-            mu_pos=np.array([1.0, 0.0]),
-            mu_neg=np.array([0.0, 0.0]),
-            cov_source=np.array([[1.0, 1.0], [1.0, 1.0]]),
-            lam=0.0,
-        )
         with pytest.raises(NumericalError):
-            fit_lda(inp)
+            fit_lda(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), lam=0.0)
+
+    def test_shape_and_lambda_checks(self):
+        C = np.eye(3)
+        for diffs in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
+            with pytest.raises(InvalidInputError):
+                fit_lda(diffs, C)
+        with pytest.raises(InvalidInputError):
+            fit_lda(np.zeros(3), C, lam=-1.0)
+
+    def test_stacked_rows_match_per_row_fits(self):
+        # one solve for K mean differences gives each row's own weight
+        rng = np.random.default_rng(11)
+        C, D = random_spd(7, rng), rng.standard_normal((5, 7))
+        W = fit_lda(D, C, lam=0.3)
+        assert W.shape == (5, 7)
+        for w, diff in zip(W, D):
+            want = fit_lda(diff, C, lam=0.3)
+            assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFitCoralLda:
@@ -84,21 +75,14 @@ class TestFitCoralLda:
             g = np.random.default_rng(seed)
             d = int(g.integers(2, 8))
             C = random_spd(d, g)
-            inp = LdaInputs(
-                mu_pos=g.standard_normal(d),
-                mu_neg=g.standard_normal(d),
-                cov_source=C,
-                lam=1.0,
-            )
-            w_coral = fit_coral_lda(
-                inp.mu_pos, inp.mu_neg, whitening(C, 1.0), whitening(C.copy(), 1.0)
-            ).w
-            w_plain = fit_lda(inp).w
+            diff = g.standard_normal(d) - g.standard_normal(d)
+            w_coral = fit_coral_lda(diff, whitening(C, 1.0), whitening(C.copy(), 1.0))
+            w_plain = fit_lda(diff, C, lam=1.0)
             assert np.linalg.norm(w_coral - w_plain) <= 1e-8 * max(np.linalg.norm(w_plain), 1e-12)
 
     def test_identity_covariances_identity_reduction(self):
         W = whitening(np.eye(2), 0.0)
-        got = fit_coral_lda(np.array([2.0, -1.0]), np.array([0.5, 0.5]), W, W).w
+        got = fit_coral_lda(np.array([2.0, -1.0]) - np.array([0.5, 0.5]), W, W)
         np.testing.assert_allclose(got, [1.5, -1.5], atol=1e-10)
 
     def test_matches_scipy_composition_oracle(self):
@@ -106,7 +90,7 @@ class TestFitCoralLda:
         Cs = random_spd(6, rng)
         Ct = random_spd(6, rng)
         diff = rng.standard_normal(6)
-        got = fit_coral_lda(diff, np.zeros(6), whitening(Cs, 0.0), whitening(Ct, 0.0)).w
+        got = fit_coral_lda(diff, whitening(Cs, 0.0), whitening(Ct, 0.0))
         want = (
             scipy.linalg.fractional_matrix_power(Ct, -0.5).real.T
             @ scipy.linalg.fractional_matrix_power(Cs, -0.5).real
@@ -115,63 +99,48 @@ class TestFitCoralLda:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_decorrelated_factorization(self):
-        # score(w, u) must equal the whitened inner product w_hat . u_hat
+        # w . u must equal the whitened inner product w_hat . u_hat
         rng = np.random.default_rng(4)
         Cs, Ct = random_spd(5, rng), random_spd(5, rng)
-        mu_pos, mu_neg = rng.standard_normal(5), rng.standard_normal(5)
+        diff = rng.standard_normal(5) - rng.standard_normal(5)
         lam = 1.0
-        model = fit_coral_lda(mu_pos, mu_neg, whitening(Cs, lam), whitening(Ct, lam))
+        w = fit_coral_lda(diff, whitening(Cs, lam), whitening(Ct, lam))
         I = np.eye(5)
-        w_hat = scipy.linalg.fractional_matrix_power(Cs + lam * I, -0.5).real @ (mu_pos - mu_neg)
+        w_hat = scipy.linalg.fractional_matrix_power(Cs + lam * I, -0.5).real @ diff
         for _ in range(20):
             u = rng.standard_normal(5)
             u_hat = scipy.linalg.fractional_matrix_power(Ct + lam * I, -0.5).real @ u
-            assert score(model, u) == pytest.approx(w_hat @ u_hat, abs=1e-9)
+            assert float(w @ u) == pytest.approx(w_hat @ u_hat, abs=1e-9)
 
     def test_thin_whitening_matches_dense(self):
         # wide data: operators from the Gram route, never d x d, give the
         # weight the dense covariances give
         rng = np.random.default_rng(7)
         Xs, Xt = rng.standard_normal((9, 30)), 2.0 * rng.standard_normal((12, 30))
-        mu_pos, mu_neg = rng.standard_normal(30), rng.standard_normal(30)
+        diff = rng.standard_normal(30) - rng.standard_normal(30)
         thin = [covariance_operator(X, 0.5).power(-0.5) for X in (Xs, Xt)]
         assert thin[0].basis.shape == (30, 8)
         dense = [whitening(mean_and_covariance(X).cov, 0.5) for X in (Xs, Xt)]
-        want = fit_coral_lda(mu_pos, mu_neg, *dense).w
-        np.testing.assert_allclose(fit_coral_lda(mu_pos, mu_neg, *thin).w, want,
+        want = fit_coral_lda(diff, *dense)
+        np.testing.assert_allclose(fit_coral_lda(diff, *thin), want,
                                    rtol=1e-9, atol=1e-12)
+
+    def test_stacked_rows_match_per_row_fits(self):
+        rng = np.random.default_rng(12)
+        Ws, Wt = whitening(random_spd(6, rng), 0.5), whitening(random_spd(6, rng), 0.5)
+        D = rng.standard_normal((4, 6))
+        W = fit_coral_lda(D, Ws, Wt)
+        assert W.shape == (4, 6)
+        for w, diff in zip(W, D):
+            want = fit_coral_lda(diff, Ws, Wt)
+            assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dimension_mismatch_rejected(self):
         W1, W2 = whitening(np.eye(1), 1.0), whitening(np.eye(2), 1.0)
         with pytest.raises(InvalidInputError):
-            fit_coral_lda(np.array([1.0]), np.array([0.0]), W1, W2)
+            fit_coral_lda(np.array([1.0]), W1, W2)
         with pytest.raises(InvalidInputError):
             whitening(np.eye(2), -1.0)
-
-
-class TestScore:
-    def test_axis_projection(self):
-        model = LdaModel(w=np.array([1.0, 0.0]), mode="plain", provenance="test")
-        assert score(model, np.array([3.0, 7.0])) == 3.0
-
-    def test_linearity_under_negation(self):
-        rng = np.random.default_rng(5)
-        model = LdaModel(w=rng.standard_normal(4), mode="plain", provenance="test")
-        u = rng.standard_normal(4)
-        assert score(model, u) + score(model, -u) == pytest.approx(0.0, abs=1e-12)
-
-    def test_batch_matches_per_row_oracle(self):
-        rng = np.random.default_rng(6)
-        model = LdaModel(w=rng.standard_normal(6), mode="plain", provenance="test")
-        U = rng.standard_normal((30, 6))
-        got = score(model, U)
-        for i in range(30):
-            assert got[i] == pytest.approx(float(np.dot(model.w, U[i])), rel=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        model = LdaModel(w=np.array([1.0, 2.0]), mode="plain", provenance="test")
-        with pytest.raises(InvalidInputError):
-            score(model, np.array([1.0, 2.0, 3.0]))
 
 
 class TestDomainDistance:
