@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..linalg import as_feature_matrix
 
 # Rotation seed derived from the data seed when neither angles nor an
 # explicit rotation seed are given, so specs stay single-seed.
@@ -37,11 +38,7 @@ class Dataset:
     domain_name: str
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2 or feats.size == 0:
-            raise InvalidInputError("features must be a non-empty 2-D array")
-        if not np.isfinite(feats).all():
-            raise InvalidInputError("features must be finite")
+        feats = as_feature_matrix(self.features)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.asarray(self.labels)

@@ -23,6 +23,11 @@ Method identifiers:
 For the deep methods the reported pre/post distances are the alignment
 loss on the monitored layer before/after training; for feature-space
 methods they are Frobenius covariance distances in input space.
+
+CORAL-LDA against CORAL-LDA-mismatched is the statistics-mismatch
+experiment: the same source discriminant whitened with the target's
+statistics or with those of an unrelated domain.  Both use the source
+class means, so no target label enters either.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ class ExperimentConfig:
             raise InvalidInputError(
                 "config needs either a spec or source+target file paths"
             )
+        if self.spec is None and "CORAL-LDA-mismatched" in self.methods:
+            raise InvalidInputError(
+                "CORAL-LDA-mismatched needs a synthetic spec to derive "
+                "an unrelated domain"
+            )
         if self.lam <= 0:
             raise InvalidInputError("lam must be > 0 (use CORAL-analytical for 0)")
         if self.lda_lam < 0:
@@ -175,31 +185,6 @@ class _Trial:
     pre: float
     seed: int
     spec: Optional[ShiftSpec]
-    _unrelated: Optional[tuple] = None
-
-    def unrelated(self):
-        """Standardized features+labels of a third, differently-shifted domain."""
-        if self._unrelated is None:
-            if self.spec is None:
-                raise InvalidInputError(
-                    "CORAL-LDA-mismatched needs a synthetic spec to derive "
-                    "an unrelated domain"
-                )
-            rot = (
-                self.spec.rotation_seed
-                if self.spec.rotation_seed is not None
-                else self.spec.seed + ROTATION_SEED_OFFSET
-            )
-            spec_u = dataclasses.replace(
-                self.spec,
-                seed=self.spec.seed + UNRELATED_OFFSET,
-                rotation_angles=None,
-                rotation_seed=rot + UNRELATED_OFFSET,
-            )
-            _, unrel = generate_shift(spec_u)
-            Xu, _, _ = standardize(unrel.features)
-            self._unrelated = (Xu, unrel.labels)
-        return self._unrelated
 
 
 def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -323,9 +308,27 @@ def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
     return tacc, sacc, trial.pre, trial.pre, dmd
 
 
+def _unrelated_stats(spec: ShiftSpec):
+    """Statistics of a third, differently-shifted domain, standardized
+    like the trial's own."""
+    rot = (
+        spec.rotation_seed
+        if spec.rotation_seed is not None
+        else spec.seed + ROTATION_SEED_OFFSET
+    )
+    spec_u = dataclasses.replace(
+        spec,
+        seed=spec.seed + UNRELATED_OFFSET,
+        rotation_angles=None,
+        rotation_seed=rot + UNRELATED_OFFSET,
+    )
+    _, unrel = generate_shift(spec_u)
+    Xu, _, _ = standardize(unrel.features)
+    return mean_and_covariance(Xu)
+
+
 def _lda_mismatched(trial: _Trial, config: ExperimentConfig):
-    Xu, _ = trial.unrelated()
-    stats_u = mean_and_covariance(Xu)
+    stats_u = _unrelated_stats(trial.spec)
     return _lda_family(trial, config, stats_u.cov,
                        lda.domain_distance(stats_u, trial.stats_t))
 
@@ -442,73 +445,6 @@ def lambda_sweep(
             }
         )
     return SweepReport(rows=rows)
-
-
-@dataclass
-class MismatchReport:
-    """Accuracy/distance grids: rows = statistics domain providing the
-    mean difference (and its own whitening), columns = domain providing
-    the evaluation-side whitening covariance; everything scored on the
-    target domain."""
-
-    domains: tuple
-    accuracy: np.ndarray  # (trials, 3, 3)
-    distance: np.ndarray
-
-    @property
-    def accuracy_mean(self) -> np.ndarray:
-        return self.accuracy.mean(axis=0)
-
-    @property
-    def distance_mean(self) -> np.ndarray:
-        return self.distance.mean(axis=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "domains": list(self.domains),
-            "accuracy": self.accuracy.tolist(),
-            "distance": self.distance.tolist(),
-            "accuracy_mean": self.accuracy_mean.tolist(),
-            "distance_mean": self.distance_mean.tolist(),
-        }
-
-
-def stats_mismatch_experiment(config: ExperimentConfig) -> MismatchReport:
-    """Binary detection with deliberately swapped whitening statistics."""
-    if config.spec is None:
-        raise InvalidInputError("stats-mismatch experiment needs a synthetic spec")
-    if config.spec.K != 2:
-        raise InvalidInputError(
-            f"stats-mismatch experiment is binary (K = 2), got K = {config.spec.K}"
-        )
-    names = ("source", "target", "unrelated")
-    acc = np.zeros((config.trials, 3, 3))
-    dist = np.zeros((config.trials, 3, 3))
-    for t in range(config.trials):
-        trial = _make_trial(config, config.seed_base + t, None)
-        Xu, yu = trial.unrelated()
-        doms = {
-            "source": (trial.Xs, trial.ys),
-            "target": (trial.Xt, trial.yt),
-            "unrelated": (Xu, yu),
-        }
-        stats = {}
-        for name, (X, y) in doms.items():
-            mus = _class_means(X, y)
-            st = mean_and_covariance(X)
-            stats[name] = (mus[1] - mus[0], mus[1] + mus[0], st,
-                           lda.whitening(st.cov, config.lda_lam))
-        for i, m in enumerate(names):
-            diff, mean_sum, st_m, whiten_m = stats[m]
-            v = lda.fit_lda(diff, st_m.cov, config.lda_lam)
-            thr = 0.5 * float(v @ mean_sum)
-            for j, c in enumerate(names):
-                _, _, st_c, whiten_c = stats[c]
-                w = lda.fit_coral_lda(diff, whiten_m, whiten_c)
-                pred = (trial.Xt @ w - thr) > 0
-                acc[t, i, j] = float(np.mean(pred == (trial.yt == 1)))
-                dist[t, i, j] = lda.domain_distance(st_m, st_c)
-    return MismatchReport(domains=names, accuracy=acc, distance=dist)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

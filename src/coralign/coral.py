@@ -26,11 +26,7 @@ import numpy as np
 
 from .classify import LinearModel
 from .errors import InvalidInputError, NumericalError
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    as_feature_matrix,
-    covariance_operator,
-)
+from .linalg import as_feature_matrix, covariance_operator
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
     )
 
 
-def fit_analytical(D_S, D_T, rank_tol: float = DEFAULT_RANK_TOL) -> CoralTransform:
+def fit_analytical(D_S, D_T) -> CoralTransform:
     """Fit A = pinv_sqrt(C_S) · root_r(C_T).
 
     root_r(C_T) = U_r diag(w_r)^{1/2} U_r^T, where U_r, w_r are the top r
@@ -95,8 +91,8 @@ def fit_analytical(D_S, D_T, rank_tol: float = DEFAULT_RANK_TOL) -> CoralTransfo
     D_S, D_T = _check_pair(D_S, D_T)
     d = D_S.shape[1]
     S, T = covariance_operator(D_S), covariance_operator(D_T)
-    inv_root = S.pinv_sqrt(rank_tol)
-    r = min(int(S.rank_mask(rank_tol).sum()), int(T.rank_mask(rank_tol).sum()))
+    inv_root = S.pinv_sqrt()
+    r = min(int(S.rank_mask().sum()), int(T.rank_mask().sum()))
     top = np.argsort(T.spectrum)[::-1][:r]
     U_r, root_w = T.basis[:, top], np.sqrt(T.spectrum[top])
     if S.basis.shape[1] == d and T.basis.shape[1] == d:

@@ -171,8 +171,7 @@ def finite_diff_check(S, T, step: float = 1e-5) -> float:
     return worst
 
 
-def init_network(widths, seed: int, final_std: float = FINAL_INIT_STD,
-                 hidden_std: float = HIDDEN_INIT_STD) -> Network:
+def init_network(widths, seed: int) -> Network:
     """Gaussian-initialized network with zero biases, deterministic per seed."""
     if len(widths) < 2:
         raise InvalidInputError("need at least input and output widths")
@@ -182,7 +181,7 @@ def init_network(widths, seed: int, final_std: float = FINAL_INIT_STD,
     layers = []
     for i in range(len(widths) - 1):
         last = i == len(widths) - 2
-        std = final_std if last else hidden_std
+        std = FINAL_INIT_STD if last else HIDDEN_INIT_STD
         W = rng.normal(0.0, std, size=(widths[i], widths[i + 1]))
         b = np.zeros(widths[i + 1])
         layers.append((W, b, "identity" if last else "relu"))

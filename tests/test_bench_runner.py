@@ -22,7 +22,6 @@ from coralign.bench.runner import (
     config_to_dict,
     lambda_sweep,
     run_experiment,
-    stats_mismatch_experiment,
 )
 from coralign.deep import network_predict
 from coralign.errors import InvalidInputError, NumericalError
@@ -82,6 +81,16 @@ class TestConfigSerialization:
     def test_needs_spec_or_files(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(spec=None, methods=("NA",), trials=1)
+
+    def test_mismatched_lda_needs_a_spec(self):
+        # rejected when the config is read, before any method trains
+        raw = {
+            "methods": ["LDA", "CORAL-LDA-mismatched"],
+            "source_path": "/tmp/a.csv",
+            "target_path": "/tmp/b.csv",
+        }
+        with pytest.raises(InvalidInputError, match="CORAL-LDA-mismatched needs"):
+            config_from_dict(raw)
 
 
 class TestRunExperiment:
@@ -166,6 +175,19 @@ class TestRunExperiment:
         for name in ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched"):
             accs = report.methods[name].target_acc
             assert all(0.0 <= a <= 1.0 for a in accs)
+
+    def test_matched_beats_unrelated_stats(self):
+        # the same source discriminant, whitened with the target's
+        # statistics or with an unrelated domain's
+        cfg = ExperimentConfig(
+            spec=rotated_anisotropic_spec(seed=2, K=2, n_source=500, n_target=500),
+            methods=("CORAL-LDA", "CORAL-LDA-mismatched"),
+            trials=6,
+        )
+        rep = run_experiment(cfg)
+        matched = rep.methods["CORAL-LDA"].target_acc_mean
+        unrelated = rep.methods["CORAL-LDA-mismatched"].target_acc_mean
+        assert matched >= unrelated - 0.01
 
     def test_lda_family_decomposes_each_whitening_covariance_once(self, monkeypatch):
         # K = 10 discriminants per method share one source and one target
@@ -287,53 +309,3 @@ class TestLambdaSweep:
         accs = [r["target_acc_mean"] for r in rep.rows]
         assert max(accs) - min(accs) <= 0.05
         assert json.dumps(rep.to_dict())
-
-
-class TestStatsMismatch:
-    def test_requires_binary_spec(self):
-        cfg = ExperimentConfig(
-            spec=rotated_anisotropic_spec(seed=0),  # K = 3
-            methods=("CORAL-LDA",),
-            trials=2,
-        )
-        with pytest.raises(InvalidInputError, match="binary|2"):
-            stats_mismatch_experiment(cfg)
-
-    def test_grid_shape_and_self_distance(self):
-        cfg = ExperimentConfig(
-            spec=rotated_anisotropic_spec(seed=1, K=2, n_source=300, n_target=300),
-            methods=("CORAL-LDA",),
-            trials=2,
-        )
-        rep = stats_mismatch_experiment(cfg)
-        assert rep.domains == ("source", "target", "unrelated")
-        assert rep.accuracy_mean.shape == (3, 3)
-        assert rep.distance_mean.shape == (3, 3)
-        np.testing.assert_allclose(np.diag(rep.distance_mean), 0.0, atol=1e-12)
-        assert ((rep.accuracy_mean >= 0) & (rep.accuracy_mean <= 1)).all()
-        assert json.dumps(rep.to_dict())
-
-    def test_one_eigendecomposition_per_domain(self, monkeypatch):
-        # three domains' whitening operators serve all nine pairings
-        calls = count_eigendecompositions(monkeypatch)
-        cfg = ExperimentConfig(
-            spec=rotated_anisotropic_spec(seed=1, d=8, K=2, n_source=200, n_target=200),
-            methods=("CORAL-LDA",),
-            trials=2,
-        )
-        stats_mismatch_experiment(cfg)
-        assert len(calls) == 3 * cfg.trials
-
-    def test_matched_beats_unrelated_stats(self):
-        cfg = ExperimentConfig(
-            spec=rotated_anisotropic_spec(seed=2, K=2, n_source=500, n_target=500),
-            methods=("CORAL-LDA",),
-            trials=6,
-        )
-        rep = stats_mismatch_experiment(cfg)
-        i_src = rep.domains.index("source")
-        i_tgt = rep.domains.index("target")
-        i_unr = rep.domains.index("unrelated")
-        matched = rep.accuracy_mean[i_src, i_tgt]
-        unrelated = rep.accuracy_mean[i_src, i_unr]
-        assert matched >= unrelated - 0.01

@@ -221,6 +221,15 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(cfg)])
         assert rc == 1
 
+    def test_mismatched_lda_without_spec_exits_1(self, tmp_path, capsys):
+        # the data files are never written: the config fails before they are read
+        cfg = self._config_file(tmp_path, spec=None, methods=["CORAL-LDA-mismatched"],
+                                source_path=str(tmp_path / "s.csv"),
+                                target_path=str(tmp_path / "t.csv"))
+        rc = main(["bench", "--config", str(cfg)])
+        assert rc == 1
+        assert "CORAL-LDA-mismatched" in capsys.readouterr().err
+
     def test_malformed_json_exits_1(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
