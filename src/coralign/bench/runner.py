@@ -4,8 +4,10 @@ Each trial regenerates the synthetic shift from seed_base + trial_index
 (or reuses fixed input files), standardizes every domain with its own
 statistics, trains the base classifier with a cross-validated hinge-loss
 C on the method's transformed source, and evaluates on the target.
-Trials are independent, so serial and parallel execution give the same
-report.
+A trial's SVM methods share one fit: every requested SVM method is mapped
+first, then all are cross-validated and trained in one
+``classify.fit_cross_validated`` call, each at its own C, and each is
+scored on its own features.
 
 Method identifiers:
   NA                              no adaptation
@@ -118,6 +120,13 @@ class ExperimentConfig:
 
 @dataclass
 class MethodAggregate:
+    """Per-trial results of one method.
+
+    ``wall_clock_seconds`` sums the method's time over the trials.  An
+    SVM method is charged its own feature map and scoring time plus an
+    equal share of the trial's shared SVM fit; any other method, the
+    time of its handler."""
+
     name: str
     target_acc: list = field(default_factory=list)
     source_acc: list = field(default_factory=list)
@@ -216,13 +225,6 @@ def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
     )
 
 
-def _svm_fit(X, y, config: ExperimentConfig, seed: int):
-    best_C = classify.cross_validate_C(
-        X, y, config.svm_grid, config.svm_folds, seed, config.svm_epochs
-    )
-    return classify.train_svm(X, y, best_C, config.svm_epochs, seed)
-
-
 def _acc(model, X, y) -> float:
     if y is None:
         return float("nan")
@@ -234,24 +236,15 @@ def _class_means(X, y):
     return np.stack([X[y == k].mean(axis=0) for k in range(K)])
 
 
-def _svm_method(feature_map):
-    """Handler for a method that trains the SVM on mapped features.
-
-    ``feature_map(trial, config)`` returns the (source, target) features
-    the SVM is trained and scored on; post and domain_distance compare
-    their covariances, reusing the trial's statistics for an unmapped side.
-    """
-
-    def run(trial: _Trial, config: ExperimentConfig):
-        Xs, Xt = feature_map(trial, config)
-        stats_s = trial.stats_s if Xs is trial.Xs else mean_and_covariance(Xs)
-        stats_t = trial.stats_t if Xt is trial.Xt else mean_and_covariance(Xt)
-        model = _svm_fit(Xs, trial.ys, config, trial.seed)
-        post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
-        return (_acc(model, Xt, trial.yt), _acc(model, Xs, trial.ys), trial.pre,
-                post, lda.domain_distance(stats_s, stats_t))
-
-    return run
+def _svm_scores(trial: _Trial, Xs, Xt, model):
+    """Result of an SVM method whose model was trained on the mapped
+    source Xs; post and domain_distance compare the covariances of Xs and
+    Xt, reusing the trial's statistics for an unmapped side."""
+    stats_s = trial.stats_s if Xs is trial.Xs else mean_and_covariance(Xs)
+    stats_t = trial.stats_t if Xt is trial.Xt else mean_and_covariance(Xt)
+    post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
+    return (_acc(model, Xt, trial.yt), _acc(model, Xs, trial.ys), trial.pre,
+            post, lda.domain_distance(stats_s, stats_t))
 
 
 # Feature maps of the SVM methods: (trial, config) -> (source, target).
@@ -370,14 +363,18 @@ def _deep_method(with_coral: bool):
     return run
 
 
-# Method name -> handler mapping (trial, config) to
+# SVM method name -> feature map (trial, config) -> (source, target).
+_FEATURE_MAPS = {
+    "NA": _no_adaptation,
+    "CORAL-reg": _coral_regularized,
+    "CORAL-analytical": _coral_analytical,
+    "whiten-both": _whiten_both,
+    "target-recolor-source-direction": _recolor_target,
+}
+
+# Other method name -> handler mapping (trial, config) to
 # (target_acc, source_acc, pre, post, domain_distance).
 _HANDLERS = {
-    "NA": _svm_method(_no_adaptation),
-    "CORAL-reg": _svm_method(_coral_regularized),
-    "CORAL-analytical": _svm_method(_coral_analytical),
-    "whiten-both": _svm_method(_whiten_both),
-    "target-recolor-source-direction": _svm_method(_recolor_target),
     "LDA": lambda trial, config: _lda_family(
         trial, config, None, lda.domain_distance(trial.stats_s, trial.stats_t)),
     "CORAL-LDA": lambda trial, config: _lda_family(
@@ -387,7 +384,38 @@ _HANDLERS = {
     "deep-no-coral": _deep_method(with_coral=False),
 }
 
-METHODS = tuple(_HANDLERS)
+METHODS = (*_FEATURE_MAPS, *_HANDLERS)
+
+
+def _timed(agg: MethodAggregate, fn, *args):
+    """fn(*args), its wall time added to agg."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    agg.wall_clock_seconds += time.perf_counter() - t0
+    return out
+
+
+def _run_trial(trial: _Trial, config: ExperimentConfig, agg: dict) -> dict:
+    """Method name -> result tuple for one trial; the SVM methods are
+    mapped, then trained in one shared fit (MethodAggregate says how its
+    time is charged), then scored."""
+    svm = [name for name in config.methods if name in _FEATURE_MAPS]
+    results = {}
+    if svm:
+        mapped = [_timed(agg[name], _FEATURE_MAPS[name], trial, config) for name in svm]
+        t0 = time.perf_counter()
+        models = classify.fit_cross_validated(
+            [Xs for Xs, _ in mapped], trial.ys, config.svm_grid, config.svm_folds,
+            trial.seed, config.svm_epochs,
+        )
+        share = (time.perf_counter() - t0) / len(svm)
+        for name, (Xs, Xt), model in zip(svm, mapped, models):
+            agg[name].wall_clock_seconds += share
+            results[name] = _timed(agg[name], _svm_scores, trial, Xs, Xt, model)
+    for name in config.methods:
+        if name not in results:
+            results[name] = _timed(agg[name], _HANDLERS[name], trial, config)
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -395,10 +423,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     agg = {name: MethodAggregate(name=name) for name in config.methods}
     for t in range(config.trials):
         trial = _make_trial(config, config.seed_base + t, file_pair)
+        results = _run_trial(trial, config, agg)
         for name in config.methods:
-            t0 = time.perf_counter()
-            tacc, sacc, pre, post, dmd = _HANDLERS[name](trial, config)
-            agg[name].wall_clock_seconds += time.perf_counter() - t0
+            tacc, sacc, pre, post, dmd = results[name]
             if not np.isnan(tacc) and not 0.0 <= tacc <= 1.0:
                 raise InvalidInputError(f"{name}: accuracy {tacc} out of range")
             agg[name].target_acc.append(tacc)

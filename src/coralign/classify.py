@@ -11,13 +11,19 @@ guarded: if the regularized objective went up, the epoch is rolled back
 and the step-size scale halved.  This keeps the per-epoch objective
 non-increasing without touching the update rule itself.
 
-One private kernel runs the loop for a stack of fits at once.
-``train_svm`` is its one-fit case.  ``cross_validate_C`` fits every
-(fold, C) pair in lockstep, one kernel run per group of folds that share
-a training size and class count.  Such fits share the seed and size, so
-they draw the same minibatch positions.  Each fit keeps its own lambda,
-step scale and rollback, and its weights are bitwise those of a lone
-``train_svm`` call on its rows.
+One private kernel runs the loop for a stack of fits at once, along
+three axes: members (feature matrices of one shape that share the labels
+and rows, such as the features of several adaptation methods), folds and
+C values.  Fits that share the seed and training size draw the same
+minibatch positions, so they step in lockstep; each keeps its own
+lambda, step scale, snapshot and rollback.  ``fit_cross_validated``
+picks a C per member by cross-validation, one kernel run per group of
+folds that share a training size and class count, then fits every
+member on all rows at its own C in one more run.  ``train_svm`` and
+``cross_validate_C`` are its one-member cases.  With OpenBLAS's default
+SkylakeX kernel every stacked fit's weights are bitwise those of a lone
+``train_svm`` call on its rows; the Haswell and Nehalem kernels block the
+stacked products differently and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .linalg import as_feature_matrix
 
 # Minibatch size for the subgradient steps.
 MINIBATCH = 64
-# Epochs used for each cross-validation fit.
+# Default epochs of cross-validated fits.
 CV_EPOCHS = 20
 
 
@@ -77,101 +83,150 @@ def _check_fit(n: int, K: int, C: float, epochs: int) -> None:
         raise InvalidInputError(f"need at least K={K} examples, got {n}")
 
 
-def _augment(X) -> np.ndarray:
-    """Feature rows with the constant-1 bias column appended."""
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def _signs(labels, K: int) -> np.ndarray:
     """One-vs-rest targets: +1 in a row's own class column, -1 elsewhere."""
     return np.where(labels[:, None] == np.arange(K)[None, :], 1.0, -1.0)
 
 
-def _objectives(Wa, Xa, Ysign, lam) -> np.ndarray:
-    """Regularized mean hinge, averaged over the one-vs-rest problems, of
-    each block of K rows of Wa (one block per C, lam per row)."""
+def _mean_hinge(Wa, Xa, Ysign) -> np.ndarray:
+    """(G, K) mean hinge of each weight row of Wa (G blocks of K rows,
+    one per C) on the augmented rows Xa with targets Ysign."""
     n, K = Ysign.shape
     margins = (Xa @ Wa.T).reshape(n, -1, K)
     margins *= Ysign[:, None, :]
     np.subtract(1.0, margins, out=margins)  # in place: one (n, G*K) temporary
-    hinge = np.maximum(0.0, margins, out=margins).mean(axis=0)
-    reg = 0.5 * lam * (Wa[:, :-1] ** 2).sum(axis=1)
-    return (hinge + reg.reshape(hinge.shape)).mean(axis=1)
+    return np.maximum(0.0, margins, out=margins).mean(axis=0)
 
 
-def _fold_objectives(Wa, Xa, Ysign, rows, lam) -> np.ndarray:
-    """(F, G) objectives of stacked runs, evaluated one fold at a time."""
-    return np.stack([_objectives(Wf, Xa[r], Ysign[r], lam) for Wf, r in zip(Wa, rows)])
+def _stack_members(Ds) -> np.ndarray:
+    """Feature matrices of one shape as (M, N, d+1) augmented rows, the
+    constant-1 bias column appended, built in place."""
+    Xs = [as_feature_matrix(D) for D in Ds]
+    if not Xs:
+        raise InvalidInputError("need at least one feature matrix")
+    for X in Xs[1:]:
+        if X.shape != Xs[0].shape:
+            raise InvalidInputError(
+                f"feature matrices must share one shape, got {Xs[0].shape} and {X.shape}"
+            )
+    n, d = Xs[0].shape
+    Xa = np.empty((len(Xs), n, d + 1))
+    for dst, X in zip(Xa, Xs):
+        dst[:, :-1] = X
+    Xa[..., -1] = 1.0
+    return Xa
+
+
+def _objectives(Wa, Xa, Ysign, rows, lam) -> np.ndarray:
+    """(M, F, G) regularized mean hinge, averaged over the one-vs-rest
+    problems, of stacked runs: weights Wa (M, F, G*K, d+1) with lam
+    (M, G*K) per weight row, fold f on rows[f].  The hinge is evaluated
+    one (member, fold) at a time, so no gathered copy of every training
+    set coexists."""
+    hinge = np.array([
+        [_mean_hinge(Wf, Xm[r], Ysign[r]) for Wf, r in zip(Wm, rows)]
+        for Wm, Xm in zip(Wa, Xa)
+    ])
+    reg = 0.5 * lam[:, None, :] * (Wa[..., :-1] ** 2).sum(axis=-1)
+    return (hinge + reg.reshape(hinge.shape)).mean(axis=-1)
+
+
+def _step(Wa, Xa, Ysign, idx, G: int, lam_rows, eta, radius) -> None:
+    """One minibatch subgradient step and ball projection of every stacked
+    fit, in place on Wa (M, F, G*K, d+1); fold f steps on rows idx[f].
+    Its temporaries die on return, so no two steps' copies coexist."""
+    # take, not Xa[:, idx]: each (member, fold) block stays contiguous
+    Xb, Yb = np.take(Xa, idx, axis=1), np.tile(Ysign[idx], G)
+    coef = Xb @ Wa.swapaxes(2, 3)  # margins, then in place the hinge coefficients
+    coef *= Yb
+    viol = coef < 1.0
+    np.multiply(viol, Yb, out=coef)
+    np.negative(coef, out=coef)
+    grad = coef.swapaxes(2, 3) @ Xb
+    del Xb, Yb, viol, coef  # freed before the rest of the step allocates
+    grad /= idx.shape[1]
+    grad[..., :-1] += lam_rows[..., None] * Wa[..., :-1]
+    grad *= eta[..., None]
+    Wa -= grad
+    norms = np.linalg.norm(Wa[..., :-1], axis=-1)
+    shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    Wa[..., :-1] *= shrink[..., None]
 
 
 def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
-    """Run one subgradient fit per (fold, C) pair, all in lockstep.
+    """Run one subgradient fit per (member, fold, C), all in lockstep.
 
-    Xa (N, d+1) holds augmented rows and Ysign (N, K) their targets;
-    fold f trains on rows[f] (all folds have the same size n) and the G
-    values of Cs share one seed.  Returns weights (F, G*K, d+1): rows
-    g*K..(g+1)*K of fold f are the fit for Cs[g].
+    Xa (M, N, d+1) holds the augmented rows of M members and Ysign (N, K)
+    their shared targets; fold f trains on rows[f] (all folds have the
+    same size n), member m at each of its G values Cs[m], and every fit
+    uses one seed.  Returns weights (M, F, G*K, d+1): rows g*K..(g+1)*K
+    of [m, f] are member m's fit on fold f at Cs[m][g].
 
     Same n and seed means the same permutations, so every run steps on
     the same minibatch positions; each keeps its own lambda, step scale,
     snapshot and rollback.  The stacked products reduce over the same
-    axes and lengths as a lone run's; with OpenBLAS that gives each run
-    the weights of a one-run call bit for bit, which the tests check.
+    axes and lengths as a lone run's; with OpenBLAS's SkylakeX kernel
+    that gives each run the weights of a one-run call bit for bit, which
+    the tests check.
     """
     F, n = rows.shape
-    G, K = len(Cs), Ysign.shape[1]
-    lam = np.repeat(1.0 / (np.asarray(Cs, dtype=float) * n), K)  # per weight row
-    radius = 1.0 / np.sqrt(lam)
-    Wa = np.zeros((F, G * K, Xa.shape[1]))
-    scale = np.ones((F, G * K))
+    Cs = np.asarray(Cs, dtype=float)
+    G, K = Cs.shape[1], Ysign.shape[1]
+    lam = np.repeat(1.0 / (Cs * n), K, axis=1)  # (M, G*K), per weight row
+    lam_rows = lam[:, None, :]  # broadcast over folds
+    radius = 1.0 / np.sqrt(lam_rows)
+    Wa = np.zeros((Xa.shape[0], F, G * K, Xa.shape[2]))
+    scale = np.ones(Wa.shape[:3])
     rng = np.random.default_rng(seed)
 
     t = 0
-    accepted = _fold_objectives(Wa, Xa, Ysign, rows, lam)
+    accepted = _objectives(Wa, Xa, Ysign, rows, lam)
     for _ in range(epochs):
         snapshot = Wa.copy()
         perm = rng.permutation(n)
         for start in range(0, n, MINIBATCH):
-            idx = rows[:, perm[start : start + MINIBATCH]]
             t += 1
-            eta = scale / (lam * t)
-            Xb, Yb = Xa[idx], np.tile(Ysign[idx], G)
-            viol = (Yb * (Xb @ Wa.transpose(0, 2, 1))) < 1.0
-            grad = -(viol * Yb).transpose(0, 2, 1) @ Xb / idx.shape[1]
-            grad[..., :-1] += lam[:, None] * Wa[..., :-1]
-            Wa = Wa - eta[..., None] * grad
-            norms = np.linalg.norm(Wa[..., :-1], axis=-1)
-            shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-            Wa[..., :-1] *= shrink[..., None]
-        candidate = _fold_objectives(Wa, Xa, Ysign, rows, lam)
+            _step(Wa, Xa, Ysign, rows[:, perm[start : start + MINIBATCH]], G,
+                  lam_rows, scale / (lam_rows * t), radius)
+        candidate = _objectives(Wa, Xa, Ysign, rows, lam)
         reject = candidate > accepted
         accepted = np.where(reject, accepted, candidate)
-        reject = np.repeat(reject, K, axis=1)
+        reject = np.repeat(reject, K, axis=-1)
         Wa = np.where(reject[..., None], snapshot, Wa)
         scale = np.where(reject, scale * 0.5, scale)
     return Wa
 
 
+def _fit(Xa, labels, Cs, epochs: int, seed: int) -> list[LinearModel]:
+    """Every member trained on all its rows, member m at Cs[m], in one
+    kernel run."""
+    n = Xa.shape[1]
+    labels, K = _check_labels(labels, n)
+    for C in Cs:
+        _check_fit(n, K, C, epochs)
+    Wa = _sgd(Xa, _signs(labels, K), np.arange(n)[None, :],
+              np.reshape(Cs, (-1, 1)), epochs, seed)
+    return [LinearModel(W=W[:, :-1].copy(), b=W[:, -1].copy(), C=float(C))
+            for W, C in zip(Wa[:, 0], Cs)]
+
+
 def train_svm(D, labels, C: float, epochs: int, seed: int) -> LinearModel:
     """Train the one-vs-rest hinge classifier; deterministic per seed."""
-    X = as_feature_matrix(D)
-    n = X.shape[0]
-    labels, K = _check_labels(labels, n)
-    _check_fit(n, K, C, epochs)
-    Wa = _sgd(_augment(X), _signs(labels, K), np.arange(n)[None, :], [C], epochs, seed)[0]
-    return LinearModel(W=Wa[:, :-1].copy(), b=Wa[:, -1].copy(), C=float(C))
+    return _fit(_stack_members([D]), labels, [C], epochs, seed)[0]
 
 
 def svm_objective(model: LinearModel, D, labels) -> float:
     """The training objective of a model on a dataset (lambda_reg from len(D))."""
-    X = as_feature_matrix(D)
-    n = X.shape[0]
+    Xa = _stack_members([D])[0]
+    n = Xa.shape[0]
     labels, K = _check_labels(labels, n)
     if K > model.n_classes:
         raise InvalidInputError("labels reference classes the model does not have")
     Wa = np.hstack([model.W, model.b[:, None]])
-    lam = 1.0 / (model.C * n)
-    return float(_objectives(Wa, _augment(X), _signs(labels, model.n_classes), lam)[0])
+    lam = np.full((1, model.n_classes), 1.0 / (model.C * n))
+    rows = np.arange(n)[None, :]
+    return float(_objectives(Wa[None, None], Xa[None], _signs(labels, model.n_classes),
+                             rows, lam)[0, 0, 0])
 
 
 def predict(model: LinearModel, D) -> np.ndarray:
@@ -193,26 +248,44 @@ def accuracy(pred, truth) -> float:
     return float(np.mean(pred == truth))
 
 
+def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
+                        epochs: int = CV_EPOCHS) -> list[LinearModel]:
+    """One model per feature matrix in Ds, each at its own cross-validated C.
+
+    The matrices share one shape and the labels; each model equals
+    ``train_svm(D, labels, cross_validate_C(D, labels, grid, folds, seed,
+    epochs), epochs, seed)``.  Every member's cross-validation runs in
+    one kernel run per fold group and every final fit in one more.
+    """
+    Xa = _stack_members(Ds)
+    return _fit(Xa, labels, _chosen_Cs(Xa, labels, grid, folds, seed, epochs), epochs, seed)
+
+
 def cross_validate_C(D, labels, grid, folds: int, seed: int, epochs: int = CV_EPOCHS) -> float:
     """Pick the grid value with the best mean held-out accuracy.
 
     Folds come from one seeded shuffle split into near-equal parts.
     Ties resolve toward the smaller C (stronger regularization).
     """
+    return _chosen_Cs(_stack_members([D]), labels, grid, folds, seed, epochs)[0]
+
+
+def _chosen_Cs(Xa, labels, grid, folds: int, seed: int, epochs: int) -> list[float]:
+    """Each member's cross_validate_C choice."""
     grid = sorted(float(c) for c in grid)
-    accs = _cv_accuracies(D, labels, grid, folds, seed, epochs)
-    return grid[int(np.argmax(accs.mean(axis=1)))]  # first maximum
+    accs = _cv_accuracies(Xa, labels, grid, folds, seed, epochs)
+    return [grid[int(np.argmax(a.mean(axis=1)))] for a in accs]  # first maximum
 
 
-def _cv_accuracies(D, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:
-    """Held-out accuracy (G, F) of every (C, fold) pair.
+def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:
+    """Held-out accuracy (M, G, F) of every (member, C, fold) triple.
 
-    Each entry equals a lone ``train_svm`` fit on the fold's training rows.
-    Folds with the same training size and class count train in one
-    lockstep kernel run: the same seed and size give the same minibatches.
+    Each entry equals a lone ``train_svm`` fit on the member's fold
+    training rows.  Folds with the same training size and class count
+    train in one lockstep kernel run for all members: the same seed and
+    size give the same minibatches.
     """
-    X = as_feature_matrix(D)
-    n = X.shape[0]
+    M, n = Xa.shape[:2]
     labels, _ = _check_labels(labels, n)
     if not grid:
         raise InvalidInputError("empty C grid")
@@ -231,14 +304,15 @@ def _cv_accuracies(D, labels, grid, folds: int, seed: int, epochs: int) -> np.nd
             _check_fit(len(train_idx), K, C, epochs)
         groups.setdefault((len(train_idx), K), []).append((f, train_idx))
 
-    Xa = _augment(X)
-    accs = np.empty((len(grid), folds))
-    for (_, K), members in groups.items():
-        rows = np.stack([train_idx for _, train_idx in members])
-        Wa = _sgd(Xa, _signs(labels, K), rows, grid, epochs, seed)
-        for (f, _), Wf in zip(members, Wa):
+    G = len(grid)
+    accs = np.empty((M, G, folds))
+    for (_, K), group in groups.items():
+        rows = np.stack([train_idx for _, train_idx in group])
+        Wa = _sgd(Xa, _signs(labels, K), rows, np.tile(grid, (M, 1)), epochs, seed)
+        for (f, _), Wf in zip(group, Wa.swapaxes(0, 1)):
             test_idx = parts[f]
-            scores = X[test_idx] @ Wf[:, :-1].T + Wf[:, -1]
-            pred = scores.reshape(len(test_idx), len(grid), K).argmax(axis=2)
-            accs[:, f] = (pred == labels[test_idx][:, None]).mean(axis=0)
+            for m, W in enumerate(Wf):
+                scores = Xa[m, test_idx, :-1] @ W[:, :-1].T + W[:, -1]
+                pred = scores.reshape(len(test_idx), G, K).argmax(axis=2)
+                accs[m, :, f] = (pred == labels[test_idx][:, None]).mean(axis=0)
     return accs

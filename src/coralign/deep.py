@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DomainStats, as_feature_matrix, mean_and_covariance
+from .linalg import DomainStats, _centred_covariance, as_feature_matrix, mean_and_covariance
 
 # Layer weight-init spread: the monitored (final) layer is deliberately
 # started small so early alignment gradients do not swamp training.
@@ -107,33 +107,44 @@ def _gap_loss(diff) -> float:
     return float(np.sum(diff * diff) / (4.0 * d * d))
 
 
-def _covariance_gap(S, T):
-    """Validated batches, C_S - C_T, and the loss ||C_S - C_T||_F^2 / (4 d^2)."""
+def _check_batches(S, T):
+    """Two activation batches as validated feature matrices."""
     S = as_feature_matrix(S, "source batch")
     T = as_feature_matrix(T, "target batch")
     if S.shape[1] != T.shape[1]:
         raise InvalidInputError("batches must share the feature dimension")
     if S.shape[0] < 2 or T.shape[0] < 2:
         raise InvalidInputError("covariance needs at least 2 rows per batch")
-    diff = mean_and_covariance(S).cov - mean_and_covariance(T).cov
-    return S, T, diff, _gap_loss(diff)
+    return S, T
+
+
+def _covariance_gap(S, T):
+    """Centred batches, C_S - C_T, and the loss ||C_S - C_T||_F^2 / (4 d^2)
+    for checked batches."""
+    _, Sc, cov_s = _centred_covariance(S)
+    _, Tc, cov_t = _centred_covariance(T)
+    diff = cov_s - cov_t
+    return Sc, Tc, diff, _gap_loss(diff)
+
+
+def _loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
+    """coral_loss_and_grad for checked batches."""
+    Sc, Tc, diff, loss = _covariance_gap(S, T)
+    d = S.shape[1]
+    grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
+    grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
+    return loss, grad_S, grad_T
 
 
 def coral_loss(S, T) -> float:
     """||C_S - C_T||_F^2 / (4 d^2) over unbiased batch covariances."""
-    return _covariance_gap(S, T)[3]
+    return _covariance_gap(*_check_batches(S, T))[3]
 
 
 def coral_loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
     """coral_loss and its analytic gradients w.r.t. both activation
     batches, from one covariance per batch."""
-    S, T, diff, loss = _covariance_gap(S, T)
-    d = S.shape[1]
-    Sc = S - S.mean(axis=0)
-    Tc = T - T.mean(axis=0)
-    grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
-    grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
-    return loss, grad_S, grad_T
+    return _loss_and_grad(*_check_batches(S, T))
 
 
 def finite_diff_check(S, T, step: float = 1e-5) -> float:
@@ -188,13 +199,23 @@ def init_network(widths, seed: int) -> Network:
     return Network(layers=layers)
 
 
-def forward(net: Network, X) -> tuple[np.ndarray, list]:
-    """Logits and the per-layer cache (input, pre-activation) for backprop."""
-    X = as_feature_matrix(X, "network input")
+def _network_input(net: Network, X, name: str = "network input") -> np.ndarray:
+    """X as a validated feature matrix of the network's input width."""
+    X = as_feature_matrix(X, name)
     if X.shape[1] != net.in_dim:
         raise InvalidInputError(
             f"network expects input width {net.in_dim}, got {X.shape[1]}"
         )
+    return X
+
+
+def forward(net: Network, X) -> tuple[np.ndarray, list]:
+    """Logits and the per-layer cache (input, pre-activation) for backprop."""
+    return _forward(net, _network_input(net, X))
+
+
+def _forward(net: Network, X) -> tuple[np.ndarray, list]:
+    """forward on rows already checked by _network_input."""
     cache = []
     A = X
     for W, b, act in net.layers:
@@ -275,7 +296,7 @@ def train_joint(
     full-data accuracy pass after every step, for the per-iteration
     ``source_acc``/``target_acc`` curves; it changes no other output.
     """
-    X = as_feature_matrix(source, "source features")
+    X = _network_input(net, source, "source features")
     y = np.asarray(labels)
     n_s = X.shape[0]
     if y.shape != (n_s,):
@@ -320,7 +341,9 @@ def train_joint(
 
     for it in range(cfg.iterations):
         idx = src_rng.integers(0, n_s, size=cfg.batch_size)
-        logits_s, cache_s = forward(work, X[idx])
+        # rows of the checked X and Xt, and logits _check_not_diverged
+        # has checked, skip the public functions' validation
+        logits_s, cache_s = _forward(work, X[idx])
         _check_not_diverged(logits_s, it)
         probs = _softmax(logits_s)
         yb = y[idx]
@@ -330,9 +353,9 @@ def train_joint(
         grads_t = None
         if use_coral:
             t_idx = tgt_rng.integers(0, Xt.shape[0], size=cfg.batch_size)
-            logits_t, cache_t = forward(work, Xt[t_idx])
+            logits_t, cache_t = _forward(work, Xt[t_idx])
             _check_not_diverged(logits_t, it)
-            coral_curve[it], g_s, g_t = coral_loss_and_grad(logits_s, logits_t)
+            coral_curve[it], g_s, g_t = _loss_and_grad(logits_s, logits_t)
             d_logits_s = d_logits_s + cfg.coral_weight * g_s
             grads_t = _backward(work, cache_t, cfg.coral_weight * g_t)
 

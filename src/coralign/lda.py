@@ -25,12 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DomainStats, SymOperator, psd_operator
+from .linalg import DEFAULT_RANK_TOL, DomainStats, SymOperator, psd_operator
 
 
 def fit_lda(mean_diffs, cov_source, lam: float = 1.0) -> np.ndarray:
     """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
-    or one weight row per row of a stack of them, from one solve."""
+    or one weight row per row of a stack of them, from one solve.
+
+    Raises NumericalError when C_S + lam I is singular under
+    ``SymOperator.rank_mask``'s rule, whatever the solve would return."""
     diffs = np.asarray(mean_diffs, dtype=float)
     cov_source = np.asarray(cov_source, dtype=float)
     if diffs.ndim not in (1, 2):
@@ -40,6 +43,15 @@ def fit_lda(mean_diffs, cov_source, lam: float = 1.0) -> np.ndarray:
         raise InvalidInputError("source covariance shape does not match the means")
     if lam < 0:
         raise InvalidInputError("lambda must be >= 0")
+    # Every eigenvalue of C_S + lam I is at least lam and the largest at
+    # most trace(C_S) + lam, so above this bound rank_mask keeps them all.
+    # At or below it, the rank rule decides singularity, not LU rounding.
+    if lam <= DEFAULT_RANK_TOL * (np.trace(cov_source) + lam):
+        keep = psd_operator(cov_source, lam).rank_mask()
+        if not keep.all():
+            raise NumericalError(
+                f"covariance not invertible: C_S + lam I has rank {keep.sum()} of {d}"
+            )
     try:
         w = np.linalg.solve(cov_source + lam * np.eye(d), diffs.T).T
     except np.linalg.LinAlgError as exc:

@@ -135,13 +135,20 @@ def mean_and_covariance(D) -> DomainStats:
     """
     D = as_feature_matrix(D)
     n, d = D.shape
-    mean = D.mean(axis=0)
     if n == 1:
-        return DomainStats(mean=mean, cov=np.zeros((d, d)), n=n)
-    Dc = D - mean
-    cov = (Dc.T @ Dc) / (n - 1)
-    cov = (cov + cov.T) / 2.0
+        return DomainStats(mean=D.mean(axis=0), cov=np.zeros((d, d)), n=n)
+    mean, _, cov = _centred_covariance(D)
     return DomainStats(mean=mean, cov=cov, n=n)
+
+
+def _centred_covariance(D):
+    """Mean, centred rows and covariance of a validated matrix of at least
+    2 rows, as mean_and_covariance forms them; for callers that reuse the
+    centred rows."""
+    mean = D.mean(axis=0)
+    Dc = D - mean
+    cov = (Dc.T @ Dc) / (len(D) - 1)
+    return mean, Dc, (cov + cov.T) / 2.0
 
 
 def _check_symmetric(M, tol: float) -> np.ndarray:

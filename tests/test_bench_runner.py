@@ -10,12 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from coralign import lda, linalg
+from coralign import classify, lda, linalg
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
     DeepSettings,
     ExperimentConfig,
+    _FEATURE_MAPS,
     _make_trial,
     _train_deep,
     config_from_dict,
@@ -118,6 +119,23 @@ class TestRunExperiment:
             assert all(x >= 0 for x in m.pre_dist)
             assert all(x >= 0 for x in m.post_dist)
             assert m.wall_clock_seconds >= 0.0
+
+    @pytest.mark.parametrize("methods", [tuple(_FEATURE_MAPS), ("CORAL-reg",)])
+    def test_svm_methods_share_two_kernel_runs_per_trial(self, monkeypatch, methods):
+        # one cross-validation run (every training fold has 800 rows and
+        # 3 classes) and one final-fit run, for all SVM methods together
+        runs = []
+        kernel = classify._sgd
+
+        def counting(Xa, *args):
+            runs.append(Xa.shape[0])
+            return kernel(Xa, *args)
+
+        monkeypatch.setattr(classify, "_sgd", counting)
+        cfg = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=methods,
+                               trials=2, svm_epochs=1)
+        run_experiment(cfg)
+        assert runs == [len(methods)] * 4
 
     def test_deterministic_reports(self):
         cfg = ExperimentConfig(

@@ -5,18 +5,22 @@ written independently of the implementation module, which must agree
 bit-for-bit on the final objective.  Cross-validation is checked against
 brute-force re-evaluation of every grid point, and its lockstep kernel
 (every (fold, C) fit in one run) against a serial loop over train_svm.
+The stacked fit of several feature matrices is checked, member by member,
+against serial cross_validate_C + train_svm.
 """
 
 import numpy as np
 import pytest
 
 from coralign import classify
+from coralign.bench import runner
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
 from coralign.classify import (
     LinearModel,
     MINIBATCH,
     accuracy,
     cross_validate_C,
+    fit_cross_validated,
     predict,
     svm_objective,
     train_svm,
@@ -282,7 +286,8 @@ class TestLockstepCrossValidation:
     def test_matches_serial_cv(self, case):
         X, y, kw = case()
         want_C, want_accs = serial_cv(X, y, GRID, **kw)
-        got = classify._cv_accuracies(X, y, GRID, kw["folds"], kw["seed"], 20)
+        Xa = classify._stack_members([X])
+        got = classify._cv_accuracies(Xa, y, GRID, kw["folds"], kw["seed"], 20)[0]
         np.testing.assert_array_equal(got, want_accs)  # every (C, fold), exact
         assert cross_validate_C(X, y, GRID, **kw) == want_C
 
@@ -298,7 +303,8 @@ class TestLockstepCrossValidation:
         X, y, kw = frozen_source()
         parts = np.array_split(np.random.default_rng(0).permutation(len(X)), 5)
         rows = np.stack([np.concatenate(parts[:f] + parts[f + 1:]) for f in range(5)])
-        Wa = classify._sgd(classify._augment(X), classify._signs(y, 3), rows, GRID, 20, 0)
+        Xa = classify._stack_members([X])
+        Wa = classify._sgd(Xa, classify._signs(y, 3), rows, [GRID], 20, 0)[0]
         assert Wa.shape == (5, len(GRID) * 3, X.shape[1] + 1)
         for f in range(5):
             for g, C in enumerate(GRID):
@@ -352,6 +358,68 @@ class TestLockstepCrossValidation:
         X, y, kw = awkward_case()
         with pytest.raises(InvalidInputError):
             cross_validate_C(X, y, [0.0, 1.0], **kw)
+
+
+def awkward_members():
+    """Three feature matrices on the awkward case's rows and labels: the
+    raw features, a mixed and shifted copy, and unrelated noise."""
+    X, y, kw = awkward_case()
+    rng = np.random.default_rng(21)
+    mixed = X @ rng.standard_normal((3, 3)) + 1.5
+    return [X, mixed, rng.standard_normal(X.shape)], y, kw
+
+
+def frozen_method_sources():
+    """The mapped sources of the five SVM methods on trial 0 of the frozen
+    benchmark config, as the runner trains them."""
+    config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=("NA",))
+    trial = runner._make_trial(config, 0, None)
+    Ds = [fmap(trial, config)[0] for fmap in runner._FEATURE_MAPS.values()]
+    return Ds, trial.ys, dict(folds=5, seed=0)
+
+
+class TestFitCrossValidated:
+    @pytest.mark.parametrize("case", [awkward_members, frozen_method_sources])
+    def test_each_member_matches_serial_fit(self, case):
+        Ds, y, kw = case()
+        models = fit_cross_validated(Ds, y, GRID, kw["folds"], kw["seed"], 20)
+        assert len(models) == len(Ds)
+        for D, got in zip(Ds, models):
+            C = cross_validate_C(D, y, GRID, **kw)
+            want = train_svm(D, y, C=C, epochs=20, seed=kw["seed"])
+            assert got.C == C
+            np.testing.assert_array_equal(got.W, want.W)  # bit for bit
+            np.testing.assert_array_equal(got.b, want.b)
+
+    def test_one_kernel_run_per_fold_group_plus_one_final(self, monkeypatch):
+        Ds, y, kw = awkward_members()
+        runs = []
+        kernel = classify._sgd
+
+        def counting(Xa, Ysign, rows, *args):
+            runs.append((Xa.shape[0], rows.shape))
+            return kernel(Xa, Ysign, rows, *args)
+
+        monkeypatch.setattr(classify, "_sgd", counting)
+        fit_cross_validated(Ds, y, GRID, kw["folds"], kw["seed"], 20)
+        # three fold groups (see test_no_train_svm_calls_...), then the final fit
+        assert runs == [(3, (1, 30)), (3, (2, 31)), (3, (1, 31)), (3, (1, 41))]
+
+    def test_members_of_different_shapes_rejected(self):
+        Ds, y, kw = awkward_members()
+        for bad in (Ds[0][:, :2], Ds[0][:40]):
+            with pytest.raises(InvalidInputError, match="share one shape"):
+                fit_cross_validated([Ds[0], bad], y, GRID, **kw)
+
+    def test_labels_of_wrong_length_rejected(self):
+        Ds, y, kw = awkward_members()
+        with pytest.raises(InvalidInputError, match="labels must have shape"):
+            fit_cross_validated(Ds, y[:-1], GRID, **kw)
+
+    def test_no_members_rejected(self):
+        _, y, kw = awkward_members()
+        with pytest.raises(InvalidInputError):
+            fit_cross_validated([], y, GRID, **kw)
 
 
 class TestAccuracy:

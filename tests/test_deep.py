@@ -248,11 +248,15 @@ class TestTraining:
     def test_one_covariance_per_batch_per_iteration(self, monkeypatch):
         import coralign.deep as deep_mod
 
+        # the training loop forms batch covariances with _centred_covariance
+        # (it reuses the centred rows), the final distance with
+        # mean_and_covariance; count both
         calls = []
-        real = deep_mod.mean_and_covariance
-        monkeypatch.setattr(
-            deep_mod, "mean_and_covariance", lambda D: calls.append(1) or real(D)
-        )
+        for name in ("mean_and_covariance", "_centred_covariance"):
+            real = getattr(deep_mod, name)
+            monkeypatch.setattr(
+                deep_mod, name, lambda D, real=real: calls.append(1) or real(D)
+            )
         rng = np.random.default_rng(22)
         Xs, y, Xt, _ = shifted_blobs(rng)
         cfg = self._cfg(iterations=10)

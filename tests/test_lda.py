@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from coralign.errors import InvalidInputError, NumericalError
+from coralign import lda
 from coralign.lda import domain_distance, fit_coral_lda, fit_lda, whitening
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
 from coralign.linalg import DomainStats, covariance_operator, mean_and_covariance, standardize
@@ -49,6 +50,23 @@ class TestFitLda:
     def test_singular_unregularized_rejected(self):
         with pytest.raises(NumericalError):
             fit_lda(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), lam=0.0)
+
+    def test_singular_covariance_rejected_whatever_the_solve_returns(self, monkeypatch):
+        # an LU on some BLAS kernels meets a round-off pivot, not an exact
+        # zero, and returns finite weights; the rank rule must still reject
+        X = np.random.default_rng(0).standard_normal((40, 2))
+        C = mean_and_covariance(np.hstack([X, X[:, :1]])).cov
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.ones_like(b))
+        with pytest.raises(NumericalError, match="rank 2 of 3"):
+            fit_lda(np.array([1.0, 0.5, 1.0]), C, lam=0.0)
+
+    def test_regularized_solve_skips_the_rank_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lda, "psd_operator", lambda *a: calls.append(a))
+        C = np.array([[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(fit_lda(np.array([1.0, 0.0]), C, lam=1.0),
+                                   np.linalg.solve(C + np.eye(2), [1.0, 0.0]))
+        assert calls == []
 
     def test_shape_and_lambda_checks(self):
         C = np.eye(3)
