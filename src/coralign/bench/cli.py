@@ -162,8 +162,8 @@ def _cmd_deep(args) -> int:
     cfg = _read_config(args.config)
     pair = _load_file_pair(cfg) if cfg.spec is None else None
     trial = _make_trial(cfg, cfg.seed_base, pair)
-    _, _, rep = _train_deep(trial, cfg.deep, cfg.deep.coral_weight,
-                            accuracy_curves=bool(args.curves_out))
+    _, rep = _train_deep(trial, cfg.deep, cfg.deep.coral_weight,
+                         accuracy_curves=bool(args.curves_out))
     if args.curves_out:
         lines = ["iteration,class_loss,coral_loss,source_acc,target_acc"]
         for i in range(len(rep.class_loss)):

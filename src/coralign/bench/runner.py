@@ -4,10 +4,12 @@ Each trial regenerates the synthetic shift from seed_base + trial_index
 (or reuses fixed input files), standardizes every domain with its own
 statistics, trains the base classifier with a cross-validated hinge-loss
 C on the method's transformed source, and evaluates on the target.
-A trial's SVM methods share one fit: every requested SVM method is mapped
-first, then all are cross-validated and trained in one
-``classify.fit_cross_validated`` call, each at its own C, and each is
-scored on its own features.
+
+Methods run in groups, one call per group and trial for the group's
+requested members, which share its work.  The five SVM methods share one
+``classify.fit_cross_validated`` call, each at its own C; the LDA family
+shares one solve and one source whitening; each deep method is a group
+of its own.  Every member is charged an equal share of its group's time.
 
 Method identifiers:
   NA                              no adaptation
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -101,6 +103,8 @@ class ExperimentConfig:
                 raise InvalidInputError(
                     f"unknown method identifier {m!r}; known: {', '.join(METHODS)}"
                 )
+        if len(set(self.methods)) != len(self.methods):
+            raise InvalidInputError(f"methods repeat: {list(self.methods)}")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if self.spec is None and not (self.source_path and self.target_path):
@@ -122,10 +126,9 @@ class ExperimentConfig:
 class MethodAggregate:
     """Per-trial results of one method.
 
-    ``wall_clock_seconds`` sums the method's time over the trials.  An
-    SVM method is charged its own feature map and scoring time plus an
-    equal share of the trial's shared SVM fit; any other method, the
-    time of its handler."""
+    ``wall_clock_seconds`` sums the method's time over the trials: in
+    each trial, an equal share of the time of its method group's call
+    (the SVM methods, the LDA family, or the deep method alone)."""
 
     name: str
     target_acc: list = field(default_factory=list)
@@ -225,26 +228,9 @@ def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
     )
 
 
-def _acc(model, X, y) -> float:
-    if y is None:
-        return float("nan")
-    return classify.accuracy(classify.predict(model, X), y)
-
-
-def _class_means(X, y):
-    K = int(y.max()) + 1
-    return np.stack([X[y == k].mean(axis=0) for k in range(K)])
-
-
-def _svm_scores(trial: _Trial, Xs, Xt, model):
-    """Result of an SVM method whose model was trained on the mapped
-    source Xs; post and domain_distance compare the covariances of Xs and
-    Xt, reusing the trial's statistics for an unmapped side."""
-    stats_s = trial.stats_s if Xs is trial.Xs else mean_and_covariance(Xs)
-    stats_t = trial.stats_t if Xt is trial.Xt else mean_and_covariance(Xt)
-    post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
-    return (_acc(model, Xt, trial.yt), _acc(model, Xs, trial.ys), trial.pre,
-            post, lda.domain_distance(stats_s, stats_t))
+def _acc(pred, y) -> float:
+    """Accuracy of the predicted labels, NaN without labels."""
+    return float("nan") if y is None else classify.accuracy(pred, y)
 
 
 # Feature maps of the SVM methods: (trial, config) -> (source, target).
@@ -273,65 +259,83 @@ def _recolor_target(trial, config):
     return trial.Xs, coral.apply_to_features(tr, trial.Xt)
 
 
-def _lda_family(trial: _Trial, config: ExperimentConfig, whiten_cov, dmd):
-    """One-vs-background discriminants; argmax over midpoint-shifted scores.
+def _svm_group(trial: _Trial, config: ExperimentConfig, names):
+    """The SVM methods: each feature map, then one cross-validated fit of
+    all mapped sources, each at its own C.  Each method is scored on its
+    own features; post and domain_distance compare the covariances of its
+    two sides, reusing the trial's statistics for an unmapped side."""
+    mapped = [_FEATURE_MAPS[name](trial, config) for name in names]
+    models = classify.fit_cross_validated(
+        [Xs for Xs, _ in mapped], trial.ys, config.svm_grid, config.svm_folds,
+        trial.seed, config.svm_epochs,
+    )
+    results = []
+    for (Xs, Xt), model in zip(mapped, models):
+        stats_s = trial.stats_s if Xs is trial.Xs else mean_and_covariance(Xs)
+        stats_t = trial.stats_t if Xt is trial.Xt else mean_and_covariance(Xt)
+        post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
+        results.append((_acc(classify.predict(model, Xt), trial.yt),
+                        _acc(classify.predict(model, Xs), trial.ys), trial.pre,
+                        post, lda.domain_distance(stats_s, stats_t)))
+    return results
 
-    whiten_cov selects the covariance whitening the evaluated features;
-    None means plain source-space scoring.  ``dmd`` is the method's
-    domain distance, reported as is.
-    """
-    mus = _class_means(trial.Xs, trial.ys)
+
+def _lda_group(trial: _Trial, config: ExperimentConfig, names):
+    """The LDA family: one-vs-background discriminants, argmax over
+    midpoint-shifted scores.
+
+    One solve gives the plain weights, the thresholds and the source
+    accuracy for every member.  LDA scores the target with the plain
+    weights; each CORAL variant whitens them with the one source whitening
+    and its own target-side whitening: the target's own covariance, or an
+    unrelated domain's for CORAL-LDA-mismatched."""
+    mus = np.stack([trial.Xs[trial.ys == k].mean(axis=0)
+                    for k in range(int(trial.ys.max()) + 1)])
     mu0 = trial.Xs.mean(axis=0)
     diffs = mus - mu0
     V = lda.fit_lda(diffs, trial.stats_s.cov, config.lda_lam)
     # midpoint thresholds 0.5 v_k . (mu_k + mu0), one row-wise dot each
     thr = 0.5 * (V[:, None, :] @ (mus + mu0)[:, :, None]).ravel()
-    W = V
-    if whiten_cov is not None:
-        W = lda.fit_coral_lda(diffs, lda.whitening(trial.stats_s.cov, config.lda_lam),
-                              lda.whitening(whiten_cov, config.lda_lam))
-    src_pred = np.argmax(trial.Xs @ V.T - thr, axis=1)
-    tgt_pred = np.argmax(trial.Xt @ W.T - thr, axis=1)
-    sacc = classify.accuracy(src_pred, trial.ys)
-    tacc = (
-        classify.accuracy(tgt_pred, trial.yt)
-        if trial.yt is not None
-        else float("nan")
-    )
-    return tacc, sacc, trial.pre, trial.pre, dmd
+    sacc = _acc(np.argmax(trial.Xs @ V.T - thr, axis=1), trial.ys)
+    if any(name != "LDA" for name in names):
+        whiten_s = lda.whitening(trial.stats_s.cov, config.lda_lam)
+
+    def coral_weights(cov):
+        return lda.fit_coral_lda(diffs, whiten_s, lda.whitening(cov, config.lda_lam))
+
+    results = []
+    for name in names:
+        if name == "LDA":
+            W, dmd = V, lda.domain_distance(trial.stats_s, trial.stats_t)
+        elif name == "CORAL-LDA":
+            W, dmd = coral_weights(trial.stats_t.cov), 0.0
+        else:
+            stats_u = _unrelated_stats(trial.spec)
+            W, dmd = coral_weights(stats_u.cov), lda.domain_distance(stats_u, trial.stats_t)
+        tacc = _acc(np.argmax(trial.Xt @ W.T - thr, axis=1), trial.yt)
+        results.append((tacc, sacc, trial.pre, trial.pre, dmd))
+    return results
 
 
 def _unrelated_stats(spec: ShiftSpec):
     """Statistics of a third, differently-shifted domain, standardized
     like the trial's own."""
-    rot = (
-        spec.rotation_seed
-        if spec.rotation_seed is not None
-        else spec.seed + ROTATION_SEED_OFFSET
-    )
-    spec_u = dataclasses.replace(
-        spec,
-        seed=spec.seed + UNRELATED_OFFSET,
-        rotation_angles=None,
-        rotation_seed=rot + UNRELATED_OFFSET,
-    )
+    rot = spec.rotation_seed
+    if rot is None:
+        rot = spec.seed + ROTATION_SEED_OFFSET
+    spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET,
+                                 rotation_angles=None, rotation_seed=rot + UNRELATED_OFFSET)
     _, unrel = generate_shift(spec_u)
     Xu, _, _ = standardize(unrel.features)
     return mean_and_covariance(Xu)
 
 
-def _lda_mismatched(trial: _Trial, config: ExperimentConfig):
-    stats_u = _unrelated_stats(trial.spec)
-    return _lda_family(trial, config, stats_u.cov,
-                       lda.domain_distance(stats_u, trial.stats_t))
-
-
 def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float,
                 accuracy_curves: bool = False):
     """The one place a deep run is built: network and TrainConfig from
-    ``settings``, both seeded with the trial seed.  Returns the initial
-    network, the trained one and the LossReport (with per-iteration
-    accuracy curves only if ``accuracy_curves``)."""
+    ``settings``, both seeded with the trial seed.  Returns the trained
+    network and the LossReport (with per-iteration accuracy curves only
+    if ``accuracy_curves``)."""
     K = int(trial.ys.max()) + 1
     net = deep.init_network([trial.Xs.shape[1], settings.hidden, K], seed=trial.seed)
     tc = deep.TrainConfig(
@@ -342,25 +346,22 @@ def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float,
         seed=trial.seed,
         momentum=settings.momentum,
     )
-    trained, rep = deep.train_joint(
+    return deep.train_joint(
         net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt,
         accuracy_curves=accuracy_curves,
     )
-    return net, trained, rep
 
 
-def _deep_method(with_coral: bool):
-    def run(trial: _Trial, config: ExperimentConfig):
-        weight = config.deep.coral_weight if with_coral else 0.0
-        net, _, rep = _train_deep(trial, config.deep, weight)
-        logits_s, _ = deep.forward(net, trial.Xs)
-        logits_t, _ = deep.forward(net, trial.Xt)
-        pre = deep.coral_loss(logits_s, logits_t)
-        dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
-        return (rep.final_target_acc, rep.final_source_acc, pre,
-                rep.final_coral_distance, dmd)
-
-    return run
+def _deep_group(trial: _Trial, config: ExperimentConfig, names):
+    """deep or deep-no-coral, the joint trainer with or without the
+    alignment loss; pre and post are its alignment loss before and after
+    training."""
+    (name,) = names
+    weight = config.deep.coral_weight if name == "deep" else 0.0
+    _, rep = _train_deep(trial, config.deep, weight)
+    dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
+    return [(rep.final_target_acc, rep.final_source_acc, rep.initial_coral_distance,
+             rep.final_coral_distance, dmd)]
 
 
 # SVM method name -> feature map (trial, config) -> (source, target).
@@ -372,49 +373,35 @@ _FEATURE_MAPS = {
     "target-recolor-source-direction": _recolor_target,
 }
 
-# Other method name -> handler mapping (trial, config) to
-# (target_acc, source_acc, pre, post, domain_distance).
-_HANDLERS = {
-    "LDA": lambda trial, config: _lda_family(
-        trial, config, None, lda.domain_distance(trial.stats_s, trial.stats_t)),
-    "CORAL-LDA": lambda trial, config: _lda_family(
-        trial, config, trial.stats_t.cov, 0.0),
-    "CORAL-LDA-mismatched": _lda_mismatched,
-    "deep": _deep_method(with_coral=True),
-    "deep-no-coral": _deep_method(with_coral=False),
-}
+# Method groups: (group, members).  A group maps (trial, config, names),
+# names its requested members in config.methods order, to one
+# (target_acc, source_acc, pre, post, domain_distance) per name; members
+# share the group's work.  The two deep methods share none, so each is a
+# group of its own.
+_GROUPS = (
+    (_svm_group, tuple(_FEATURE_MAPS)),
+    (_lda_group, ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")),
+    (_deep_group, ("deep",)),
+    (_deep_group, ("deep-no-coral",)),
+)
 
-METHODS = (*_FEATURE_MAPS, *_HANDLERS)
-
-
-def _timed(agg: MethodAggregate, fn, *args):
-    """fn(*args), its wall time added to agg."""
-    t0 = time.perf_counter()
-    out = fn(*args)
-    agg.wall_clock_seconds += time.perf_counter() - t0
-    return out
+METHODS = tuple(name for _, members in _GROUPS for name in members)
 
 
 def _run_trial(trial: _Trial, config: ExperimentConfig, agg: dict) -> dict:
-    """Method name -> result tuple for one trial; the SVM methods are
-    mapped, then trained in one shared fit (MethodAggregate says how its
-    time is charged), then scored."""
-    svm = [name for name in config.methods if name in _FEATURE_MAPS]
+    """Method name -> result tuple for one trial: each group runs once
+    for its requested members, and each member is charged an equal share
+    of the group's time."""
     results = {}
-    if svm:
-        mapped = [_timed(agg[name], _FEATURE_MAPS[name], trial, config) for name in svm]
-        t0 = time.perf_counter()
-        models = classify.fit_cross_validated(
-            [Xs for Xs, _ in mapped], trial.ys, config.svm_grid, config.svm_folds,
-            trial.seed, config.svm_epochs,
-        )
-        share = (time.perf_counter() - t0) / len(svm)
-        for name, (Xs, Xt), model in zip(svm, mapped, models):
-            agg[name].wall_clock_seconds += share
-            results[name] = _timed(agg[name], _svm_scores, trial, Xs, Xt, model)
-    for name in config.methods:
-        if name not in results:
-            results[name] = _timed(agg[name], _HANDLERS[name], trial, config)
+    for group, members in _GROUPS:
+        names = [name for name in config.methods if name in members]
+        if names:
+            t0 = time.perf_counter()
+            out = group(trial, config, names)
+            share = (time.perf_counter() - t0) / len(names)
+            for name, result in zip(names, out):
+                agg[name].wall_clock_seconds += share
+                results[name] = result
     return results
 
 
@@ -502,25 +489,36 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _keywords(raw, cls, what: str, **defaults) -> dict:
+    """The JSON object ``raw`` over ``defaults`` as keyword arguments of the
+    dataclass ``cls``; InvalidInputError unless it is an object that names
+    only fields of ``cls`` and every field without a default."""
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, not {type(raw).__name__}")
+    kwargs = {**defaults, **raw}
+    fields = dataclasses.fields(cls)
+    unknown = set(kwargs) - {f.name for f in fields}
+    if unknown:
+        raise InvalidInputError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InvalidInputError(f"{what} is missing keys: {missing}")
+    return kwargs
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
-    spec = None
-    if "spec" in raw and raw["spec"] is not None:
-        s = dict(raw.pop("spec"))
+    raw = _keywords(raw, ExperimentConfig, "config", spec=None, methods=("NA",))
+    if raw["spec"] is not None:
+        s = _keywords(raw["spec"], ShiftSpec, "spec")
         s["scales"] = tuple(s["scales"])
         s["mean_shift"] = tuple(s["mean_shift"])
         if s.get("rotation_angles") is not None:
             s["rotation_angles"] = tuple(s["rotation_angles"])
-        spec = ShiftSpec(**s)
-    else:
-        raw.pop("spec", None)
-    deep_settings = DeepSettings(**raw.pop("deep")) if "deep" in raw else DeepSettings()
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    raw.setdefault("methods", ("NA",))
+        raw["spec"] = ShiftSpec(**s)
+    if "deep" in raw:
+        raw["deep"] = DeepSettings(**_keywords(raw["deep"], DeepSettings, "deep"))
     raw["methods"] = tuple(raw["methods"])
     if "svm_grid" in raw:
         raw["svm_grid"] = tuple(raw["svm_grid"])
-    return ExperimentConfig(spec=spec, deep=deep_settings, **raw)
+    return ExperimentConfig(**raw)

@@ -79,15 +79,17 @@ class TrainConfig:
 @dataclass
 class LossReport:
     """Per-iteration loss curves, end-of-training accuracies and alignment
-    distance.
+    distances.
 
     ``source_acc``/``target_acc`` are per-iteration accuracy curves when
     training was asked for them and None otherwise.  ``final_source_acc``
     and ``final_target_acc`` (NaN without target labels) score the
     trained network.  ``final_source_stats``/``final_target_stats`` are
     the mean and covariance of its full-data logits, and
-    ``final_coral_distance`` is the alignment loss between them; without
-    a target the target statistics are None and the distance NaN.
+    ``final_coral_distance`` is the alignment loss between them;
+    ``initial_coral_distance`` is the same loss for the initial network.
+    Without a target the target statistics are None and both distances
+    NaN.
     """
 
     class_loss: np.ndarray
@@ -97,6 +99,7 @@ class LossReport:
     final_source_acc: float
     final_target_acc: float
     final_coral_distance: float
+    initial_coral_distance: float
     final_source_stats: DomainStats
     final_target_stats: Optional[DomainStats]
 
@@ -274,6 +277,19 @@ def _score(logits, y) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
+def _full_data_gap(net: Network, X, Xt):
+    """Full-data logits and their statistics for each domain, then the
+    alignment loss between the two; without a target (Xt None) its logits
+    and statistics are None and the loss NaN."""
+    logits_s, _ = forward(net, X)
+    stats_s = mean_and_covariance(logits_s)
+    if Xt is None:
+        return logits_s, stats_s, None, None, float("nan")
+    logits_t, _ = forward(net, Xt)
+    stats_t = mean_and_covariance(logits_t)
+    return logits_s, stats_s, logits_t, stats_t, _gap_loss(stats_s.cov - stats_t.cov)
+
+
 def train_joint(
     net: Network,
     source,
@@ -292,7 +308,8 @@ def train_joint(
     bit-identical to source-only training, ``target`` None.
     ``target_labels`` (one per target row, in [0, K)) are used only to
     score the target.  The report's final accuracies are argmax scores of
-    the trained network's full-data logits.  ``accuracy_curves`` adds a
+    the trained network's full-data logits; its initial alignment
+    distance comes from the initial network's.  ``accuracy_curves`` adds a
     full-data accuracy pass after every step, for the per-iteration
     ``source_acc``/``target_acc`` curves; it changes no other output.
     """
@@ -323,6 +340,8 @@ def train_joint(
             raise InvalidInputError("source and target dimensions differ")
         if cfg.batch_size > Xt.shape[0]:
             raise InvalidInputError("batch size exceeds target dataset size")
+
+    initial_dist = _full_data_gap(net, X, Xt)[4]
 
     ss = np.random.SeedSequence(cfg.seed)
     src_child, tgt_child = ss.spawn(2)
@@ -379,17 +398,10 @@ def train_joint(
             if yt is not None:
                 tgt_acc[it] = _score(forward(work, Xt)[0], yt)
 
-    logits_s_full, _ = forward(work, X)
+    logits_s_full, stats_s, logits_t_full, stats_t, final_dist = _full_data_gap(
+        work, X, Xt)
     final_src = _score(logits_s_full, y)
-    stats_s = mean_and_covariance(logits_s_full)
-    stats_t = None
-    final_tgt = final_dist = float("nan")
-    if Xt is not None:
-        logits_t_full, _ = forward(work, Xt)
-        stats_t = mean_and_covariance(logits_t_full)
-        final_dist = _gap_loss(stats_s.cov - stats_t.cov)
-        if yt is not None:
-            final_tgt = _score(logits_t_full, yt)
+    final_tgt = _score(logits_t_full, yt) if yt is not None else float("nan")
 
     report = LossReport(
         class_loss=class_curve,
@@ -399,6 +411,7 @@ def train_joint(
         final_source_acc=final_src,
         final_target_acc=final_tgt,
         final_coral_distance=final_dist,
+        initial_coral_distance=initial_dist,
         final_source_stats=stats_s,
         final_target_stats=stats_t,
     )

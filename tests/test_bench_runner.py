@@ -5,6 +5,7 @@ suite; here the same machinery runs with fewer trials and looser bounds,
 plus exact checks for shapes, determinism, and serialization.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,9 +15,11 @@ from coralign import classify, lda, linalg
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
+    METHODS,
     DeepSettings,
     ExperimentConfig,
     _FEATURE_MAPS,
+    _GROUPS,
     _make_trial,
     _train_deep,
     config_from_dict,
@@ -78,6 +81,11 @@ class TestConfigSerialization:
             ExperimentConfig(
                 spec=zero_shift_spec(), methods=("SVD-align",), trials=1
             )
+
+    def test_repeated_method_rejected(self):
+        # a repeated method would get two results per trial in one aggregate
+        with pytest.raises(InvalidInputError, match="methods repeat"):
+            ExperimentConfig(spec=zero_shift_spec(), methods=("NA", "deep", "NA"), trials=1)
 
     def test_needs_spec_or_files(self):
         with pytest.raises(InvalidInputError):
@@ -208,11 +216,12 @@ class TestRunExperiment:
         assert matched >= unrelated - 0.01
 
     def test_lda_family_decomposes_each_whitening_covariance_once(self, monkeypatch):
-        # K = 10 discriminants per method share one source and one target
-        # whitening operator: at most 2 eigendecompositions per method,
-        # where one per class and covariance made 2 K = 20.  They are
-        # stacked too: one solve and one fit_coral_lda call per method,
-        # where one per class made K of each
+        # the three LDA methods share one solve for all K = 10
+        # discriminants and one source whitening: per trial, one solve,
+        # one eigendecomposition per distinct whitening covariance (source,
+        # target, unrelated) and one stacked fit_coral_lda call per CORAL
+        # variant, where each method on its own made 3 solves and 4
+        # eigendecompositions
         calls = count_eigendecompositions(monkeypatch)
         solves, coral_fits = [], []
         monkeypatch.setattr(np.linalg, "solve", lambda *a, _fn=np.linalg.solve:
@@ -221,13 +230,14 @@ class TestRunExperiment:
                             coral_fits.append(1) or _fn(*a))
         cfg = ExperimentConfig(
             spec=rotated_anisotropic_spec(seed=4, d=16, K=10, n_source=400, n_target=400),
-            methods=("CORAL-LDA", "CORAL-LDA-mismatched"),
+            methods=("LDA", "CORAL-LDA", "CORAL-LDA-mismatched"),
             trials=2,
         )
         run_experiment(cfg)
-        assert 0 < len(calls) <= 4 * cfg.trials
+        assert len(solves) == cfg.trials
+        assert 0 < len(calls) <= 3 * cfg.trials
         assert set(calls) == {(16, 16)}
-        assert len(solves) == len(coral_fits) == len(cfg.methods) * cfg.trials
+        assert len(coral_fits) == 2 * cfg.trials
 
     def test_deep_methods_smoke(self):
         spec = rotated_anisotropic_spec(seed=3, d=6, K=2, n_source=120, n_target=120)
@@ -256,7 +266,7 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         trial = _make_trial(cfg, cfg.seed_base, None)
         for name, weight in (("deep", cfg.deep.coral_weight), ("deep-no-coral", 0.0)):
-            _, trained, _ = _train_deep(trial, cfg.deep, weight)
+            trained, _ = _train_deep(trial, cfg.deep, weight)
             m = report.methods[name]
             src_pred = network_predict(trained, trial.Xs)
             tgt_pred = network_predict(trained, trial.Xt)
@@ -304,6 +314,140 @@ class TestRunExperiment:
         assert parsed["trials"] == 2
         assert "NA" in parsed["methods"]
         assert len(parsed["methods"]["NA"]["target_acc"]) == 2
+
+
+RESULT_FIELDS = ("target_acc", "source_acc", "pre_dist", "post_dist", "domain_distance")
+
+
+def per_trial_results(config):
+    """Method name -> its per-trial result lists, in RESULT_FIELDS order."""
+    report = run_experiment(config)
+    return {name: tuple(getattr(m, f) for f in RESULT_FIELDS)
+            for name, m in report.methods.items()}
+
+
+class TestMethodGroups:
+    def test_every_method_belongs_to_exactly_one_group(self):
+        members = [name for _, names in _GROUPS for name in names]
+        assert sorted(members) == sorted(METHODS)
+        assert len(members) == len(set(members))
+
+    def test_results_do_not_depend_on_group_mates(self):
+        # each LDA-family and deep method gives the same per-trial results
+        # alone, with its whole group and in reversed request order
+        grouped = ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched", "deep", "deep-no-coral")
+        config = ExperimentConfig(
+            spec=rotated_anisotropic_spec(seed=6, d=6, K=3, n_source=150, n_target=150),
+            methods=grouped, trials=2,
+            deep=DeepSettings(hidden=8, iterations=30, batch_size=32),
+        )
+        together = per_trial_results(config)
+        reversed_order = dataclasses.replace(config, methods=grouped[::-1])
+        assert per_trial_results(reversed_order) == together
+        for name in grouped:
+            alone = per_trial_results(dataclasses.replace(config, methods=(name,)))
+            assert alone == {name: together[name]}
+
+
+# Per-trial results of trials 0 and 1 of all ten methods on
+# rotated_anisotropic_spec(0), recorded from the runner before its
+# methods were grouped (one handler per non-SVM method), in
+# RESULT_FIELDS order.
+FROZEN_TWO_TRIALS = {
+    "NA": (
+        [0.86, 0.856],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [8.29528206922352, 8.651035421445753],
+        [0.44336330915037475, 0.41104831775802275],
+    ),
+    "CORAL-reg": (
+        [0.986, 0.983],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [2.1688505781708174, 2.017706586111377],
+        [0.10270956340238727, 0.08127237379432814],
+    ),
+    "CORAL-analytical": (
+        [0.991, 0.994],
+        [0.997, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [1.4176012500475547e-14, 1.3549273007011881e-14],
+        [6.31307748283155e-16, 5.196810709553494e-16],
+    ),
+    "whiten-both": (
+        [0.963, 0.945],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [1.1040553731625018, 1.107802751817928],
+        [0.30576102272113415, 0.32415042285576345],
+    ),
+    "target-recolor-source-direction": (
+        [0.956, 0.949],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [4.4561707731719205, 4.224442912262161],
+        [0.3364652565112761, 0.2867466154142197],
+    ),
+    "LDA": (
+        [0.86, 0.857],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [8.29528206922352, 8.651035421445753],
+        [0.44336330915037475, 0.41104831775802275],
+    ),
+    "CORAL-LDA": (
+        [0.955, 0.95],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [8.29528206922352, 8.651035421445753],
+        [0.0, 0.0],
+    ),
+    "CORAL-LDA-mismatched": (
+        [0.84, 0.841],
+        [1.0, 1.0],
+        [8.29528206922352, 8.651035421445753],
+        [8.29528206922352, 8.651035421445753],
+        [0.6703276285072884, 0.6659105323011664],
+    ),
+    "deep": (
+        [0.952, 0.949],
+        [1.0, 1.0],
+        [3.7527315767442256e-13, 1.4768561039743945e-13],
+        [0.014230115384265142, 0.01807689428980014],
+        [0.4927814865981588, 0.6225264505197876],
+    ),
+    "deep-no-coral": (
+        [0.874, 0.817],
+        [1.0, 1.0],
+        [3.7527315767442256e-13, 1.4768561039743945e-13],
+        [64.25557591655478, 70.07577066585282],
+        [1.2369266986885723, 1.1298948876443398],
+    ),
+}
+
+# CORAL-analytical aligns the covariances exactly, so its post distance
+# and domain distance are round-off, whose digits depend on the BLAS
+# kernel; they are checked to be round-off rather than pinned.
+ROUND_OFF = {("CORAL-analytical", "post_dist"), ("CORAL-analytical", "domain_distance")}
+
+
+class TestFrozenConfigResults:
+    def test_two_trials_of_every_method_match_the_recorded_results(self):
+        config = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=METHODS,
+                                  trials=2)
+        got = per_trial_results(config)
+        assert list(got) == list(FROZEN_TWO_TRIALS)
+        for name, want in FROZEN_TWO_TRIALS.items():
+            for field, g, w in zip(RESULT_FIELDS, got[name], want):
+                if field.endswith("_acc"):
+                    # equal under every OpenBLAS kernel measured
+                    assert g == w, (name, field)
+                elif (name, field) in ROUND_OFF:
+                    assert max(g) < 1e-12, (name, field)
+                else:
+                    # distances differ by up to 1.1e-13 across kernels
+                    assert g == pytest.approx(w, rel=1e-9), (name, field)
 
 
 class TestLambdaSweep:

@@ -236,6 +236,37 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(p)])
         assert rc == 1
 
+    @pytest.mark.parametrize("case, message", [
+        ("unknown deep key", "unknown deep keys: ['depth']"),
+        ("unknown spec key", "unknown spec keys: ['dims']"),
+        ("spec without scales", "spec is missing keys: ['scales']"),
+        ("top-level list", "config must be a JSON object, not list"),
+        ("spec not an object", "spec must be a JSON object, not str"),
+        ("deep not an object", "deep must be a JSON object, not list"),
+    ])
+    def test_malformed_config_exits_1_with_an_error_line(self, tmp_path, capsys,
+                                                         case, message):
+        raw = json.loads(self._config_file(tmp_path).read_text())
+        if case == "unknown deep key":
+            raw["deep"] = {"hidden": 8, "depth": 3}
+        elif case == "unknown spec key":
+            raw["spec"]["dims"] = 4
+        elif case == "spec without scales":
+            del raw["spec"]["scales"]
+        elif case == "top-level list":
+            raw = ["NA"]
+        elif case == "spec not an object":
+            raw["spec"] = "rotated"
+        else:
+            raw["deep"] = [8, 400]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        rc = main(["bench", "--config", str(p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
 
 class TestSweepCommand:
     def test_single_lambda_no_analytical(self, tmp_path):

@@ -249,7 +249,7 @@ class TestTraining:
         import coralign.deep as deep_mod
 
         # the training loop forms batch covariances with _centred_covariance
-        # (it reuses the centred rows), the final distance with
+        # (it reuses the centred rows), the initial and final distances with
         # mean_and_covariance; count both
         calls = []
         for name in ("mean_and_covariance", "_centred_covariance"):
@@ -261,8 +261,9 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng)
         cfg = self._cfg(iterations=10)
         train_joint(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg)
-        # two batch covariances per step, two for the final distance
-        assert len(calls) == 2 * cfg.iterations + 2
+        # two batch covariances per step, two for each of the initial and
+        # the final distance
+        assert len(calls) == 2 * cfg.iterations + 4
 
     def test_report_lengths_match_iterations(self):
         rng = np.random.default_rng(17)
@@ -354,6 +355,18 @@ class TestTraining:
             np.testing.assert_array_equal(stats.mean, want.mean)
             np.testing.assert_array_equal(stats.cov, want.cov)
         assert report.final_coral_distance == coral_loss(ls, lt)
+
+    def test_initial_distance_is_the_alignment_loss_of_the_initial_logits(self):
+        rng = np.random.default_rng(29)
+        Xs, y, Xt, _ = shifted_blobs(rng)
+        net = init_network([6, 8, 3], seed=9)
+        for weight in (1.0, 0.0):
+            _, report = train_joint(net, Xs, y, Xt,
+                                    self._cfg(iterations=10, coral_weight=weight))
+            want = coral_loss(forward(net, Xs)[0], forward(net, Xt)[0])
+            assert report.initial_coral_distance == want  # bit for bit
+        _, report = train_joint(net, Xs, y, None, self._cfg(iterations=5))
+        assert np.isnan(report.initial_coral_distance)
 
     def test_without_target_labels_target_accuracy_is_nan(self):
         rng = np.random.default_rng(25)
