@@ -83,11 +83,11 @@ class ShiftSpec:
     n_source: int
     n_target: int
     separation: float
-    scales: tuple
-    mean_shift: tuple
+    scales: tuple[float, ...]
+    mean_shift: tuple[float, ...]
     noise_std: float
     seed: int
-    rotation_angles: Optional[tuple] = None
+    rotation_angles: Optional[tuple[float, ...]] = None
     rotation_seed: Optional[int] = None
 
     def __post_init__(self):

@@ -37,6 +37,8 @@ class means, so no target label enters either.
 from __future__ import annotations
 
 import dataclasses
+import json
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field
 from typing import Optional
@@ -79,12 +81,12 @@ class DeepSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: Optional[ShiftSpec]
-    methods: tuple
+    methods: tuple[str, ...]
     trials: int = 20
     seed_base: int = 0
     lam: float = 1.0
     lda_lam: float = 1.0
-    svm_grid: tuple = (0.001, 0.01, 0.1, 1.0, 10.0)
+    svm_grid: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0)
     svm_folds: int = 5
     svm_epochs: int = 20
     deep: DeepSettings = field(default_factory=DeepSettings)
@@ -128,7 +130,9 @@ class MethodAggregate:
 
     ``wall_clock_seconds`` sums the method's time over the trials: in
     each trial, an equal share of the time of its method group's call
-    (the SVM methods, the LDA family, or the deep method alone)."""
+    (the SVM methods, the LDA family, or the deep method alone).
+    ``chosen_C`` holds an SVM method's cross-validated C of each trial; it
+    stays empty for the other methods, and ``to_dict`` omits it there."""
 
     name: str
     target_acc: list = field(default_factory=list)
@@ -137,6 +141,7 @@ class MethodAggregate:
     post_dist: list = field(default_factory=list)
     domain_distance: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
+    chosen_C: list = field(default_factory=list)
 
     @property
     def target_acc_mean(self) -> float:
@@ -151,7 +156,7 @@ class MethodAggregate:
         return float(np.mean(self.source_acc))
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "target_acc": [float(x) for x in self.target_acc],
             "source_acc": [float(x) for x in self.source_acc],
             "target_acc_mean": self.target_acc_mean,
@@ -166,6 +171,9 @@ class MethodAggregate:
             "domain_distance_mean": float(np.mean(self.domain_distance)),
             "wall_clock_seconds": self.wall_clock_seconds,
         }
+        if self.chosen_C:
+            out["chosen_C"] = [float(C) for C in self.chosen_C]
+        return out
 
 
 @dataclass
@@ -261,9 +269,10 @@ def _recolor_target(trial, config):
 
 def _svm_group(trial: _Trial, config: ExperimentConfig, names):
     """The SVM methods: each feature map, then one cross-validated fit of
-    all mapped sources, each at its own C.  Each method is scored on its
-    own features; post and domain_distance compare the covariances of its
-    two sides, reusing the trial's statistics for an unmapped side."""
+    all mapped sources, each at its own C, which each result carries.
+    Each method is scored on its own features; post and domain_distance
+    compare the covariances of its two sides, reusing the trial's
+    statistics for an unmapped side."""
     mapped = [_FEATURE_MAPS[name](trial, config) for name in names]
     models = classify.fit_cross_validated(
         [Xs for Xs, _ in mapped], trial.ys, config.svm_grid, config.svm_folds,
@@ -276,7 +285,7 @@ def _svm_group(trial: _Trial, config: ExperimentConfig, names):
         post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
         results.append((_acc(classify.predict(model, Xt), trial.yt),
                         _acc(classify.predict(model, Xs), trial.ys), trial.pre,
-                        post, lda.domain_distance(stats_s, stats_t)))
+                        post, lda.domain_distance(stats_s, stats_t), model.C))
     return results
 
 
@@ -313,7 +322,7 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
             stats_u = _unrelated_stats(trial.spec)
             W, dmd = coral_weights(stats_u.cov), lda.domain_distance(stats_u, trial.stats_t)
         tacc = _acc(np.argmax(trial.Xt @ W.T - thr, axis=1), trial.yt)
-        results.append((tacc, sacc, trial.pre, trial.pre, dmd))
+        results.append((tacc, sacc, trial.pre, trial.pre, dmd, None))
     return results
 
 
@@ -361,7 +370,7 @@ def _deep_group(trial: _Trial, config: ExperimentConfig, names):
     _, rep = _train_deep(trial, config.deep, weight)
     dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
     return [(rep.final_target_acc, rep.final_source_acc, rep.initial_coral_distance,
-             rep.final_coral_distance, dmd)]
+             rep.final_coral_distance, dmd, None)]
 
 
 # SVM method name -> feature map (trial, config) -> (source, target).
@@ -375,9 +384,9 @@ _FEATURE_MAPS = {
 
 # Method groups: (group, members).  A group maps (trial, config, names),
 # names its requested members in config.methods order, to one
-# (target_acc, source_acc, pre, post, domain_distance) per name; members
-# share the group's work.  The two deep methods share none, so each is a
-# group of its own.
+# (target_acc, source_acc, pre, post, domain_distance, chosen_C) per name,
+# chosen_C None outside the SVM group; members share the group's work.
+# The two deep methods share none, so each is a group of its own.
 _GROUPS = (
     (_svm_group, tuple(_FEATURE_MAPS)),
     (_lda_group, ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")),
@@ -412,7 +421,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trial = _make_trial(config, config.seed_base + t, file_pair)
         results = _run_trial(trial, config, agg)
         for name in config.methods:
-            tacc, sacc, pre, post, dmd = results[name]
+            tacc, sacc, pre, post, dmd, C = results[name]
             if not np.isnan(tacc) and not 0.0 <= tacc <= 1.0:
                 raise InvalidInputError(f"{name}: accuracy {tacc} out of range")
             agg[name].target_acc.append(tacc)
@@ -420,6 +429,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             agg[name].pre_dist.append(pre)
             agg[name].post_dist.append(post)
             agg[name].domain_distance.append(dmd)
+            if C is not None:
+                agg[name].chosen_C.append(C)
     return ExperimentReport(
         methods=agg,
         trials=config.trials,
@@ -489,10 +500,43 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
+
+
+# The JSON value each field annotation takes, as (description, test): an
+# integer is a number too, true and false are not.  Nested objects are
+# checked by their own _keywords call.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[float, ...]": ("a list of numbers", _is_list_of(_is_number)),
+    "tuple[str, ...]": ("a list of strings", _is_list_of(lambda v: isinstance(v, str))),
+}
+
+
+def _check_json_type(value, annotation: str, name: str) -> None:
+    optional = annotation.startswith("Optional[")
+    if optional:
+        annotation = annotation[len("Optional["):-1]
+    if annotation not in _JSON_TYPES or (optional and value is None):
+        return
+    description, test = _JSON_TYPES[annotation]
+    if not test(value):
+        raise InvalidInputError(f"{name} must be {description}, not {json.dumps(value)}")
+
+
 def _keywords(raw, cls, what: str, **defaults) -> dict:
     """The JSON object ``raw`` over ``defaults`` as keyword arguments of the
     dataclass ``cls``; InvalidInputError unless it is an object that names
-    only fields of ``cls`` and every field without a default."""
+    only fields of ``cls`` and every field without a default, each value
+    of the JSON type its field's annotation names (``_JSON_TYPES``)."""
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{what} must be a JSON object, not {type(raw).__name__}")
     kwargs = {**defaults, **raw}
@@ -504,6 +548,9 @@ def _keywords(raw, cls, what: str, **defaults) -> dict:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise InvalidInputError(f"{what} is missing keys: {missing}")
+    for f in fields:
+        if f.name in raw:
+            _check_json_type(raw[f.name], f.type, f"{what} key {f.name!r}")
     return kwargs
 
 

@@ -20,10 +20,18 @@ lambda, step scale, snapshot and rollback.  ``fit_cross_validated``
 picks a C per member by cross-validation, one kernel run per group of
 folds that share a training size and class count, then fits every
 member on all rows at its own C in one more run.  ``train_svm`` and
-``cross_validate_C`` are its one-member cases.  With OpenBLAS's default
-SkylakeX kernel every stacked fit's weights are bitwise those of a lone
-``train_svm`` call on its rows; the Haswell and Nehalem kernels block the
-stacked products differently and can differ in the last bit.
+``cross_validate_C`` are its one-member cases.
+
+Cross-validation shuffles the member rows in place, so each fold holds
+out one contiguous block and trains on the other rows in increasing
+order.  The epoch objective is then one product per member over all
+rows: the held-out rows' hinge is zeroed and the sum runs in row order,
+so every fold's objective is that of its gathered training rows, bitwise
+under OpenBLAS's SkylakeX and Haswell kernels (Nehalem rounds a few
+entries of the wider product differently in the last bit).  With the
+default SkylakeX kernel every stacked fit's weights are bitwise those of
+a lone ``train_svm`` call on its rows; the Haswell and Nehalem kernels
+block the stacked products differently and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -88,16 +96,6 @@ def _signs(labels, K: int) -> np.ndarray:
     return np.where(labels[:, None] == np.arange(K)[None, :], 1.0, -1.0)
 
 
-def _mean_hinge(Wa, Xa, Ysign) -> np.ndarray:
-    """(G, K) mean hinge of each weight row of Wa (G blocks of K rows,
-    one per C) on the augmented rows Xa with targets Ysign."""
-    n, K = Ysign.shape
-    margins = (Xa @ Wa.T).reshape(n, -1, K)
-    margins *= Ysign[:, None, :]
-    np.subtract(1.0, margins, out=margins)  # in place: one (n, G*K) temporary
-    return np.maximum(0.0, margins, out=margins).mean(axis=0)
-
-
 def _stack_members(Ds) -> np.ndarray:
     """Feature matrices of one shape as (M, N, d+1) augmented rows, the
     constant-1 bias column appended, built in place."""
@@ -117,33 +115,46 @@ def _stack_members(Ds) -> np.ndarray:
     return Xa
 
 
-def _objectives(Wa, Xa, Ysign, rows, lam) -> np.ndarray:
+def _objectives(Wa, Xa, Yt, train, n: int, lam, K: int) -> np.ndarray:
     """(M, F, G) regularized mean hinge, averaged over the one-vs-rest
     problems, of stacked runs: weights Wa (M, F, G*K, d+1) with lam
-    (M, G*K) per weight row, fold f on rows[f].  The hinge is evaluated
-    one (member, fold) at a time, so no gathered copy of every training
-    set coexists."""
-    hinge = np.array([
-        [_mean_hinge(Wf, Xm[r], Ysign[r]) for Wf, r in zip(Wm, rows)]
-        for Wm, Xm in zip(Wa, Xa)
-    ])
+    (M, G*K) per weight row, Yt (N, G*K) the targets of every weight row,
+    fold f on the n rows where train (N, F, 1) is 1.
+
+    One product per member scores every row against all its folds' weight
+    rows; the held-out rows' hinge is zeroed, and the sum over rows runs
+    in row order, so each fold's sum is that of its training rows gathered
+    in increasing order (bitwise where the product's entries round as in
+    the gathered product's, see the module docstring)."""
+    M, F, GK, _ = Wa.shape
+    hinge = np.empty((M, F * GK))
+    H = np.empty((Xa.shape[1], F * GK))  # every member's scores, in place from here
+    for Wm, Xm, out in zip(Wa, Xa, hinge):
+        np.matmul(Xm, Wm.reshape(F * GK, -1).T, out=H)
+        folds = H.reshape(len(H), F, GK)
+        folds *= Yt[:, None, :]
+        np.subtract(1.0, H, out=H)
+        np.maximum(0.0, H, out=H)
+        folds *= train
+        H.sum(axis=0, out=out)
+    hinge /= n
     reg = 0.5 * lam[:, None, :] * (Wa[..., :-1] ** 2).sum(axis=-1)
-    return (hinge + reg.reshape(hinge.shape)).mean(axis=-1)
+    return (hinge + reg.reshape(hinge.shape)).reshape(M, F, -1, K).mean(axis=-1)
 
 
-def _step(Wa, Xa, Ysign, idx, G: int, lam_rows, eta, radius) -> None:
+def _step(Wa, Xa, Yt, idx, lam_rows, eta, radius) -> None:
     """One minibatch subgradient step and ball projection of every stacked
-    fit, in place on Wa (M, F, G*K, d+1); fold f steps on rows idx[f].
-    Its temporaries die on return, so no two steps' copies coexist."""
+    fit, in place on Wa (M, F, G*K, d+1); fold f steps on rows idx[f], Yt
+    (N, G*K) the targets of every weight row.  Its temporaries die on
+    return, so no two steps' copies coexist."""
     # take, not Xa[:, idx]: each (member, fold) block stays contiguous
-    Xb, Yb = np.take(Xa, idx, axis=1), np.tile(Ysign[idx], G)
+    Xb, Yb = np.take(Xa, idx, axis=1), np.take(Yt, idx, axis=0)
     coef = Xb @ Wa.swapaxes(2, 3)  # margins, then in place the hinge coefficients
     coef *= Yb
-    viol = coef < 1.0
-    np.multiply(viol, Yb, out=coef)
-    np.negative(coef, out=coef)
+    np.less(coef, 1.0, out=coef)  # 1.0 where the margin is violated, else 0.0
+    coef *= np.negative(Yb, out=Yb)
     grad = coef.swapaxes(2, 3) @ Xb
-    del Xb, Yb, viol, coef  # freed before the rest of the step allocates
+    del Xb, Yb, coef  # freed before the rest of the step allocates
     grad /= idx.shape[1]
     grad[..., :-1] += lam_rows[..., None] * Wa[..., :-1]
     grad *= eta[..., None]
@@ -157,10 +168,10 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     """Run one subgradient fit per (member, fold, C), all in lockstep.
 
     Xa (M, N, d+1) holds the augmented rows of M members and Ysign (N, K)
-    their shared targets; fold f trains on rows[f] (all folds have the
-    same size n), member m at each of its G values Cs[m], and every fit
-    uses one seed.  Returns weights (M, F, G*K, d+1): rows g*K..(g+1)*K
-    of [m, f] are member m's fit on fold f at Cs[m][g].
+    their shared targets; fold f trains on rows[f], strictly increasing
+    (all folds have the same size n), member m at each of its G values
+    Cs[m], and every fit uses one seed.  Returns weights (M, F, G*K, d+1):
+    rows g*K..(g+1)*K of [m, f] are member m's fit on fold f at Cs[m][g].
 
     Same n and seed means the same permutations, so every run steps on
     the same minibatch positions; each keeps its own lambda, step scale,
@@ -170,8 +181,13 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     the tests check.
     """
     F, n = rows.shape
+    if not (np.diff(rows, axis=1) > 0).all():
+        raise InvalidInputError("each fold's training rows must be strictly increasing")
     Cs = np.asarray(Cs, dtype=float)
     G, K = Cs.shape[1], Ysign.shape[1]
+    Yt = np.tile(Ysign, G)  # (N, G*K): the target of every weight row
+    train = np.zeros((Xa.shape[1], F, 1))
+    train[rows.T, np.arange(F), 0] = 1.0
     lam = np.repeat(1.0 / (Cs * n), K, axis=1)  # (M, G*K), per weight row
     lam_rows = lam[:, None, :]  # broadcast over folds
     radius = 1.0 / np.sqrt(lam_rows)
@@ -180,15 +196,15 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
 
     t = 0
-    accepted = _objectives(Wa, Xa, Ysign, rows, lam)
+    accepted = _objectives(Wa, Xa, Yt, train, n, lam, K)
     for _ in range(epochs):
         snapshot = Wa.copy()
         perm = rng.permutation(n)
         for start in range(0, n, MINIBATCH):
             t += 1
-            _step(Wa, Xa, Ysign, rows[:, perm[start : start + MINIBATCH]], G,
+            _step(Wa, Xa, Yt, rows[:, perm[start : start + MINIBATCH]],
                   lam_rows, scale / (lam_rows * t), radius)
-        candidate = _objectives(Wa, Xa, Ysign, rows, lam)
+        candidate = _objectives(Wa, Xa, Yt, train, n, lam, K)
         reject = candidate > accepted
         accepted = np.where(reject, accepted, candidate)
         reject = np.repeat(reject, K, axis=-1)
@@ -224,9 +240,8 @@ def svm_objective(model: LinearModel, D, labels) -> float:
         raise InvalidInputError("labels reference classes the model does not have")
     Wa = np.hstack([model.W, model.b[:, None]])
     lam = np.full((1, model.n_classes), 1.0 / (model.C * n))
-    rows = np.arange(n)[None, :]
     return float(_objectives(Wa[None, None], Xa[None], _signs(labels, model.n_classes),
-                             rows, lam)[0, 0, 0])
+                             np.ones((n, 1, 1)), n, lam, model.n_classes)[0, 0, 0])
 
 
 def predict(model: LinearModel, D) -> np.ndarray:
@@ -294,8 +309,12 @@ def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.n
     if folds > n:
         raise InvalidInputError("more folds than examples")
 
+    # Xa is shuffled in place, one member at a time, and restored before
+    # returning.  Fold f holds out the shuffled rows parts[f], a contiguous
+    # block, and trains on the others in increasing order.
     perm = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(perm, folds)
+    labels = labels[perm]
+    parts = np.array_split(np.arange(n), folds)
     groups = {}
     for f in range(folds):
         train_idx = np.concatenate([parts[g] for g in range(folds) if g != f])
@@ -306,13 +325,20 @@ def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.n
 
     G = len(grid)
     accs = np.empty((M, G, folds))
-    for (_, K), group in groups.items():
-        rows = np.stack([train_idx for _, train_idx in group])
-        Wa = _sgd(Xa, _signs(labels, K), rows, np.tile(grid, (M, 1)), epochs, seed)
-        for (f, _), Wf in zip(group, Wa.swapaxes(0, 1)):
-            test_idx = parts[f]
-            for m, W in enumerate(Wf):
-                scores = Xa[m, test_idx, :-1] @ W[:, :-1].T + W[:, -1]
-                pred = scores.reshape(len(test_idx), G, K).argmax(axis=2)
-                accs[m, :, f] = (pred == labels[test_idx][:, None]).mean(axis=0)
+    for Xm in Xa:
+        Xm[...] = Xm[perm]
+    try:
+        for (_, K), group in groups.items():
+            rows = np.stack([train_idx for _, train_idx in group])
+            Wa = _sgd(Xa, _signs(labels, K), rows, np.tile(grid, (M, 1)), epochs, seed)
+            for (f, _), Wf in zip(group, Wa.swapaxes(0, 1)):
+                test_idx = parts[f]
+                for m, W in enumerate(Wf):
+                    scores = Xa[m, test_idx, :-1] @ W[:, :-1].T + W[:, -1]
+                    pred = scores.reshape(len(test_idx), G, K).argmax(axis=2)
+                    accs[m, :, f] = (pred == labels[test_idx][:, None]).mean(axis=0)
+    finally:
+        inverse = np.argsort(perm)
+        for Xm in Xa:
+            Xm[...] = Xm[inverse]
     return accs

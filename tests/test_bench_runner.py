@@ -450,6 +450,27 @@ class TestFrozenConfigResults:
                     assert g == pytest.approx(w, rel=1e-9), (name, field)
 
 
+class TestChosenC:
+    def test_svm_methods_report_each_trials_cross_validated_C(self):
+        config = ExperimentConfig(spec=rotated_anisotropic_spec(0), trials=2,
+                                  methods=tuple(_FEATURE_MAPS) + ("LDA", "CORAL-LDA"))
+        report = run_experiment(config).to_dict()["methods"]
+        lda_keys = set(report["LDA"])
+        assert "chosen_C" not in lda_keys and set(report["CORAL-LDA"]) == lda_keys
+        chosen = {}
+        for name, fmap in _FEATURE_MAPS.items():
+            assert set(report[name]) == lda_keys | {"chosen_C"}
+            want = []
+            for t in range(2):
+                trial = _make_trial(config, t, None)
+                want.append(classify.cross_validate_C(
+                    fmap(trial, config)[0], trial.ys, config.svm_grid,
+                    config.svm_folds, trial.seed, config.svm_epochs))
+            assert report[name]["chosen_C"] == want, name
+            chosen[name] = want
+        assert len({C for Cs in chosen.values() for C in Cs}) > 1
+
+
 class TestLambdaSweep:
     def test_single_value_no_analytical_gives_single_row(self):
         cfg = ExperimentConfig(

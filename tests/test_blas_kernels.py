@@ -1,0 +1,94 @@
+"""Results reproduce across OpenBLAS kernels.
+
+numpy's bundled OpenBLAS, when built DYNAMIC_ARCH, picks its compute
+kernel per process from OPENBLAS_CORETYPE.  A small experiment (2 trials
+of the frozen shift, the five SVM methods and the LDA family) runs in a
+child process under the default kernel and under each named kernel.
+Per-trial accuracies and chosen C must be equal; every other float
+agrees to a relative 1e-9, or to 1e-12 absolute for values that are
+round-off (CORAL-analytical's post-alignment distances).
+"""
+
+import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run in the child: the kernel OpenBLAS chose, then the experiment's
+# per-method results.
+CHILD = """
+import ctypes, json, sys
+from coralign.bench import runner
+from coralign.bench.data import rotated_anisotropic_spec
+
+lib = ctypes.CDLL(sys.argv[1])
+lib.scipy_openblas_get_corename64_.argtypes = []
+lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+core = lib.scipy_openblas_get_corename64_().decode()
+methods = tuple(runner._FEATURE_MAPS) + ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")
+config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=methods, trials=2)
+report = runner.run_experiment(config).to_dict()["methods"]
+print(json.dumps({"core": core, "methods": report}))
+"""
+
+EXACT = ("target_acc", "source_acc", "target_acc_mean", "target_acc_std",
+         "source_acc_mean", "source_acc_std", "chosen_C")
+
+
+def bundled_openblas():
+    """Path of numpy's bundled OpenBLAS if it is built DYNAMIC_ARCH, else
+    skip the test with the reason."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if not hasattr(lib, "scipy_openblas_get_config64_"):
+            continue
+        lib.scipy_openblas_get_config64_.argtypes = []
+        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        config = lib.scipy_openblas_get_config64_().decode()
+        if "DYNAMIC_ARCH" not in config:
+            pytest.skip(f"numpy's OpenBLAS is not built DYNAMIC_ARCH: {config}")
+        return str(path)
+    pytest.skip(f"no bundled OpenBLAS with scipy_openblas symbols in {libs}")
+
+
+def run_child(lib, core=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", CHILD, lib], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    lib = bundled_openblas()
+    return lib, run_child(lib)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_results_agree_with_the_default_kernel(default_run, core):
+    lib, want = default_run
+    got = run_child(lib, core)
+    if got["core"].lower() != core.lower():
+        pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
+    assert list(got["methods"]) == list(want["methods"])
+    for name, fields in want["methods"].items():
+        assert set(got["methods"][name]) == set(fields), name
+        for field, w in fields.items():
+            g = got["methods"][name][field]
+            if field == "wall_clock_seconds":
+                continue
+            elif field in EXACT:
+                assert g == w, (name, field)
+            else:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-12), (name, field)

@@ -281,6 +281,16 @@ def frozen_source():
 GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
 
 
+def fold_contiguous(Ds, y, folds, seed):
+    """Members and labels shuffled as cross-validation shuffles them, and
+    each fold's training rows in that order: every index but the fold's
+    held-out block, increasing."""
+    perm = np.random.default_rng(seed).permutation(len(y))
+    parts = np.array_split(np.arange(len(y)), folds)
+    rows = [np.concatenate(parts[:f] + parts[f + 1:]) for f in range(folds)]
+    return [D[perm] for D in Ds], y[perm], rows
+
+
 class TestLockstepCrossValidation:
     @pytest.mark.parametrize("case", [awkward_case, frozen_source])
     def test_matches_serial_cv(self, case):
@@ -301,8 +311,8 @@ class TestLockstepCrossValidation:
 
     def test_kernel_weights_bit_identical_to_train_svm(self):
         X, y, kw = frozen_source()
-        parts = np.array_split(np.random.default_rng(0).permutation(len(X)), 5)
-        rows = np.stack([np.concatenate(parts[:f] + parts[f + 1:]) for f in range(5)])
+        (X,), y, rows = fold_contiguous([X], y, **kw)
+        rows = np.stack(rows)
         Xa = classify._stack_members([X])
         Wa = classify._sgd(Xa, classify._signs(y, 3), rows, [GRID], 20, 0)[0]
         assert Wa.shape == (5, len(GRID) * 3, X.shape[1] + 1)
@@ -312,6 +322,28 @@ class TestLockstepCrossValidation:
                 block = Wa[f, 3 * g : 3 * g + 3]
                 np.testing.assert_array_equal(block[:, :-1], m.W)
                 np.testing.assert_array_equal(block[:, -1], m.b)
+
+    def test_kernel_rejects_rows_that_do_not_increase(self):
+        X, y, _ = awkward_case()
+        Xa = classify._stack_members([X])
+        for rows in ([[0, 2, 1, 3, 4, 5]], [[0, 1, 1, 2, 3, 4]]):
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                classify._sgd(Xa, classify._signs(y, 3), np.array(rows), [[1.0]], 2, 0)
+
+    def test_callers_stack_restored(self, monkeypatch):
+        Ds, y, kw = awkward_members()
+        Xa = classify._stack_members(Ds)
+        before = Xa.copy()
+        classify._cv_accuracies(Xa, y, GRID, kw["folds"], kw["seed"], 20)
+        np.testing.assert_array_equal(Xa, before)
+
+        def failing(*args):
+            raise InvalidInputError("kernel failed")
+
+        monkeypatch.setattr(classify, "_sgd", failing)
+        with pytest.raises(InvalidInputError, match="kernel failed"):
+            classify._cv_accuracies(Xa, y, GRID, kw["folds"], kw["seed"], 20)
+        np.testing.assert_array_equal(Xa, before)
 
     def test_no_train_svm_calls_and_one_kernel_run_per_group(self, monkeypatch):
         X, y, kw = awkward_case()
@@ -420,6 +452,73 @@ class TestFitCrossValidated:
         _, y, kw = awkward_members()
         with pytest.raises(InvalidInputError):
             fit_cross_validated([], y, GRID, **kw)
+
+
+def gathered_objectives(Wa, Xa, Ysign, rows, lam):
+    """Oracle: the stacked runs' objective as the kernel once evaluated it,
+    one (member, fold) at a time on a gathered copy of its training rows."""
+
+    def mean_hinge(Wf, X, Y):
+        n, K = Y.shape
+        margins = (X @ Wf.T).reshape(n, -1, K)
+        margins *= Y[:, None, :]
+        np.subtract(1.0, margins, out=margins)
+        return np.maximum(0.0, margins, out=margins).mean(axis=0)
+
+    hinge = np.array([
+        [mean_hinge(Wf, Xm[r], Ysign[r]) for Wf, r in zip(Wm, rows)]
+        for Wm, Xm in zip(Wa, Xa)
+    ])
+    reg = 0.5 * lam[:, None, :] * (Wa[..., :-1] ** 2).sum(axis=-1)
+    return (hinge + reg.reshape(hinge.shape)).mean(axis=-1)
+
+
+def frozen_fold_groups():
+    """The five SVM methods' sources on the frozen config, 5 folds of 800
+    training rows each: one group."""
+    Ds, y, kw = frozen_method_sources()
+    Ds, y, rows = fold_contiguous(Ds, y, **kw)
+    return Ds, y, [rows]
+
+
+def awkward_fold_groups():
+    """The awkward members in 4 folds, grouped as cross-validation groups
+    them: fold 0 (30 rows); folds 1 and 3 (31 rows); fold 2 (31 rows, K = 2)."""
+    Ds, y, kw = awkward_members()
+    Ds, y, rows = fold_contiguous(Ds, y, **kw)
+    return Ds, y, [[rows[0]], [rows[1], rows[3]], [rows[2]]]
+
+
+def full_data_fold():
+    """The awkward members trained on all 41 rows as one fold."""
+    Ds, y, _ = awkward_members()
+    return Ds, y, [[np.arange(len(y))]]
+
+
+class TestObjectiveOracle:
+    # Exact under OpenBLAS's SkylakeX and Haswell kernels; Nehalem rounds a
+    # few entries of the wider product differently in the last bit.
+    @pytest.mark.parametrize("case", [frozen_fold_groups, awkward_fold_groups,
+                                      full_data_fold])
+    def test_equals_gathered_evaluation_bit_for_bit(self, case):
+        Ds, y, groups = case()
+        Xa = classify._stack_members(Ds)
+        Cs = np.tile(GRID, (len(Ds), 1))
+        rng = np.random.default_rng(3)
+        for rows in map(np.stack, groups):
+            F, n = rows.shape
+            K = int(y[rows].max()) + 1
+            Ysign = classify._signs(y, K)
+            lam = np.repeat(1.0 / (Cs * n), K, axis=1)
+            train = np.zeros((len(y), F, 1))
+            train[rows.T, np.arange(F), 0] = 1.0
+            trained = classify._sgd(Xa, Ysign, rows, Cs, 20, 5)
+            for Wa in (rng.standard_normal(trained.shape), trained):
+                got = classify._objectives(Wa, Xa, np.tile(Ysign, len(GRID)), train,
+                                           n, lam, K)
+                want = gathered_objectives(Wa, Xa, Ysign, rows, lam)
+                assert got.shape == (len(Ds), F, len(GRID))
+                np.testing.assert_array_equal(got, want)
 
 
 class TestAccuracy:

@@ -243,6 +243,11 @@ class TestBenchCommand:
         ("top-level list", "config must be a JSON object, not list"),
         ("spec not an object", "spec must be a JSON object, not str"),
         ("deep not an object", "deep must be a JSON object, not list"),
+        ("trials a string", "config key 'trials' must be an integer, not \"3\""),
+        ("lam a string", "config key 'lam' must be a number, not \"1\""),
+        ("svm_folds a fraction", "config key 'svm_folds' must be an integer, not 2.5"),
+        ("scales a number", "spec key 'scales' must be a list of numbers, not 5"),
+        ("d a string", "spec key 'd' must be an integer, not \"20\""),
     ])
     def test_malformed_config_exits_1_with_an_error_line(self, tmp_path, capsys,
                                                          case, message):
@@ -257,8 +262,18 @@ class TestBenchCommand:
             raw = ["NA"]
         elif case == "spec not an object":
             raw["spec"] = "rotated"
-        else:
+        elif case == "deep not an object":
             raw["deep"] = [8, 400]
+        else:
+            key, value = {
+                "trials a string": ("trials", "3"),
+                "lam a string": ("lam", "1"),
+                "svm_folds a fraction": ("svm_folds", 2.5),
+                "scales a number": ("spec.scales", 5),
+                "d a string": ("spec.d", "20"),
+            }[case]
+            *outer, key = key.split(".")
+            (raw[outer[0]] if outer else raw)[key] = value
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         rc = main(["bench", "--config", str(p)])
