@@ -45,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .. import classify, coral, deep, lda
+from .. import classify, coral, lda
+from ..deep import TrainConfig, init_network, train_joint
 from ..errors import InvalidInputError
 from ..linalg import mean_and_covariance, standardize
 from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
@@ -55,27 +56,9 @@ from .io import load_dataset
 # never collides with trial indexing.
 UNRELATED_OFFSET = 104729
 
-
-@dataclass(frozen=True)
-class DeepSettings:
-    """Joint-trainer settings; the defaults are tuned to the frozen
-    benchmark shift.
-
-    At this learning rate and momentum, larger alignment weights make
-    training diverge on ``rotated_anisotropic_spec``: weight 5 raised
-    NumericalError on 7 of data seeds 0-99 (trial 10 of the default
-    experiment among them), weight 2 first at seed 370.  Weight 1 ran
-    seeds 0-402 without divergence, and it keeps the paper's balance of
-    the two losses at the end of training: over the last 50 iterations
-    of trials 0-4, cross-entropy 0.090 against a weighted alignment loss
-    of 0.064 (weight 5: 0.225 against 0.107)."""
-
-    hidden: int = 16
-    iterations: int = 400
-    learning_rate: float = 0.05
-    batch_size: int = 64
-    coral_weight: float = 1.0
-    momentum: float = 0.9
+# Training steps at the end of a deep run over which its two losses are
+# averaged, to check the paper's balance of the losses at the end.
+LOSS_BALANCE_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -89,7 +72,7 @@ class ExperimentConfig:
     svm_grid: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0)
     svm_folds: int = 5
     svm_epochs: int = 20
-    deep: DeepSettings = field(default_factory=DeepSettings)
+    deep: TrainConfig = field(default_factory=TrainConfig)
     source_path: Optional[str] = None
     target_path: Optional[str] = None
     csv_has_header: bool = False
@@ -131,8 +114,12 @@ class MethodAggregate:
     ``wall_clock_seconds`` sums the method's time over the trials: in
     each trial, an equal share of the time of its method group's call
     (the SVM methods, the LDA family, or the deep method alone).
-    ``chosen_C`` holds an SVM method's cross-validated C of each trial; it
-    stays empty for the other methods, and ``to_dict`` omits it there."""
+    ``extras`` maps the method's own per-trial fields to their values of
+    each trial: ``chosen_C``, the cross-validated C, for an SVM method;
+    ``end_class_loss`` and ``end_weighted_coral_loss`` for a deep method,
+    its cross-entropy and weighted alignment loss averaged over the last
+    min(LOSS_BALANCE_STEPS, iterations) training steps.  ``to_dict`` adds
+    each after the common fields."""
 
     name: str
     target_acc: list = field(default_factory=list)
@@ -141,7 +128,7 @@ class MethodAggregate:
     post_dist: list = field(default_factory=list)
     domain_distance: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
-    chosen_C: list = field(default_factory=list)
+    extras: dict = field(default_factory=dict)
 
     @property
     def target_acc_mean(self) -> float:
@@ -171,8 +158,8 @@ class MethodAggregate:
             "domain_distance_mean": float(np.mean(self.domain_distance)),
             "wall_clock_seconds": self.wall_clock_seconds,
         }
-        if self.chosen_C:
-            out["chosen_C"] = [float(C) for C in self.chosen_C]
+        for key, values in self.extras.items():
+            out[key] = [float(v) for v in values]
         return out
 
 
@@ -285,7 +272,7 @@ def _svm_group(trial: _Trial, config: ExperimentConfig, names):
         post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
         results.append((_acc(classify.predict(model, Xt), trial.yt),
                         _acc(classify.predict(model, Xs), trial.ys), trial.pre,
-                        post, lda.domain_distance(stats_s, stats_t), model.C))
+                        post, lda.domain_distance(stats_s, stats_t), {"chosen_C": model.C}))
     return results
 
 
@@ -322,7 +309,7 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
             stats_u = _unrelated_stats(trial.spec)
             W, dmd = coral_weights(stats_u.cov), lda.domain_distance(stats_u, trial.stats_t)
         tacc = _acc(np.argmax(trial.Xt @ W.T - thr, axis=1), trial.yt)
-        results.append((tacc, sacc, trial.pre, trial.pre, dmd, None))
+        results.append((tacc, sacc, trial.pre, trial.pre, dmd, {}))
     return results
 
 
@@ -339,38 +326,30 @@ def _unrelated_stats(spec: ShiftSpec):
     return mean_and_covariance(Xu)
 
 
-def _train_deep(trial: _Trial, settings: DeepSettings, coral_weight: float,
-                accuracy_curves: bool = False):
-    """The one place a deep run is built: network and TrainConfig from
-    ``settings``, both seeded with the trial seed.  Returns the trained
-    network and the LossReport (with per-iteration accuracy curves only
-    if ``accuracy_curves``)."""
+def _train_deep(trial: _Trial, cfg: TrainConfig, accuracy_curves: bool = False):
+    """The one place a deep run is built: the network, ``cfg.hidden`` wide,
+    and its training, both seeded with the trial seed.  Returns the
+    trained network and the LossReport (with per-iteration accuracy
+    curves only if ``accuracy_curves``)."""
     K = int(trial.ys.max()) + 1
-    net = deep.init_network([trial.Xs.shape[1], settings.hidden, K], seed=trial.seed)
-    tc = deep.TrainConfig(
-        coral_weight=coral_weight,
-        learning_rate=settings.learning_rate,
-        batch_size=settings.batch_size,
-        iterations=settings.iterations,
-        seed=trial.seed,
-        momentum=settings.momentum,
-    )
-    return deep.train_joint(
-        net, trial.Xs, trial.ys, trial.Xt, tc, target_labels=trial.yt,
-        accuracy_curves=accuracy_curves,
-    )
+    net = init_network([trial.Xs.shape[1], cfg.hidden, K], seed=trial.seed)
+    return train_joint(net, trial.Xs, trial.ys, trial.Xt, cfg, trial.seed,
+                       target_labels=trial.yt, accuracy_curves=accuracy_curves)
 
 
 def _deep_group(trial: _Trial, config: ExperimentConfig, names):
     """deep or deep-no-coral, the joint trainer with or without the
     alignment loss; pre and post are its alignment loss before and after
-    training."""
+    training, and the extras its loss balance at the end."""
     (name,) = names
-    weight = config.deep.coral_weight if name == "deep" else 0.0
-    _, rep = _train_deep(trial, config.deep, weight)
+    cfg = config.deep if name == "deep" else dataclasses.replace(config.deep, coral_weight=0.0)
+    _, rep = _train_deep(trial, cfg)
     dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
+    last = slice(-LOSS_BALANCE_STEPS, None)
+    balance = {"end_class_loss": np.mean(rep.class_loss[last]),
+               "end_weighted_coral_loss": cfg.coral_weight * np.mean(rep.coral_loss[last])}
     return [(rep.final_target_acc, rep.final_source_acc, rep.initial_coral_distance,
-             rep.final_coral_distance, dmd, None)]
+             rep.final_coral_distance, dmd, balance)]
 
 
 # SVM method name -> feature map (trial, config) -> (source, target).
@@ -384,8 +363,9 @@ _FEATURE_MAPS = {
 
 # Method groups: (group, members).  A group maps (trial, config, names),
 # names its requested members in config.methods order, to one
-# (target_acc, source_acc, pre, post, domain_distance, chosen_C) per name,
-# chosen_C None outside the SVM group; members share the group's work.
+# (target_acc, source_acc, pre, post, domain_distance, extras) per name,
+# extras the member's own fields (MethodAggregate.extras); members share
+# the group's work.
 # The two deep methods share none, so each is a group of its own.
 _GROUPS = (
     (_svm_group, tuple(_FEATURE_MAPS)),
@@ -421,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trial = _make_trial(config, config.seed_base + t, file_pair)
         results = _run_trial(trial, config, agg)
         for name in config.methods:
-            tacc, sacc, pre, post, dmd, C = results[name]
+            tacc, sacc, pre, post, dmd, extras = results[name]
             if not np.isnan(tacc) and not 0.0 <= tacc <= 1.0:
                 raise InvalidInputError(f"{name}: accuracy {tacc} out of range")
             agg[name].target_acc.append(tacc)
@@ -429,8 +409,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             agg[name].pre_dist.append(pre)
             agg[name].post_dist.append(post)
             agg[name].domain_distance.append(dmd)
-            if C is not None:
-                agg[name].chosen_C.append(C)
+            for key, value in extras.items():
+                agg[name].extras.setdefault(key, []).append(value)
     return ExperimentReport(
         methods=agg,
         trials=config.trials,
@@ -564,7 +544,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             s["rotation_angles"] = tuple(s["rotation_angles"])
         raw["spec"] = ShiftSpec(**s)
     if "deep" in raw:
-        raw["deep"] = DeepSettings(**_keywords(raw["deep"], DeepSettings, "deep"))
+        raw["deep"] = TrainConfig(**_keywords(raw["deep"], TrainConfig, "deep"))
     raw["methods"] = tuple(raw["methods"])
     if "svm_grid" in raw:
         raw["svm_grid"] = tuple(raw["svm_grid"])

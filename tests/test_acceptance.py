@@ -18,12 +18,7 @@ from coralign import classify, coral, deep, lda
 from coralign.bench import Dataset, generate_shift, rotated_anisotropic_spec
 from coralign.bench.cli import main as cli_main
 from coralign.bench.io import load_bin, load_csv, save_bin, save_csv
-from coralign.bench.runner import (
-    DeepSettings,
-    ExperimentConfig,
-    lambda_sweep,
-    run_experiment,
-)
+from coralign.bench.runner import ExperimentConfig, lambda_sweep, run_experiment
 from coralign.errors import FormatError, InvalidInputError
 from coralign.linalg import mean_and_covariance, standardize
 
@@ -226,7 +221,7 @@ class TestAcceptance:
             t0 = time.perf_counter()
             report = run_experiment(
                 _benchmark_config(
-                    methods=("deep", "deep-no-coral"), trials=5, deep=DeepSettings()
+                    methods=("deep", "deep-no-coral"), trials=5, deep=deep.TrainConfig()
                 )
             )
             with_align = report.methods["deep"]
@@ -243,17 +238,14 @@ class TestAcceptance:
             src, tgt = generate_shift(spec)
             Xs, _, _ = standardize(src.features)
             Xt, _, _ = standardize(tgt.features)
-            cfg = deep.TrainConfig(
-                coral_weight=0.0, learning_rate=0.05, batch_size=64,
-                iterations=150, seed=11,
-            )
+            cfg = deep.TrainConfig(coral_weight=0.0, iterations=150)
             net_a, _ = deep.train_joint(
-                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, Xt, cfg
+                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, Xt, cfg, 11
             )
             net_b, _ = deep.train_joint(
-                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, None, cfg
+                deep.init_network([spec.d, 16, spec.K], seed=5), Xs, src.labels, None, cfg, 11
             )
-            for (Wa, ba, _), (Wb, bb, _) in zip(net_a.layers, net_b.layers):
+            for (Wa, ba), (Wb, bb) in zip(net_a.layers, net_b.layers):
                 assert np.array_equal(Wa, Wb)
                 assert np.array_equal(ba, bb)
 

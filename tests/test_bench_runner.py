@@ -15,8 +15,8 @@ from coralign import classify, lda, linalg
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
+    LOSS_BALANCE_STEPS,
     METHODS,
-    DeepSettings,
     ExperimentConfig,
     _FEATURE_MAPS,
     _GROUPS,
@@ -27,7 +27,7 @@ from coralign.bench.runner import (
     lambda_sweep,
     run_experiment,
 )
-from coralign.deep import network_predict
+from coralign.deep import TrainConfig, network_predict
 from coralign.errors import InvalidInputError, NumericalError
 
 
@@ -245,7 +245,7 @@ class TestRunExperiment:
             spec=spec,
             methods=("deep", "deep-no-coral"),
             trials=1,
-            deep=DeepSettings(hidden=8, iterations=60, batch_size=32),
+            deep=TrainConfig(hidden=8, iterations=60, batch_size=32),
         )
         a = run_experiment(cfg)
         b = run_experiment(cfg)
@@ -261,17 +261,41 @@ class TestRunExperiment:
             spec=spec,
             methods=("deep", "deep-no-coral"),
             trials=1,
-            deep=DeepSettings(hidden=8, iterations=30, batch_size=32),
+            deep=TrainConfig(hidden=8, iterations=30, batch_size=32),
         )
         report = run_experiment(cfg)
         trial = _make_trial(cfg, cfg.seed_base, None)
         for name, weight in (("deep", cfg.deep.coral_weight), ("deep-no-coral", 0.0)):
-            trained, _ = _train_deep(trial, cfg.deep, weight)
+            trained, _ = _train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
             m = report.methods[name]
             src_pred = network_predict(trained, trial.Xs)
             tgt_pred = network_predict(trained, trial.Xt)
             assert m.source_acc[0] == np.mean(src_pred == trial.ys)
             assert m.target_acc[0] == np.mean(tgt_pred == trial.yt)
+
+    def test_deep_methods_report_their_loss_balance(self):
+        # each trial's mean cross-entropy and weighted alignment loss over
+        # the last LOSS_BALANCE_STEPS of its LossReport curves
+        spec = rotated_anisotropic_spec(seed=5, d=6, K=3, n_source=150, n_target=150)
+        cfg = ExperimentConfig(
+            spec=spec, methods=("deep", "deep-no-coral", "LDA"), trials=2,
+            deep=TrainConfig(hidden=8, iterations=LOSS_BALANCE_STEPS + 10,
+                             batch_size=32, coral_weight=2.0),
+        )
+        report = run_experiment(cfg)
+        assert report.methods["LDA"].extras == {}
+        for name, weight in (("deep", 2.0), ("deep-no-coral", 0.0)):
+            want_class, want_coral = [], []
+            for t in range(cfg.trials):
+                trial = _make_trial(cfg, t, None)
+                _, rep = _train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
+                want_class.append(np.mean(rep.class_loss[10:]))
+                want_coral.append(weight * np.mean(rep.coral_loss[10:]))
+            extras = report.methods[name].extras
+            assert extras == {"end_class_loss": want_class,
+                              "end_weighted_coral_loss": want_coral}
+            assert report.methods[name].to_dict()["end_class_loss"] == want_class
+        assert min(report.methods["deep"].extras["end_weighted_coral_loss"]) > 0.0
 
     def test_default_deep_settings_train_every_default_trial(self):
         # the default experiment: 20 trials of the frozen shift, seeds 0-19
@@ -339,7 +363,7 @@ class TestMethodGroups:
         config = ExperimentConfig(
             spec=rotated_anisotropic_spec(seed=6, d=6, K=3, n_source=150, n_target=150),
             methods=grouped, trials=2,
-            deep=DeepSettings(hidden=8, iterations=30, batch_size=32),
+            deep=TrainConfig(hidden=8, iterations=30, batch_size=32),
         )
         together = per_trial_results(config)
         reversed_order = dataclasses.replace(config, methods=grouped[::-1])

@@ -248,6 +248,7 @@ class TestBenchCommand:
         ("svm_folds a fraction", "config key 'svm_folds' must be an integer, not 2.5"),
         ("scales a number", "spec key 'scales' must be a list of numbers, not 5"),
         ("d a string", "spec key 'd' must be an integer, not \"20\""),
+        ("deep batch of one", "batch size must be >= 2"),
     ])
     def test_malformed_config_exits_1_with_an_error_line(self, tmp_path, capsys,
                                                          case, message):
@@ -264,6 +265,9 @@ class TestBenchCommand:
             raw["spec"] = "rotated"
         elif case == "deep not an object":
             raw["deep"] = [8, 400]
+        elif case == "deep batch of one":
+            # rejected even though no deep method is requested
+            raw["deep"] = {"batch_size": 1}
         else:
             key, value = {
                 "trials a string": ("trials", "3"),
@@ -278,9 +282,10 @@ class TestBenchCommand:
         p.write_text(json.dumps(raw))
         rc = main(["bench", "--config", str(p)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestSweepCommand:

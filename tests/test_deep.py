@@ -140,14 +140,14 @@ class TestCoralLossGrad:
 
 class TestForward:
     def test_single_identity_layer(self):
-        net = Network(layers=[(np.eye(3), np.zeros(3), "identity")])
+        net = Network(layers=[(np.eye(3), np.zeros(3))])
         X = np.random.default_rng(9).standard_normal((5, 3))
         logits, _ = forward(net, X)
         np.testing.assert_allclose(logits, X, atol=1e-12)
 
     def test_zero_weights_emit_bias(self):
         b = np.array([0.5, -1.5])
-        net = Network(layers=[(np.zeros((4, 2)), b, "identity")])
+        net = Network(layers=[(np.zeros((4, 2)), b)])
         logits, _ = forward(net, np.random.default_rng(10).standard_normal((6, 4)))
         np.testing.assert_allclose(logits, np.tile(b, (6, 1)), atol=1e-12)
 
@@ -155,7 +155,7 @@ class TestForward:
         rng = np.random.default_rng(11)
         W1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)
         W2, b2 = rng.standard_normal((6, 3)), rng.standard_normal(3)
-        net = Network(layers=[(W1, b1, "relu"), (W2, b2, "identity")])
+        net = Network(layers=[(W1, b1), (W2, b2)])
         X = rng.standard_normal((7, 4))
         logits, _ = forward(net, X)
         for i in range(7):
@@ -172,7 +172,7 @@ class TestForward:
                 assert logits[i, j] == pytest.approx(z, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        net = Network(layers=[(np.eye(3), np.zeros(3), "identity")])
+        net = Network(layers=[(np.eye(3), np.zeros(3))])
         with pytest.raises(InvalidInputError):
             forward(net, np.zeros((2, 4)))
 
@@ -205,17 +205,24 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(S, T, step=1e-1) > finite_diff_check(S, T, step=1e-5)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0), ("iterations", 0), ("learning_rate", 0.0),
+        ("learning_rate", -0.05), ("learning_rate", float("nan")), ("batch_size", 1),
+        ("coral_weight", -1.0), ("coral_weight", float("nan")), ("momentum", 1.0),
+        ("momentum", -0.1),
+    ])
+    def test_bad_setting_rejected_when_built(self, field, value):
+        with pytest.raises(InvalidInputError):
+            TrainConfig(**{field: value})
+
+    def test_boundary_settings_accepted(self):
+        TrainConfig(hidden=1, iterations=1, batch_size=2, coral_weight=0.0, momentum=0.0)
+
+
 class TestTraining:
     def _cfg(self, **kw):
-        base = dict(
-            coral_weight=1.0,
-            learning_rate=0.05,
-            batch_size=32,
-            iterations=60,
-            seed=0,
-        )
-        base.update(kw)
-        return TrainConfig(**base)
+        return TrainConfig(**{"hidden": 8, "batch_size": 32, "iterations": 60, **kw})
 
     def test_zero_weight_reduces_to_classifier_only(self):
         rng = np.random.default_rng(15)
@@ -223,9 +230,9 @@ class TestTraining:
         net0 = init_network([6, 8, 3], seed=42)
         net1 = init_network([6, 8, 3], seed=42)
         cfg = self._cfg(coral_weight=0.0)
-        trained_joint, _ = train_joint(net0, Xs, y, Xt, cfg)
-        trained_plain, _ = train_joint(net1, Xs, y, None, cfg)
-        for (Wa, ba, _), (Wb, bb, _) in zip(trained_joint.layers, trained_plain.layers):
+        trained_joint, _ = train_joint(net0, Xs, y, Xt, cfg, 0)
+        trained_plain, _ = train_joint(net1, Xs, y, None, cfg, 0)
+        for (Wa, ba), (Wb, bb) in zip(trained_joint.layers, trained_plain.layers):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
 
@@ -235,7 +242,7 @@ class TestTraining:
         out = []
         for _ in range(2):
             net = init_network([6, 8, 3], seed=7)
-            _, report = train_joint(net, Xs, y, Xt, self._cfg(seed=3),
+            _, report = train_joint(net, Xs, y, Xt, self._cfg(), 3,
                                     target_labels=yt, accuracy_curves=True)
             out.append(report)
         a, b = out
@@ -260,7 +267,7 @@ class TestTraining:
         rng = np.random.default_rng(22)
         Xs, y, Xt, _ = shifted_blobs(rng)
         cfg = self._cfg(iterations=10)
-        train_joint(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg)
+        train_joint(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg, 0)
         # two batch covariances per step, two for each of the initial and
         # the final distance
         assert len(calls) == 2 * cfg.iterations + 4
@@ -270,7 +277,7 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng)
         net = init_network([6, 8, 3], seed=1)
         cfg = self._cfg(iterations=25)
-        _, report = train_joint(net, Xs, y, Xt, cfg, accuracy_curves=True)
+        _, report = train_joint(net, Xs, y, Xt, cfg, 0, accuracy_curves=True)
         assert len(report.class_loss) == 25
         assert report.coral_loss.shape == (25,)
         assert len(report.source_acc) == 25
@@ -281,24 +288,8 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng, sep=5.0)
         net = init_network([6, 8, 3], seed=2)
         cfg = self._cfg(coral_weight=0.0, iterations=300, learning_rate=0.1)
-        net, report = train_joint(net, Xs, y, Xt, cfg)
+        net, report = train_joint(net, Xs, y, Xt, cfg, 0)
         assert report.final_source_acc >= 0.95
-
-    def test_pure_coral_objective_collapses_class_structure(self):
-        # with the classification term switched off and a large weight, the
-        # covariance gap shrinks while source accuracy decays to near-chance
-        rng = np.random.default_rng(19)
-        Xs, y, Xt, _ = shifted_blobs(rng, sep=4.0)
-        net = init_network([6, 8, 3], seed=5)
-        cfg = self._cfg(
-            coral_weight=50.0,
-            class_loss_weight=0.0,
-            iterations=400,
-            learning_rate=0.1,
-        )
-        net, report = train_joint(net, Xs, y, Xt, cfg)
-        assert report.coral_loss[-1] < report.coral_loss[0]
-        assert report.final_source_acc <= 1.0 / 3.0 + 0.15
 
     def test_default_run_scores_once_from_final_logits(self, monkeypatch):
         import coralign.deep as deep_mod
@@ -316,7 +307,7 @@ class TestTraining:
         Xs, y, Xt, yt = shifted_blobs(rng)
         cfg = self._cfg(iterations=15)
         net, report = train_joint(init_network([6, 8, 3], seed=4), Xs, y, Xt,
-                                  cfg, target_labels=yt)
+                                  cfg, 0, target_labels=yt)
         assert predicted == []
         assert sum(rows) <= cfg.iterations * 2 * cfg.batch_size + len(Xs) + len(Xt)
         assert report.source_acc is None and report.target_acc is None
@@ -329,12 +320,12 @@ class TestTraining:
         Xs, y, Xt, yt = shifted_blobs(rng)
         cfg = self._cfg(iterations=20)
         runs = [
-            train_joint(init_network([6, 8, 3], seed=6), Xs, y, Xt, cfg,
+            train_joint(init_network([6, 8, 3], seed=6), Xs, y, Xt, cfg, 0,
                         target_labels=yt, accuracy_curves=curves)
             for curves in (False, True)
         ]
         (plain, rep0), (curved, rep1) = runs
-        for (Wa, ba, _), (Wb, bb, _) in zip(plain.layers, curved.layers):
+        for (Wa, ba), (Wb, bb) in zip(plain.layers, curved.layers):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
         np.testing.assert_array_equal(rep0.class_loss, rep1.class_loss)
@@ -347,7 +338,7 @@ class TestTraining:
         rng = np.random.default_rng(28)
         Xs, y, Xt, _ = shifted_blobs(rng)
         net, report = train_joint(init_network([6, 8, 3], seed=8), Xs, y, Xt,
-                                  self._cfg(iterations=10))
+                                  self._cfg(iterations=10), 0)
         ls, lt = forward(net, Xs)[0], forward(net, Xt)[0]
         for stats, logits in ((report.final_source_stats, ls),
                               (report.final_target_stats, lt)):
@@ -362,20 +353,20 @@ class TestTraining:
         net = init_network([6, 8, 3], seed=9)
         for weight in (1.0, 0.0):
             _, report = train_joint(net, Xs, y, Xt,
-                                    self._cfg(iterations=10, coral_weight=weight))
+                                    self._cfg(iterations=10, coral_weight=weight), 0)
             want = coral_loss(forward(net, Xs)[0], forward(net, Xt)[0])
             assert report.initial_coral_distance == want  # bit for bit
-        _, report = train_joint(net, Xs, y, None, self._cfg(iterations=5))
+        _, report = train_joint(net, Xs, y, None, self._cfg(iterations=5), 0)
         assert np.isnan(report.initial_coral_distance)
 
     def test_without_target_labels_target_accuracy_is_nan(self):
         rng = np.random.default_rng(25)
         Xs, y, Xt, _ = shifted_blobs(rng)
         cfg = self._cfg(iterations=5)
-        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, Xt, cfg)
+        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, Xt, cfg, 0)
         assert np.isnan(report.final_target_acc)
         assert 0.0 <= report.final_source_acc <= 1.0
-        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, None, cfg)
+        _, report = train_joint(init_network([6, 8, 3], seed=0), Xs, y, None, cfg, 0)
         assert np.isnan(report.final_target_acc)
         assert np.isnan(report.final_coral_distance)
         assert report.final_target_stats is None
@@ -394,14 +385,38 @@ class TestTraining:
         }[case]
         with pytest.raises(InvalidInputError, match="target labels"):
             train_joint(init_network([6, 8, 3], seed=0), Xs, y, Xt,
-                        self._cfg(iterations=2), target_labels=bad)
+                        self._cfg(iterations=2), 0, target_labels=bad)
+
+    def test_integral_float_labels_train_like_integer_labels(self):
+        rng = np.random.default_rng(30)
+        Xs, y, Xt, yt = shifted_blobs(rng)
+        cfg = self._cfg(iterations=10)
+        (net_i, rep_i), (net_f, rep_f) = [
+            train_joint(init_network([6, 8, 3], seed=3), Xs, ys, Xt, cfg, 0,
+                        target_labels=yts)
+            for ys, yts in ((y, yt), (y.astype(float), yt.astype(float)))
+        ]
+        for (Wa, ba), (Wb, bb) in zip(net_i.layers, net_f.layers):
+            np.testing.assert_array_equal(Wa, Wb)
+            np.testing.assert_array_equal(ba, bb)
+        assert rep_f.final_source_acc == rep_i.final_source_acc
+        assert rep_f.final_target_acc == rep_i.final_target_acc
+
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_fractional_labels_rejected(self, domain):
+        rng = np.random.default_rng(31)
+        Xs, y, Xt, yt = shifted_blobs(rng)
+        labels = {"source": (y + 0.5, yt), "target": (y, yt + 0.5)}[domain]
+        with pytest.raises(InvalidInputError, match=f"{domain} labels must be integers"):
+            train_joint(init_network([6, 8, 3], seed=0), Xs, labels[0], Xt,
+                        self._cfg(iterations=2), 0, target_labels=labels[1])
 
     def test_target_labels_without_target_rejected(self):
         rng = np.random.default_rng(27)
         Xs, y, _, yt = shifted_blobs(rng)
         with pytest.raises(InvalidInputError, match="target labels"):
             train_joint(init_network([6, 8, 3], seed=0), Xs, y, None,
-                        self._cfg(iterations=2, coral_weight=0.0),
+                        self._cfg(iterations=2, coral_weight=0.0), 0,
                         target_labels=yt)
 
     def test_divergence_raises_numerical_error(self):
@@ -412,16 +427,16 @@ class TestTraining:
         net = init_network([6, 8, 3], seed=1)
         cfg = self._cfg(learning_rate=1e150, iterations=30)
         with pytest.raises(NumericalError, match="diverged"):
-            train_joint(net, Xs, y, Xt, cfg)
+            train_joint(net, Xs, y, Xt, cfg, 0)
 
     def test_batch_larger_than_dataset_rejected(self):
         rng = np.random.default_rng(20)
         Xs, y, Xt, _ = shifted_blobs(rng, n=30)
         net = init_network([6, 8, 3], seed=0)
         with pytest.raises(InvalidInputError):
-            train_joint(net, Xs, y, Xt, self._cfg(batch_size=1000))
+            train_joint(net, Xs, y, Xt, self._cfg(batch_size=1000), 0)
 
     def test_network_predict_argmax(self):
-        net = Network(layers=[(np.eye(3), np.zeros(3), "identity")])
+        net = Network(layers=[(np.eye(3), np.zeros(3))])
         X = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 0.5]])
         np.testing.assert_array_equal(network_predict(net, X), [1, 0])

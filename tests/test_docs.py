@@ -1,11 +1,14 @@
-"""The README's "Modules" table names only API that exists.
+"""The README's "Modules" table names only API that exists, and its quick
+start prints what it shows.
 
 Every backticked name in a row resolves, attribute by attribute, in the
 module the row is about, so a deleted or renamed function cannot stay
 listed.
 """
 
+import contextlib
 import dataclasses
+import io
 import importlib
 import inspect
 import re
@@ -54,3 +57,16 @@ def test_every_module_table_name_resolves():
                 missing.append(f"{module_name}: {name}")
     assert sum(len(names) for _, names in rows) > 20
     assert missing == []
+
+
+def test_quick_start_prints_the_accuracies_it_shows():
+    section = README.read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends with a comment holding the value it prints
+    shown = re.findall(r"^print\(.*#\s*(\S+)$", code, re.M)
+    assert shown == ["0.956", "0.875"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README quick start", "exec"), {})
+    printed = [line.rsplit(" ", 1)[1] for line in out.getvalue().splitlines()]
+    assert printed == shown
