@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..linalg import as_feature_matrix
+from ..linalg import as_feature_matrix, integer_labels
 
 # Rotation seed derived from the data seed when neither angles nor an
 # explicit rotation seed are given, so specs stay single-seed.
@@ -47,10 +47,7 @@ class Dataset:
                     f"labels length {labels.shape} does not match "
                     f"{feats.shape[0]} rows"
                 )
-            if labels.dtype.kind not in "iu":
-                if not np.all(labels == labels.astype(int)):
-                    raise InvalidInputError("labels must be integers")
-                labels = labels.astype(int)
+            labels = integer_labels(labels)
             present = np.unique(labels)
             if not np.array_equal(present, np.arange(len(present))):
                 raise InvalidInputError(

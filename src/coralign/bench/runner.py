@@ -8,8 +8,9 @@ C on the method's transformed source, and evaluates on the target.
 Methods run in groups, one call per group and trial for the group's
 requested members, which share its work.  The five SVM methods share one
 ``classify.fit_cross_validated`` call, each at its own C; the LDA family
-shares one solve and one source whitening; each deep method is a group
-of its own.  Every member is charged an equal share of its group's time.
+shares one solve and one source whitening; the two deep methods train
+side by side in one lockstep run, on the same source batches.  Every
+member is charged an equal share of its group's time.
 
 Method identifiers:
   NA                              no adaptation
@@ -46,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .. import classify, coral, lda
-from ..deep import TrainConfig, init_network, train_joint
-from ..errors import InvalidInputError
+from ..deep import TrainConfig, _Diverged, _train_members, init_network, train_joint
+from ..errors import InvalidInputError, NumericalError
 from ..linalg import mean_and_covariance, standardize
 from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
 from .io import load_dataset
@@ -113,9 +114,10 @@ class MethodAggregate:
 
     ``wall_clock_seconds`` sums the method's time over the trials: in
     each trial, an equal share of the time of its method group's call
-    (the SVM methods, the LDA family, or the deep method alone).
+    (the SVM methods, the LDA family, or the deep methods).
     ``extras`` maps the method's own per-trial fields to their values of
-    each trial: ``chosen_C``, the cross-validated C, for an SVM method;
+    each trial: ``chosen_C``, the cross-validated C, and ``cv_acc``, the
+    mean held-out accuracy of that C over the folds, for an SVM method;
     ``end_class_loss`` and ``end_weighted_coral_loss`` for a deep method,
     its cross-entropy and weighted alignment loss averaged over the last
     min(LOSS_BALANCE_STEPS, iterations) training steps.  ``to_dict`` adds
@@ -256,7 +258,8 @@ def _recolor_target(trial, config):
 
 def _svm_group(trial: _Trial, config: ExperimentConfig, names):
     """The SVM methods: each feature map, then one cross-validated fit of
-    all mapped sources, each at its own C, which each result carries.
+    all mapped sources, each at its own C, which each result carries with
+    its mean held-out accuracy.
     Each method is scored on its own features; post and domain_distance
     compare the covariances of its two sides, reusing the trial's
     statistics for an unmapped side."""
@@ -272,7 +275,8 @@ def _svm_group(trial: _Trial, config: ExperimentConfig, names):
         post = float(np.linalg.norm(stats_s.cov - stats_t.cov))
         results.append((_acc(classify.predict(model, Xt), trial.yt),
                         _acc(classify.predict(model, Xs), trial.ys), trial.pre,
-                        post, lda.domain_distance(stats_s, stats_t), {"chosen_C": model.C}))
+                        post, lda.domain_distance(stats_s, stats_t),
+                        {"chosen_C": model.C, "cv_acc": model.cv_acc}))
     return results
 
 
@@ -326,30 +330,43 @@ def _unrelated_stats(spec: ShiftSpec):
     return mean_and_covariance(Xu)
 
 
-def _train_deep(trial: _Trial, cfg: TrainConfig, accuracy_curves: bool = False):
-    """The one place a deep run is built: the network, ``cfg.hidden`` wide,
-    and its training, both seeded with the trial seed.  Returns the
-    trained network and the LossReport (with per-iteration accuracy
-    curves only if ``accuracy_curves``)."""
+def _deep_network(trial: _Trial, cfg: TrainConfig):
+    """The network every deep run of a trial starts from: ``cfg.hidden``
+    wide, seeded with the trial seed."""
     K = int(trial.ys.max()) + 1
-    net = init_network([trial.Xs.shape[1], cfg.hidden, K], seed=trial.seed)
-    return train_joint(net, trial.Xs, trial.ys, trial.Xt, cfg, trial.seed,
-                       target_labels=trial.yt, accuracy_curves=accuracy_curves)
+    return init_network([trial.Xs.shape[1], cfg.hidden, K], seed=trial.seed)
+
+
+def _train_deep(trial: _Trial, cfg: TrainConfig, accuracy_curves: bool = False):
+    """One deep run of a trial, at ``cfg.coral_weight``, its batches drawn
+    from the trial seed.  Returns the trained network and the LossReport
+    (with per-iteration accuracy curves only if ``accuracy_curves``)."""
+    return train_joint(_deep_network(trial, cfg), trial.Xs, trial.ys, trial.Xt, cfg,
+                       trial.seed, target_labels=trial.yt, accuracy_curves=accuracy_curves)
 
 
 def _deep_group(trial: _Trial, config: ExperimentConfig, names):
-    """deep or deep-no-coral, the joint trainer with or without the
-    alignment loss; pre and post are its alignment loss before and after
-    training, and the extras its loss balance at the end."""
-    (name,) = names
-    cfg = config.deep if name == "deep" else dataclasses.replace(config.deep, coral_weight=0.0)
-    _, rep = _train_deep(trial, cfg)
-    dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
+    """deep and deep-no-coral, the joint trainer with and without the
+    alignment loss, in one lockstep run: each member is what _train_deep
+    gives at its weight.  Pre and post are a member's alignment loss
+    before and after training, and the extras its loss balance at the
+    end.  A diverging member's NumericalError names the method and the
+    trial seed."""
+    weights = [config.deep.coral_weight if name == "deep" else 0.0 for name in names]
+    try:
+        runs = _train_members(_deep_network(trial, config.deep), trial.Xs, trial.ys,
+                              trial.Xt, config.deep, weights, trial.seed, trial.yt)
+    except _Diverged as exc:
+        raise NumericalError(f"{names[exc.member]} on trial seed {trial.seed}: {exc}") from exc
     last = slice(-LOSS_BALANCE_STEPS, None)
-    balance = {"end_class_loss": np.mean(rep.class_loss[last]),
-               "end_weighted_coral_loss": cfg.coral_weight * np.mean(rep.coral_loss[last])}
-    return [(rep.final_target_acc, rep.final_source_acc, rep.initial_coral_distance,
-             rep.final_coral_distance, dmd, balance)]
+    results = []
+    for weight, (_, rep) in zip(weights, runs):
+        dmd = lda.domain_distance(rep.final_source_stats, rep.final_target_stats)
+        balance = {"end_class_loss": np.mean(rep.class_loss[last]),
+                   "end_weighted_coral_loss": weight * np.mean(rep.coral_loss[last])}
+        results.append((rep.final_target_acc, rep.final_source_acc, rep.initial_coral_distance,
+                        rep.final_coral_distance, dmd, balance))
+    return results
 
 
 # SVM method name -> feature map (trial, config) -> (source, target).
@@ -366,12 +383,10 @@ _FEATURE_MAPS = {
 # (target_acc, source_acc, pre, post, domain_distance, extras) per name,
 # extras the member's own fields (MethodAggregate.extras); members share
 # the group's work.
-# The two deep methods share none, so each is a group of its own.
 _GROUPS = (
     (_svm_group, tuple(_FEATURE_MAPS)),
     (_lda_group, ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")),
-    (_deep_group, ("deep",)),
-    (_deep_group, ("deep-no-coral",)),
+    (_deep_group, ("deep", "deep-no-coral")),
 )
 
 METHODS = tuple(name for _, members in _GROUPS for name in members)

@@ -36,12 +36,13 @@ block the stacked products differently and can differ in the last bit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_feature_matrix
+from .linalg import as_feature_matrix, integer_labels
 
 # Minibatch size for the subgradient steps.
 MINIBATCH = 64
@@ -51,11 +52,15 @@ CV_EPOCHS = 20
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Per-class weight rows and biases of a multi-class linear scorer."""
+    """Per-class weight rows and biases of a multi-class linear scorer.
+
+    ``cv_acc`` is the mean held-out accuracy of ``C`` when
+    cross-validation chose it (``fit_cross_validated``), else NaN."""
 
     W: np.ndarray  # (K, d)
     b: np.ndarray  # (K,)
     C: float
+    cv_acc: float = float("nan")
 
     @property
     def n_classes(self) -> int:
@@ -70,10 +75,7 @@ def _check_labels(labels, n: int) -> tuple[np.ndarray, int]:
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise InvalidInputError(f"labels must have shape ({n},), got {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == labels.astype(int)):
-            raise InvalidInputError("labels must be integers")
-        labels = labels.astype(int)
+    labels = integer_labels(labels)
     if labels.min() < 0:
         raise InvalidInputError("labels must be non-negative class indices")
     K = int(labels.max()) + 1
@@ -273,7 +275,9 @@ def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
     one kernel run per fold group and every final fit in one more.
     """
     Xa = _stack_members(Ds)
-    return _fit(Xa, labels, _chosen_Cs(Xa, labels, grid, folds, seed, epochs), epochs, seed)
+    Cs, cv_accs = _chosen_Cs(Xa, labels, grid, folds, seed, epochs)
+    return [dataclasses.replace(model, cv_acc=acc)
+            for model, acc in zip(_fit(Xa, labels, Cs, epochs, seed), cv_accs)]
 
 
 def cross_validate_C(D, labels, grid, folds: int, seed: int, epochs: int = CV_EPOCHS) -> float:
@@ -282,14 +286,16 @@ def cross_validate_C(D, labels, grid, folds: int, seed: int, epochs: int = CV_EP
     Folds come from one seeded shuffle split into near-equal parts.
     Ties resolve toward the smaller C (stronger regularization).
     """
-    return _chosen_Cs(_stack_members([D]), labels, grid, folds, seed, epochs)[0]
+    return _chosen_Cs(_stack_members([D]), labels, grid, folds, seed, epochs)[0][0]
 
 
-def _chosen_Cs(Xa, labels, grid, folds: int, seed: int, epochs: int) -> list[float]:
-    """Each member's cross_validate_C choice."""
+def _chosen_Cs(Xa, labels, grid, folds: int, seed: int, epochs: int):
+    """Each member's cross_validate_C choice, and the mean held-out
+    accuracy of each choice."""
     grid = sorted(float(c) for c in grid)
-    accs = _cv_accuracies(Xa, labels, grid, folds, seed, epochs)
-    return [grid[int(np.argmax(a.mean(axis=1)))] for a in accs]  # first maximum
+    means = _cv_accuracies(Xa, labels, grid, folds, seed, epochs).mean(axis=2)
+    best = np.argmax(means, axis=1)  # first maximum
+    return [grid[g] for g in best], [float(m[g]) for m, g in zip(means, best)]
 
 
 def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:

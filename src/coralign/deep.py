@@ -19,6 +19,11 @@ two passes.  Final source and target accuracies come from the same
 full-data logits as the end-of-training alignment distance; the
 per-iteration accuracy curves, one full-data pass per step, are
 computed only on request.
+
+One private kernel trains a stack of members that differ only in their
+alignment weight, in lockstep on shared batches (the runner trains
+``deep`` and ``deep-no-coral`` of a trial this way); ``train_joint`` is
+its one-member case.  Each member equals its lone run bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import numpy as np
 
 from .classify import accuracy
 from .errors import InvalidInputError, NumericalError
-from .linalg import DomainStats, _centred_covariance, as_feature_matrix, mean_and_covariance
+from .linalg import (DomainStats, _centred_covariance, as_feature_matrix, integer_labels,
+                     mean_and_covariance)
 
 # Layer weight-init spread: the monitored (final) layer is deliberately
 # started small so early alignment gradients do not swamp training.
@@ -225,49 +231,53 @@ def _network_input(net: Network, X, name: str = "network input") -> np.ndarray:
 
 def forward(net: Network, X) -> tuple[np.ndarray, list]:
     """Logits and the input of every layer, for backprop."""
-    return _forward(net, _network_input(net, X))
-
-
-def _forward(net: Network, X) -> tuple[np.ndarray, list]:
-    """forward on rows already checked by _network_input."""
-    inputs = [X]
+    inputs = [_network_input(net, X)]
     for W, b in net.layers[:-1]:
         inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
     W, b = net.layers[-1]
     return inputs[-1] @ W + b, inputs
 
 
-def _backward(net: Network, inputs, d_logits) -> list:
-    """Gradients (dW, db) per layer for a given gradient at the logits;
-    a hidden unit passes gradient back only where its ReLU output is
-    positive."""
-    grads = [None] * len(net.layers)
-    dZ = d_logits
-    for i in range(len(net.layers) - 1, -1, -1):
-        grads[i] = (inputs[i].T @ dZ, dZ.sum(axis=0))
-        if i > 0:
-            dZ = (dZ @ net.layers[i][0].T) * (inputs[i] > 0.0)
-    return grads
-
+# Training steps whose cross-entropy terms are buffered between two
+# evaluations of the loss.
+_LOSS_CHUNK = 256
 
 # Logit magnitudes past sqrt(float64 max) would overflow the covariance
 # products; treat reaching that scale as divergence.
 _DIVERGENCE_LIMIT = 1e150
 
 
-def _check_not_diverged(logits, iteration: int) -> None:
+class _Diverged(NumericalError):
+    """Training diverged; ``member`` indexes the diverging member's weight
+    in the ``weights`` of its ``_train_members`` run."""
+
+    def __init__(self, message: str, member: int):
+        super().__init__(message)
+        self.member = member
+
+
+def _check_not_diverged(logits, iteration: int, owners) -> None:
+    """Raise _Diverged for the lowest member with a diverged slot (its
+    source slot before its target slot) if any logit of ``logits`` (S, B,
+    K) is not finite or past _DIVERGENCE_LIMIT; ``owners`` maps a slot
+    to its member."""
     peak = np.abs(logits).max()
-    if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
-        raise NumericalError(
-            f"training diverged at iteration {iteration}: logit magnitude "
-            f"{peak:.3g} (reduce the learning rate or the alignment weight)"
-        )
+    if np.isfinite(peak) and peak <= _DIVERGENCE_LIMIT:
+        return
+    peaks = np.abs(logits).max(axis=(1, 2))
+    bad = [s for s, p in enumerate(peaks) if not p <= _DIVERGENCE_LIMIT]  # NaN too
+    slot = min(bad, key=lambda s: owners[s])  # slots list sources first
+    raise _Diverged(
+        f"training diverged at iteration {iteration}: logit magnitude "
+        f"{peaks[slot]:.3g} (reduce the learning rate or the alignment weight)",
+        owners[slot],
+    )
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def network_predict(net: Network, X) -> np.ndarray:
@@ -295,14 +305,11 @@ def _full_data_gap(net: Network, X, Xt):
 
 def _class_labels(labels, n: int, K: int, domain: str) -> np.ndarray:
     """One class index in [0, K) per row of the domain's n rows, as
-    integers; integral float values are cast, fractional ones rejected."""
+    integers (linalg.integer_labels)."""
     y = np.asarray(labels)
     if y.shape != (n,):
         raise InvalidInputError(f"{domain} labels must align with {domain} rows")
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == y.astype(int)):
-            raise InvalidInputError(f"{domain} labels must be integers")
-        y = y.astype(int)
+    y = integer_labels(y, f"{domain} labels")
     if y.min() < 0 or y.max() >= K:
         raise InvalidInputError(f"{domain} labels must lie in [0, {K})")
     return y
@@ -334,6 +341,29 @@ def train_joint(
     for the per-iteration ``source_acc``/``target_acc`` curves; it
     changes no other output.
     """
+    (run,) = _train_members(net, source, labels, target, cfg, (cfg.coral_weight,), seed,
+                            target_labels, accuracy_curves)
+    return run
+
+
+def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed: int,
+                   target_labels=None, accuracy_curves: bool = False) -> list:
+    """train_joint for several alignment weights at once: one (network,
+    LossReport) per entry of ``weights``, each bit for bit what
+    train_joint gives with ``cfg.coral_weight`` set to it (the weight of
+    ``cfg`` itself is not read).
+
+    The members start from the same network and draw the same batches,
+    so they train in lockstep.  Each has one source slot; each member
+    with a nonzero weight (and a target) also has one target slot.  Every
+    layer holds one stacked weight array and momentum buffer over the
+    members; a step gathers the source and target batches once, runs one
+    forward and one backward pass over all slots, and adds each aligned
+    member's target-slot gradient to its source-slot one.  Every slot's
+    products and reductions have a lone run's operand shapes, which keeps
+    each member bitwise equal to its lone run.  A divergence raises
+    _Diverged naming the member.
+    """
     X = _network_input(net, source, "source features")
     n_s = X.shape[0]
     K = net.out_dim
@@ -347,8 +377,12 @@ def train_joint(
         if Xt is None:
             raise InvalidInputError("target labels given without target features")
         yt = _class_labels(target_labels, Xt.shape[0], K, "target")
-    use_coral = Xt is not None and cfg.coral_weight != 0
-    if use_coral:
+    # aligned members first, so that the first A slots and members line up
+    order = sorted(range(len(weights)), key=lambda m: Xt is None or weights[m] == 0)
+    w = [weights[m] for m in order]
+    M = len(w)
+    A = 0 if Xt is None else sum(v != 0 for v in w)
+    if A:
         if Xt.shape[1] != X.shape[1]:
             raise InvalidInputError("source and target dimensions differ")
         if cfg.batch_size > Xt.shape[0]:
@@ -360,68 +394,103 @@ def train_joint(
     src_rng = np.random.default_rng(src_child)
     tgt_rng = np.random.default_rng(tgt_child)
 
-    # trained in place: the copied weights and their momentum buffers
-    work = Network(layers=[(W.copy(), b.copy()) for W, b in net.layers])
-    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in work.layers]
-    onehot = np.eye(K)
+    # trained in place: each layer's weights (M, d_in, d_out) and biases
+    # (M, 1, d_out) over the members, and their momentum buffers; member
+    # m's network is a view of its rows
+    params = [(np.repeat(W[None], M, axis=0), np.repeat(b[None, None], M, axis=0))
+              for W, b in net.layers]
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    works = [Network(layers=[(W[m], b[m, 0]) for W, b in params]) for m in range(M)]
+    owners = order + order[:A]  # slot -> member, indexed as in weights
+    batch = cfg.batch_size
+    row_starts = (np.arange(M * batch) * K).reshape(M, batch)  # in probs.ravel()
 
-    class_curve = np.zeros(cfg.iterations)
-    coral_curve = np.zeros(cfg.iterations)
-    src_acc = np.zeros(cfg.iterations) if accuracy_curves else None
-    tgt_acc = np.full(cfg.iterations, np.nan) if accuracy_curves else None
+    # the true classes' probabilities of up to _LOSS_CHUNK steps, logged
+    # and averaged together: one contiguous row per member and step sums
+    # pairwise, as a lone run's mean does
+    picked = np.empty((min(cfg.iterations, _LOSS_CHUNK), M, batch))
+    class_curve = np.empty((cfg.iterations, M))
+    coral_curve = np.zeros((M, cfg.iterations))
+    src_acc = np.zeros((M, cfg.iterations)) if accuracy_curves else None
+    tgt_acc = np.full((M, cfg.iterations), np.nan) if accuracy_curves else None
 
     for it in range(cfg.iterations):
-        idx = src_rng.integers(0, n_s, size=cfg.batch_size)
-        # rows of the checked X and Xt, and logits _check_not_diverged
-        # has checked, skip the public functions' validation
-        logits_s, inputs_s = _forward(work, X[idx])
-        _check_not_diverged(logits_s, it)
-        probs = _softmax(logits_s)
-        yb = y[idx]
-        class_curve[it] = -np.mean(np.log(np.maximum(probs[np.arange(len(yb)), yb], 1e-300)))
-        d_logits_s = (probs - onehot[yb]) / len(yb)
+        idx = src_rng.integers(0, n_s, size=batch)
+        if A:
+            t_idx = tgt_rng.integers(0, Xt.shape[0], size=batch)
+            inputs = [np.stack([X[idx]] * M + [Xt[t_idx]] * A)]
+        else:
+            inputs = [X[idx]]  # broadcast over the members
+        # a slot's weights: its member's own, broadcast from one member, or
+        # gathered when members and target slots both repeat
+        slot_params = (params if A == 0 or M == 1
+                       else [(np.concatenate((W, W[:A])), np.concatenate((b, b[:A])))
+                             for W, b in params])
+        for W, b in slot_params[:-1]:
+            Z = inputs[-1] @ W
+            Z += b
+            inputs.append(np.maximum(Z, 0.0, out=Z))
+        W, b = slot_params[-1]
+        logits = inputs[-1] @ W
+        logits += b
+        _check_not_diverged(logits, it, owners)
 
-        grads_t = None
-        if use_coral:
-            t_idx = tgt_rng.integers(0, Xt.shape[0], size=cfg.batch_size)
-            logits_t, inputs_t = _forward(work, Xt[t_idx])
-            _check_not_diverged(logits_t, it)
-            coral_curve[it], g_s, g_t = _loss_and_grad(logits_s, logits_t)
-            d_logits_s = d_logits_s + cfg.coral_weight * g_s
-            grads_t = _backward(work, inputs_t, cfg.coral_weight * g_t)
+        probs = _softmax(logits[:M])
+        true_class = row_starts + y[idx]
+        j = it % len(picked)
+        picked[j] = probs.ravel()[true_class]
+        if j == len(picked) - 1 or it == cfg.iterations - 1:
+            logs = np.log(np.maximum(picked[:j + 1], 1e-300))
+            class_curve[it - j:it + 1] = -(logs.sum(axis=-1) / batch)
+        probs.ravel()[true_class] -= 1.0  # probs - onehot(labels)
+        if A:
+            d_logits = np.empty_like(logits)
+            np.divide(probs, batch, out=d_logits[:M])
+        else:
+            d_logits = probs
+            d_logits /= batch
+        for a in range(A):
+            coral_curve[a, it], g_s, g_t = _loss_and_grad(logits[a], logits[M + a])
+            d_logits[a] += w[a] * g_s
+            np.multiply(w[a], g_t, out=d_logits[M + a])
 
-        grads = _backward(work, inputs_s, d_logits_s)
-        if grads_t is not None:
-            grads = [(gW + hW, gb + hb) for (gW, gb), (hW, hb) in zip(grads, grads_t)]
-
-        for (W, b), (gW, gb), (vW, vb) in zip(work.layers, grads, velocity):
+        dZ = d_logits
+        for i in range(len(params) - 1, -1, -1):
+            gW = inputs[i].swapaxes(-1, -2) @ dZ
+            gb = dZ.sum(axis=-2, keepdims=True)
+            if i > 0:
+                dZ = (dZ @ slot_params[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
+            if A:
+                gW[:A] += gW[M:]
+                gb[:A] += gb[M:]
+            (W, b), (vW, vb) = params[i], velocity[i]
             vW *= cfg.momentum
-            vW -= cfg.learning_rate * gW
+            vW -= cfg.learning_rate * gW[:M]
             W += vW
             vb *= cfg.momentum
-            vb -= cfg.learning_rate * gb
+            vb -= cfg.learning_rate * gb[:M]
             b += vb
 
         if accuracy_curves:
-            src_acc[it] = _score(forward(work, X)[0], y)
-            if yt is not None:
-                tgt_acc[it] = _score(forward(work, Xt)[0], yt)
+            for m, work in enumerate(works):
+                src_acc[m, it] = _score(forward(work, X)[0], y)
+                if yt is not None:
+                    tgt_acc[m, it] = _score(forward(work, Xt)[0], yt)
 
-    logits_s_full, stats_s, logits_t_full, stats_t, final_dist = _full_data_gap(
-        work, X, Xt)
-    final_src = _score(logits_s_full, y)
-    final_tgt = _score(logits_t_full, yt) if yt is not None else float("nan")
-
-    report = LossReport(
-        class_loss=class_curve,
-        coral_loss=coral_curve,
-        source_acc=src_acc,
-        target_acc=tgt_acc,
-        final_source_acc=final_src,
-        final_target_acc=final_tgt,
-        final_coral_distance=final_dist,
-        initial_coral_distance=initial_dist,
-        final_source_stats=stats_s,
-        final_target_stats=stats_t,
-    )
-    return work, report
+    runs = [None] * M
+    for m, work in enumerate(works):
+        logits_s_full, stats_s, logits_t_full, stats_t, final_dist = _full_data_gap(
+            work, X, Xt)
+        runs[order[m]] = (work, LossReport(
+            class_loss=class_curve[:, m].copy(),
+            coral_loss=coral_curve[m],
+            source_acc=None if src_acc is None else src_acc[m],
+            target_acc=None if tgt_acc is None else tgt_acc[m],
+            final_source_acc=_score(logits_s_full, y),
+            final_target_acc=_score(logits_t_full, yt) if yt is not None else float("nan"),
+            final_coral_distance=final_dist,
+            initial_coral_distance=initial_dist,
+            final_source_stats=stats_s,
+            final_target_stats=stats_t,
+        ))
+    return runs

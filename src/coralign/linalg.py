@@ -123,6 +123,19 @@ def as_feature_matrix(D, name: str = "features") -> np.ndarray:
     return D
 
 
+def integer_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
+    """Class labels as integers: an integer array as it is, integral float
+    values cast; InvalidInputError for NaN, infinite, fractional or
+    out-of-range ones."""
+    if np.issubdtype(labels.dtype, np.integer):
+        return labels
+    # in int64 range first (NaN and inf are not): casting other values
+    # warns instead of failing
+    if not (np.all(np.abs(labels) < 2.0**63) and np.all(labels == labels.astype(int))):
+        raise InvalidInputError(f"{name} must be integers")
+    return labels.astype(int)
+
+
 def mean_and_covariance(D) -> DomainStats:
     """Column means and unbiased covariance of a feature matrix.
 

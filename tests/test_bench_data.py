@@ -7,6 +7,8 @@ I + mean-scatter, and the target covariance is M Sigma_S M^T + noise^2 I
 where M applies the per-axis scales in the rotated frame.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,14 @@ class TestDataset:
     def test_unlabeled_allowed(self):
         ds = Dataset(features=np.zeros((3, 2)), labels=None, domain_name="t")
         assert ds.n == 3 and ds.d == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+    def test_non_finite_or_huge_labels_rejected_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="labels must be integers"):
+                Dataset(features=np.zeros((3, 2)), labels=np.array([bad, 1.0, 0.0]),
+                        domain_name="x")
 
 
 class TestShiftSpecValidation:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from coralign import classify, lda, linalg
+from coralign.bench import runner
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
@@ -311,6 +312,33 @@ class TestRunExperiment:
         assert len(accs) == 20
         assert all(0.0 <= a <= 1.0 for a in accs)
 
+    @pytest.mark.parametrize("methods", [("deep", "deep-no-coral"), ("deep-no-coral",)])
+    def test_deep_methods_share_one_lockstep_run_per_trial(self, monkeypatch, methods):
+        runs = []
+        kernel = runner._train_members
+
+        def counting(net, Xs, ys, Xt, cfg, weights, *args):
+            runs.append(list(weights))
+            return kernel(net, Xs, ys, Xt, cfg, weights, *args)
+
+        monkeypatch.setattr(runner, "_train_members", counting)
+        spec = rotated_anisotropic_spec(seed=7, d=6, K=3, n_source=150, n_target=150)
+        cfg = ExperimentConfig(spec=spec, methods=methods, trials=2,
+                               deep=TrainConfig(hidden=8, iterations=20, batch_size=32))
+        run_experiment(cfg)
+        weights = {"deep": cfg.deep.coral_weight, "deep-no-coral": 0.0}
+        assert runs == [[weights[name] for name in methods]] * cfg.trials
+
+    @pytest.mark.parametrize("methods", [("deep", "deep-no-coral"), ("deep-no-coral", "deep")])
+    def test_diverging_deep_run_names_its_method_and_trial_seed(self, methods):
+        # weight 5 diverges on trial 10 of the default experiment (TrainConfig)
+        cfg = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=methods,
+                               trials=1, seed_base=10, deep=TrainConfig(coral_weight=5.0))
+        with pytest.raises(NumericalError, match=(
+                r"^deep on trial seed 10: training diverged at iteration 86: "
+                r"logit magnitude 1\.03e\+195 \(reduce")):
+            run_experiment(cfg)
+
     def test_file_based_config(self, tmp_path):
         from coralign.bench.data import generate_shift
 
@@ -476,21 +504,31 @@ class TestFrozenConfigResults:
 
 class TestChosenC:
     def test_svm_methods_report_each_trials_cross_validated_C(self):
+        # chosen_C is a serial cross_validate_C call on the method's source;
+        # cv_acc the mean over folds of serial _cv_accuracies at that C
         config = ExperimentConfig(spec=rotated_anisotropic_spec(0), trials=2,
                                   methods=tuple(_FEATURE_MAPS) + ("LDA", "CORAL-LDA"))
         report = run_experiment(config).to_dict()["methods"]
         lda_keys = set(report["LDA"])
         assert "chosen_C" not in lda_keys and set(report["CORAL-LDA"]) == lda_keys
+        assert "cv_acc" not in lda_keys
+        grid = sorted(config.svm_grid)
         chosen = {}
         for name, fmap in _FEATURE_MAPS.items():
-            assert set(report[name]) == lda_keys | {"chosen_C"}
-            want = []
+            assert set(report[name]) == lda_keys | {"chosen_C", "cv_acc"}
+            want, want_acc = [], []
             for t in range(2):
                 trial = _make_trial(config, t, None)
-                want.append(classify.cross_validate_C(
-                    fmap(trial, config)[0], trial.ys, config.svm_grid,
-                    config.svm_folds, trial.seed, config.svm_epochs))
+                Xs = fmap(trial, config)[0]
+                C = classify.cross_validate_C(Xs, trial.ys, config.svm_grid,
+                                              config.svm_folds, trial.seed, config.svm_epochs)
+                accs = classify._cv_accuracies(classify._stack_members([Xs]), trial.ys, grid,
+                                               config.svm_folds, trial.seed, config.svm_epochs)
+                want.append(C)
+                want_acc.append(accs[0, grid.index(C)].mean())
             assert report[name]["chosen_C"] == want, name
+            assert report[name]["cv_acc"] == want_acc, name
+            assert all(0.0 <= a <= 1.0 for a in want_acc)
             chosen[name] = want
         assert len({C for Cs in chosen.values() for C in Cs}) > 1
 

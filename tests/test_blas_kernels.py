@@ -2,11 +2,13 @@
 
 numpy's bundled OpenBLAS, when built DYNAMIC_ARCH, picks its compute
 kernel per process from OPENBLAS_CORETYPE.  A small experiment (2 trials
-of the frozen shift, the five SVM methods and the LDA family) runs in a
-child process under the default kernel and under each named kernel.
-Per-trial accuracies and chosen C must be equal; every other float
-agrees to a relative 1e-9, or to 1e-12 absolute for values that are
-round-off (CORAL-analytical's post-alignment distances).
+of the frozen shift, all ten methods) runs in a child process under the
+default kernel and under each named kernel.  Per-trial accuracies,
+chosen C and its cross-validated accuracy must be equal; every other
+float agrees to a relative 1e-9, or to 1e-12 absolute for values that
+are round-off (CORAL-analytical's post-alignment distances).  Under every kernel, the lockstep deep run of
+trial 0 (both deep methods) must equal, bit for bit, the reference loop
+that trains one network on 2-D arrays (tests/test_deep.py).
 """
 
 import ctypes
@@ -19,12 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
-# Run in the child: the kernel OpenBLAS chose, then the experiment's
-# per-method results.
+# Run in the child: the kernel OpenBLAS chose, the experiment's
+# per-method results, and whether each member of trial 0's lockstep deep
+# run equals the reference loop in weights and loss curves.
 CHILD = """
 import ctypes, json, sys
+import numpy as np
+from coralign import deep
 from coralign.bench import runner
 from coralign.bench.data import rotated_anisotropic_spec
 
@@ -32,14 +38,28 @@ lib = ctypes.CDLL(sys.argv[1])
 lib.scipy_openblas_get_corename64_.argtypes = []
 lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
 core = lib.scipy_openblas_get_corename64_().decode()
-methods = tuple(runner._FEATURE_MAPS) + ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")
-config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=methods, trials=2)
+config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=runner.METHODS,
+                                 trials=2)
 report = runner.run_experiment(config).to_dict()["methods"]
-print(json.dumps({"core": core, "methods": report}))
+
+sys.path.insert(0, sys.argv[2])
+from test_deep import reference_train
+trial = runner._make_trial(config, 0, None)
+net = runner._deep_network(trial, config.deep)
+weights = (config.deep.coral_weight, 0.0)
+runs = deep._train_members(net, trial.Xs, trial.ys, trial.Xt, config.deep, weights, trial.seed)
+bitwise = []
+for weight, (trained, rep) in zip(weights, runs):
+    layers, class_curve, coral_curve = reference_train(
+        net, trial.Xs, trial.ys, trial.Xt, config.deep, weight, trial.seed)
+    got = [a for layer in trained.layers for a in layer] + [rep.class_loss, rep.coral_loss]
+    want = [a for layer in layers for a in layer] + [class_curve, coral_curve]
+    bitwise.append(all(np.array_equal(a, b) for a, b in zip(got, want)))
+print(json.dumps({"core": core, "methods": report, "lockstep_bitwise": bitwise}))
 """
 
 EXACT = ("target_acc", "source_acc", "target_acc_mean", "target_acc_std",
-         "source_acc_mean", "source_acc_std", "chosen_C")
+         "source_acc_mean", "source_acc_std", "chosen_C", "cv_acc")
 
 
 def bundled_openblas():
@@ -64,7 +84,7 @@ def run_child(lib, core=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if core is not None:
         env["OPENBLAS_CORETYPE"] = core
-    proc = subprocess.run([sys.executable, "-c", CHILD, lib], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, lib, str(TESTS)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -75,12 +95,17 @@ def default_run():
     return lib, run_child(lib)
 
 
+def test_lockstep_deep_run_matches_the_reference_loop(default_run):
+    assert default_run[1]["lockstep_bitwise"] == [True, True]
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
 def test_results_agree_with_the_default_kernel(default_run, core):
     lib, want = default_run
     got = run_child(lib, core)
     if got["core"].lower() != core.lower():
         pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
+    assert got["lockstep_bitwise"] == [True, True], core
     assert list(got["methods"]) == list(want["methods"])
     for name, fields in want["methods"].items():
         assert set(got["methods"][name]) == set(fields), name

@@ -9,6 +9,8 @@ The stacked fit of several feature matrices is checked, member by member,
 against serial cross_validate_C + train_svm.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ class TestTrainSvm:
         y = np.array([0, 1] * 5)
         with pytest.raises(InvalidInputError):
             train_svm(X, y, C=0.0, epochs=5, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+    def test_non_finite_or_huge_labels_rejected_without_a_warning(self, bad):
+        X = np.random.default_rng(0).standard_normal((10, 2))
+        y = np.array([bad] + [1.0, 0.0] * 4 + [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="labels must be integers"):
+                train_svm(X, y, C=1.0, epochs=5, seed=0)
 
 
 class TestPredict:

@@ -19,9 +19,11 @@ import pytest
 import coralign
 from coralign import coral, lda
 from coralign.bench.cli import main
-from coralign.bench.data import Dataset, ShiftSpec, generate_shift
+from coralign.bench.data import Dataset, ShiftSpec, generate_shift, rotated_anisotropic_spec
 from coralign.bench.io import load_bin, load_csv, save_csv
-from coralign.bench.runner import config_from_dict, run_experiment
+from coralign.bench.runner import (ExperimentConfig, config_from_dict, config_to_dict,
+                                   run_experiment)
+from coralign.deep import TrainConfig
 from coralign.linalg import mean_and_covariance
 
 
@@ -215,6 +217,17 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(cfg), "--seed", "-1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_diverging_deep_run_exits_2_naming_method_and_trial_seed(self, tmp_path, capsys):
+        # alignment weight 5 diverges on trial seed 10 of the frozen shift
+        cfg = ExperimentConfig(spec=rotated_anisotropic_spec(10), methods=("deep", "deep-no-coral"),
+                               trials=1, seed_base=10, deep=TrainConfig(coral_weight=5.0))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["bench", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: deep on trial seed 10: training diverged at iteration 86: "
+            "logit magnitude 1.03e+195")
 
     def test_unknown_method_exits_1(self, tmp_path):
         cfg = self._config_file(tmp_path, methods=["teleport"])

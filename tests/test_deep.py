@@ -3,12 +3,19 @@ joint-training loop.
 
 The gradient oracle is an in-test central-difference loop, independent
 of the module's own verifier.  Forward passes are checked against
-per-neuron scalar loops.
+per-neuron scalar loops.  The lockstep trainer is checked, member by
+member, against lone train_joint runs and against an in-test loop that
+trains one network on 2-D arrays, with separate source and target
+passes.
 """
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from coralign import deep as deep_mod
 from coralign.deep import (
     LossReport,
     Network,
@@ -22,7 +29,7 @@ from coralign.deep import (
     train_joint,
 )
 from coralign.errors import InvalidInputError
-from coralign.linalg import mean_and_covariance
+from coralign.linalg import DomainStats, mean_and_covariance
 
 
 def fd_grad(loss_fn, X, step=1e-5):
@@ -411,6 +418,19 @@ class TestTraining:
             train_joint(init_network([6, 8, 3], seed=0), Xs, labels[0], Xt,
                         self._cfg(iterations=2), 0, target_labels=labels[1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_non_finite_or_huge_labels_rejected_without_a_warning(self, domain, bad):
+        Xs, y, Xt, yt = shifted_blobs(np.random.default_rng(46))
+        labels = {"source": y.astype(float), "target": yt.astype(float)}
+        labels[domain][0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"{domain} labels must be integers"):
+                train_joint(init_network([6, 8, 3], seed=0), Xs, labels["source"], Xt,
+                            self._cfg(iterations=2), 0,
+                            target_labels=labels["target"])
+
     def test_target_labels_without_target_rejected(self):
         rng = np.random.default_rng(27)
         Xs, y, _, yt = shifted_blobs(rng)
@@ -440,3 +460,139 @@ class TestTraining:
         net = Network(layers=[(np.eye(3), np.zeros(3))])
         X = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 0.5]])
         np.testing.assert_array_equal(network_predict(net, X), [1, 0])
+
+
+def reference_train(net, X, y, Xt, cfg, weight, seed):
+    """Oracle: the joint trainer as a plain loop that trains one network
+    on 2-D arrays, the target batch in a forward and backward pass of its
+    own.  Returns the trained layers and the two loss curves."""
+    src_rng, tgt_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    layers = [(W.copy(), b.copy()) for W, b in net.layers]
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+    class_curve, coral_curve = np.zeros(cfg.iterations), np.zeros(cfg.iterations)
+
+    def forward_pass(Xb):
+        inputs = [Xb]
+        for W, b in layers[:-1]:
+            inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
+        return inputs[-1] @ layers[-1][0] + layers[-1][1], inputs
+
+    def backward_pass(inputs, dZ):
+        grads = [None] * len(layers)
+        for i in range(len(layers) - 1, -1, -1):
+            grads[i] = (inputs[i].T @ dZ, dZ.sum(axis=0))
+            if i > 0:
+                dZ = (dZ @ layers[i][0].T) * (inputs[i] > 0.0)
+        return grads
+
+    for it in range(cfg.iterations):
+        idx = src_rng.integers(0, len(X), size=cfg.batch_size)
+        logits, inputs = forward_pass(X[idx])
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        yb = y[idx]
+        class_curve[it] = -np.mean(np.log(np.maximum(probs[np.arange(len(yb)), yb], 1e-300)))
+        d_logits = (probs - np.eye(probs.shape[1])[yb]) / len(yb)
+        if weight != 0 and Xt is not None:
+            t_idx = tgt_rng.integers(0, len(Xt), size=cfg.batch_size)
+            logits_t, inputs_t = forward_pass(Xt[t_idx])
+            coral_curve[it], g_s, g_t = coral_loss_and_grad(logits, logits_t)
+            grads_t = backward_pass(inputs_t, weight * g_t)
+            grads = backward_pass(inputs, d_logits + weight * g_s)
+            grads = [(gW + hW, gb + hb) for (gW, gb), (hW, hb) in zip(grads, grads_t)]
+        else:
+            grads = backward_pass(inputs, d_logits)
+        for (W, b), (gW, gb), (vW, vb) in zip(layers, grads, velocity):
+            vW *= cfg.momentum
+            vW -= cfg.learning_rate * gW
+            W += vW
+            vb *= cfg.momentum
+            vb -= cfg.learning_rate * gb
+            b += vb
+    return layers, class_curve, coral_curve
+
+
+def assert_same_layers(got, want):
+    for (Wa, ba), (Wb, bb) in zip(got, want, strict=True):
+        np.testing.assert_array_equal(Wa, Wb)
+        np.testing.assert_array_equal(ba, bb)
+
+
+def assert_same_run(got, want):
+    """Two (network, LossReport) results, bit for bit."""
+    assert_same_layers(got[0].layers, want[0].layers)
+    for field in dataclasses.fields(LossReport):
+        a, b = getattr(got[1], field.name), getattr(want[1], field.name)
+        if isinstance(a, DomainStats):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.cov, b.cov)
+        elif a is None or b is None:
+            assert a is b, field.name
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=field.name)  # NaN equals NaN
+
+
+class TestLockstep:
+    # 270 steps: one full buffer of cross-entropy terms and part of another
+    CFG = TrainConfig(hidden=8, batch_size=32, iterations=270)
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (2.0, 0.0, 0.5)])
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_members_equal_lone_runs_and_the_reference_loop(self, weights, seed):
+        Xs, y, Xt, yt = shifted_blobs(np.random.default_rng(seed))
+        net = init_network([6, 8, 3], seed=seed)
+        runs = deep_mod._train_members(net, Xs, y, Xt, self.CFG, weights, seed, yt)
+        assert len(runs) == len(weights)
+        for weight, run in zip(weights, runs):
+            lone = train_joint(net, Xs, y, Xt, dataclasses.replace(self.CFG, coral_weight=weight),
+                               seed, target_labels=yt)
+            assert_same_run(run, lone)
+            layers, class_curve, coral_curve = reference_train(net, Xs, y, Xt, self.CFG,
+                                                               weight, seed)
+            assert_same_layers(lone[0].layers, layers)
+            np.testing.assert_array_equal(lone[1].class_loss, class_curve)
+            np.testing.assert_array_equal(lone[1].coral_loss, coral_curve)
+            assert (lone[1].coral_loss != 0).all() == (weight != 0)
+
+    def test_accuracy_curves_and_a_missing_target(self):
+        Xs, y, Xt, yt = shifted_blobs(np.random.default_rng(43))
+        net = init_network([6, 8, 3], seed=5)
+        cfg = dataclasses.replace(self.CFG, iterations=20)
+        for target, target_labels in ((Xt, yt), (None, None)):
+            runs = deep_mod._train_members(net, Xs, y, target, cfg, (1.0, 0.0), 2,
+                                           target_labels, accuracy_curves=True)
+            for weight, run in zip((1.0, 0.0), runs):
+                lone = train_joint(net, Xs, y, target, dataclasses.replace(cfg, coral_weight=weight),
+                                   2, target_labels=target_labels, accuracy_curves=True)
+                assert_same_run(run, lone)
+
+    def test_no_target_rows_drawn_without_an_aligned_member(self, monkeypatch):
+        Xs, y, Xt, _ = shifted_blobs(np.random.default_rng(44))
+        net = init_network([6, 8, 3], seed=6)
+        cfg = dataclasses.replace(self.CFG, iterations=15)
+        streams = []  # draws per generator the trainer made: source, target
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+                streams.append(self)
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        for weights, target_draws in (((0.0,), 0), ((0.0, 0.0), 0), ((1.0, 0.0), 15)):
+            streams.clear()
+            deep_mod._train_members(net, Xs, y, Xt, cfg, weights, 0)
+            assert [s.draws for s in streams] == [15, target_draws]
+
+    @pytest.mark.parametrize("weights, member", [((0.0, 10.0), 1), ((10.0, 0.0), 0)])
+    def test_divergence_names_the_member(self, weights, member):
+        Xs, y, Xt, _ = shifted_blobs(np.random.default_rng(45))
+        net = init_network([6, 8, 3], seed=7)
+        cfg = dataclasses.replace(self.CFG, learning_rate=1.0, iterations=200)
+        with pytest.raises(deep_mod._Diverged, match="diverged at iteration") as caught:
+            deep_mod._train_members(net, Xs, y, Xt, cfg, weights, 0)
+        assert caught.value.member == member
