@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import coral, deep as deep_mod, lda as lda_mod
 from ..errors import InvalidInputError, NumericalError
-from ..linalg import mean_and_covariance
+from ..linalg import mean_and_covariance, psd_operator
 from .data import Dataset
 from .io import load_dataset, save_dataset
 from .runner import (
@@ -97,20 +97,18 @@ def _cmd_lda(args) -> int:
     mu1 = train.features[train.labels == 1].mean(axis=0)
     mu0 = train.features[train.labels == 0].mean(axis=0)
     stats_train = mean_and_covariance(train.features)
+    source = psd_operator(stats_train.cov, args.lam)
     if args.mode == "coral":
         if not args.stats_from:
             raise InvalidInputError("--stats-from is required with --mode coral")
         other = load_dataset(args.stats_from, args.csv_has_header, False, "stats")
         stats_other = mean_and_covariance(other.features)
-        w = lda_mod.fit_coral_lda(
-            mu1 - mu0, lda_mod.whitening(stats_train.cov, args.lam),
-            lda_mod.whitening(stats_other.cov, args.lam),
-        )
+        w = lda_mod.fit_coral_lda(mu1 - mu0, source, psd_operator(stats_other.cov, args.lam))
         dist = lda_mod.domain_distance(stats_train, stats_other)
         print(f"coral discriminant fitted (dim {train.d}); "
               f"domain distance {dist:.6g}")
     else:
-        w = lda_mod.fit_lda(mu1 - mu0, stats_train.cov, args.lam)
+        w = lda_mod.fit_lda(mu1 - mu0, source)
         print(f"plain discriminant fitted (dim {train.d})")
     if args.out:
         save_dataset(Dataset(w[None, :], None, "weights"), args.out)
@@ -177,19 +175,21 @@ def _cmd_deep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.step <= 0:
-        raise InvalidInputError("--step must be positive")
+    ns, ds = _int_list(args.n), _int_list(args.d)
+    if args.seeds < 1 or not ns or not ds or min(ns + ds) < 1:
+        raise InvalidInputError("gradcheck needs --seeds >= 1 and non-empty --n and --d "
+                                "of positive sizes")
+    if not (0 < args.step < np.inf and 0 <= args.tol < np.inf):
+        raise InvalidInputError("--step must be finite and > 0, --tol must be finite and >= 0")
     worst = 0.0
-    checks = 0
     for seed in range(args.seeds):
-        for n in _int_list(args.n):
-            for d in _int_list(args.d):
+        for n in ns:
+            for d in ds:
                 rng = np.random.default_rng(seed * 10007 + n * 101 + d)
                 S = rng.standard_normal((n, d))
                 T = rng.standard_normal((n, d))
                 worst = max(worst, deep_mod.finite_diff_check(S, T, args.step))
-                checks += 1
-    print(f"max relative error {worst:.3e} over {checks} checks "
+    print(f"max relative error {worst:.3e} over {args.seeds * len(ns) * len(ds)} checks "
           f"(tolerance {args.tol:g})")
     return EXIT_OK if worst <= args.tol else EXIT_CHECK_FAILED
 

@@ -8,9 +8,9 @@ C on the method's transformed source, and evaluates on the target.
 Methods run in groups, one call per group and trial for the group's
 requested members, which share its work.  The five SVM methods share one
 ``classify.fit_cross_validated`` call, each at its own C; the LDA family
-shares one solve and one source whitening; the two deep methods train
-side by side in one lockstep run, on the same source batches.  Every
-member is charged an equal share of its group's time.
+decomposes each domain's covariance once and solves nothing; the two
+deep methods train side by side in one lockstep run, on the same source
+batches.  Every member is charged an equal share of its group's time.
 
 Method identifiers:
   NA                              no adaptation
@@ -49,7 +49,7 @@ import numpy as np
 from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network, train_joint
 from ..errors import InvalidInputError, NumericalError
-from ..linalg import mean_and_covariance, standardize
+from ..linalg import mean_and_covariance, psd_operator, standardize
 from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
 from .io import load_dataset
 
@@ -102,10 +102,12 @@ class ExperimentConfig:
                 "CORAL-LDA-mismatched needs a synthetic spec to derive "
                 "an unrelated domain"
             )
-        if self.lam <= 0:
-            raise InvalidInputError("lam must be > 0 (use CORAL-analytical for 0)")
-        if self.lda_lam < 0:
-            raise InvalidInputError("lda_lam must be >= 0")
+        if not 0 < self.lam < np.inf:
+            raise InvalidInputError("lam must be a finite number > 0 (CORAL-analytical is 0)")
+        if not 0 <= self.lda_lam < np.inf:
+            raise InvalidInputError("lda_lam must be a finite number >= 0")
+        if self.seed_base < 0:
+            raise InvalidInputError("seed_base must be >= 0")
 
 
 @dataclass
@@ -248,7 +250,7 @@ def _coral_analytical(trial, config):
 
 
 def _whiten_both(trial, config):
-    return coral.whiten_both_baseline(trial.Xs, trial.Xt)
+    return coral.whiten_both_baseline(trial.Xs, trial.Xt, config.lam)
 
 
 def _recolor_target(trial, config):
@@ -284,34 +286,28 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
     """The LDA family: one-vs-background discriminants, argmax over
     midpoint-shifted scores.
 
-    One solve gives the plain weights, the thresholds and the source
-    accuracy for every member.  LDA scores the target with the plain
-    weights; each CORAL variant whitens them with the one source whitening
-    and its own target-side whitening: the target's own covariance, or an
-    unrelated domain's for CORAL-LDA-mismatched."""
+    One source operator C_S + lda_lam I serves every member: its inverse
+    gives the plain weights, the thresholds and the source accuracy.  LDA
+    scores the target with the plain weights; each CORAL variant whitens
+    with the source operator and its own target-side one: the target's
+    covariance, or an unrelated domain's for CORAL-LDA-mismatched."""
     mus = np.stack([trial.Xs[trial.ys == k].mean(axis=0)
                     for k in range(int(trial.ys.max()) + 1)])
     mu0 = trial.Xs.mean(axis=0)
     diffs = mus - mu0
-    V = lda.fit_lda(diffs, trial.stats_s.cov, config.lda_lam)
+    source = psd_operator(trial.stats_s.cov, config.lda_lam)
+    V = lda.fit_lda(diffs, source)
     # midpoint thresholds 0.5 v_k . (mu_k + mu0), one row-wise dot each
     thr = 0.5 * (V[:, None, :] @ (mus + mu0)[:, :, None]).ravel()
     sacc = _acc(np.argmax(trial.Xs @ V.T - thr, axis=1), trial.ys)
-    if any(name != "LDA" for name in names):
-        whiten_s = lda.whitening(trial.stats_s.cov, config.lda_lam)
-
-    def coral_weights(cov):
-        return lda.fit_coral_lda(diffs, whiten_s, lda.whitening(cov, config.lda_lam))
-
     results = []
     for name in names:
         if name == "LDA":
             W, dmd = V, lda.domain_distance(trial.stats_s, trial.stats_t)
-        elif name == "CORAL-LDA":
-            W, dmd = coral_weights(trial.stats_t.cov), 0.0
         else:
-            stats_u = _unrelated_stats(trial.spec)
-            W, dmd = coral_weights(stats_u.cov), lda.domain_distance(stats_u, trial.stats_t)
+            stats = trial.stats_t if name == "CORAL-LDA" else _unrelated_stats(trial.spec)
+            W = lda.fit_coral_lda(diffs, source, psd_operator(stats.cov, config.lda_lam))
+            dmd = lda.domain_distance(stats, trial.stats_t)
         tacc = _acc(np.argmax(trial.Xt @ W.T - thr, axis=1), trial.yt)
         results.append((tacc, sacc, trial.pre, trial.pre, dmd, {}))
     return results

@@ -20,7 +20,7 @@ linear model's weights (w -> A w), which scores identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
     exact lam = 0 solution has its own fit mode.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidInputError(
             "lambda must be > 0 in regularized mode; use the analytical fit for lambda = 0"
         )
@@ -121,13 +121,14 @@ def apply_to_weights(T: CoralTransform, model: LinearModel) -> LinearModel:
     """Push the transform into the model: each class weight w becomes A w.
 
     Scores then satisfy (x A) · w = x · (A w), so predictions agree with
-    transforming the features instead.  Biases are untouched.
+    transforming the features instead.  Biases and every other field
+    (C, cv_acc) are untouched.
     """
     if model.dim != T.source_dim:
         raise InvalidInputError(
             f"transform expects dimension {T.source_dim}, model has {model.dim}"
         )
-    return LinearModel(W=model.W @ T.A.T, b=model.b.copy(), C=model.C)
+    return replace(model, W=model.W @ T.A.T, b=model.b.copy())
 
 
 def whiten_both_baseline(D_S, D_T, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,20 +1,22 @@
-"""Linear discriminant weights with shared covariance statistics.
+"""Linear discriminant weights from each domain's covariance operator.
 
-The plain fit solves (C_S + lam I) w = mu_pos - mu_neg.  The cross-domain
-variant is CORAL applied to the classifier weights: it whitens the mean
-difference with the source covariance and the incoming features
-(implicitly) with the target covariance,
+Both fits take C + lam I as the ``linalg.SymOperator`` that
+``psd_operator`` (or ``covariance_operator``) builds once per domain,
+and reach the weights through its powers.  The plain fit is
+(C_S + lam I)^{-1} (mu_pos - mu_neg).  The cross-domain variant is CORAL
+applied to the classifier weights: it whitens the mean difference with
+the source covariance and the incoming features (implicitly) with the
+target covariance,
 
     w = W_T W_S (mu_pos - mu_neg),   W = (C + lam I)^{-1/2},
 
 so that w . u equals the inner product of the source-whitened weight with
 the target-whitened input.  When both covariances agree, the composition
-collapses to the plain solve.  Each W is a ``linalg.SymOperator`` the
-caller builds once per covariance (``whitening``) and shares across every
-pairing that whitens with it.  Both fits take one mean difference or a
-stack of them, one row per class, and handle a stack in one solve or one
-pass of the operators.  An operator is applied in factored form, O(d k)
-per row for a d x k basis: one built from wide data by
+collapses to the plain fit.  One source operator serves both fits, and
+each is raised to its power in O(d) on its spectrum.  Both fits take one
+mean difference or a stack of them, one row per class, and handle a stack
+in one pass of the operators.  An operator is applied in factored form,
+O(d k) per row for a d x k basis: one built from wide data by
 ``covariance_operator`` is never formed as a d x d matrix.
 
 Also provides the normalized covariance+mean distance between domains.
@@ -25,60 +27,52 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DEFAULT_RANK_TOL, DomainStats, SymOperator, psd_operator
+from .linalg import DomainStats, SymOperator
 
 
-def fit_lda(mean_diffs, cov_source, lam: float = 1.0) -> np.ndarray:
-    """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
-    or one weight row per row of a stack of them, from one solve.
-
-    Raises NumericalError when C_S + lam I is singular under
-    ``SymOperator.rank_mask``'s rule, whatever the solve would return."""
+def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
     diffs = np.asarray(mean_diffs, dtype=float)
-    cov_source = np.asarray(cov_source, dtype=float)
-    if diffs.ndim not in (1, 2):
-        raise InvalidInputError("mean differences must be a vector or rows of a matrix")
-    d = diffs.shape[-1]
-    if cov_source.shape != (d, d):
-        raise InvalidInputError("source covariance shape does not match the means")
-    if lam < 0:
-        raise InvalidInputError("lambda must be >= 0")
-    # Every eigenvalue of C_S + lam I is at least lam and the largest at
-    # most trace(C_S) + lam, so above this bound rank_mask keeps them all.
-    # At or below it, the rank rule decides singularity, not LU rounding.
-    if lam <= DEFAULT_RANK_TOL * (np.trace(cov_source) + lam):
-        keep = psd_operator(cov_source, lam).rank_mask()
-        if not keep.all():
-            raise NumericalError(
-                f"covariance not invertible: C_S + lam I has rank {keep.sum()} of {d}"
-            )
-    try:
-        w = np.linalg.solve(cov_source + lam * np.eye(d), diffs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance not invertible: {exc}") from exc
+    if diffs.ndim not in (1, 2) or diffs.shape[-1] != d:
+        raise InvalidInputError("means and covariance operators disagree in dimension")
+    return diffs
+
+
+def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
+    """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
+    or one weight row per row of a stack of them, for the operator
+    ``source`` = C_S + lam I from ``psd_operator``.
+
+    Raises NumericalError when the operator is singular under
+    ``SymOperator.rank_mask``'s rule, and InvalidInputError for a thin
+    operator, whose basis does not span the space."""
+    d = source.dim
+    diffs = _mean_diffs(mean_diffs, d)
+    if source.basis.shape[1] != d:
+        raise InvalidInputError(
+            "fit_lda needs a covariance operator whose basis spans the space "
+            f"(got {source.basis.shape[1]} of {d} directions)"
+        )
+    keep = source.rank_mask()
+    if not keep.all():
+        raise NumericalError(
+            f"covariance not invertible: C_S + lam I has rank {keep.sum()} of {d}"
+        )
+    w = source.power(-1).apply(diffs)
     if not np.all(np.isfinite(w)):
         raise NumericalError("discriminant weights are non-finite")
     return w
 
 
-def whitening(cov, lam: float) -> SymOperator:
-    """(cov + lam I)^{-1/2}, for every fit_coral_lda call that whitens with
-    this covariance; lam >= 0."""
-    return psd_operator(cov, lam).power(-0.5)
-
-
-def fit_coral_lda(mean_diffs, whiten_source: SymOperator,
-                  whiten_target: SymOperator) -> np.ndarray:
+def fit_coral_lda(mean_diffs, source: SymOperator, target: SymOperator) -> np.ndarray:
     """w = W_T W_S (mu_pos - mu_neg) for one mean difference, or for each
     row of a stack of them: source-whiten, then target-whiten the row
-    space.  Each W is a whitening operator, (C + lam I)^{-1/2}, from
-    ``whitening`` or, for wide data,
-    ``covariance_operator(X, lam).power(-0.5)``."""
-    diffs = np.asarray(mean_diffs, dtype=float)
-    d = whiten_source.dim
-    if diffs.ndim not in (1, 2) or diffs.shape[-1] != d or whiten_target.dim != d:
-        raise InvalidInputError("means and whitening operators disagree in dimension")
-    return whiten_target.apply(whiten_source.apply(diffs))
+    space.  ``source`` and ``target`` are C + lam I of each domain, from
+    ``psd_operator`` or, for wide data, ``covariance_operator(X, lam)``;
+    each W is its ``power(-0.5)``."""
+    if target.dim != source.dim:
+        raise InvalidInputError("means and covariance operators disagree in dimension")
+    diffs = _mean_diffs(mean_diffs, source.dim)
+    return target.power(-0.5).apply(source.power(-0.5).apply(diffs))
 
 
 def domain_distance(a: DomainStats, b: DomainStats) -> float:

@@ -194,24 +194,30 @@ def sym_eigen(M, shift: float = 0.0) -> SymOperator:
     return SymOperator(0.0, V, w)
 
 
+def _check_lam(lam) -> None:
+    """InvalidInputError unless lam is a finite number >= 0; NaN and inf
+    would otherwise reach eigh and fail to converge."""
+    if not 0.0 <= lam < np.inf:
+        raise InvalidInputError(f"lambda must be a finite number >= 0, not {lam!r}")
+
+
 def psd_operator(M, lam: float = 0.0) -> SymOperator:
-    """M + lam I for a symmetric PSD matrix M and lam >= 0, from one dense
-    eigendecomposition, ready for any power.
+    """M + lam I for a symmetric PSD matrix M and a finite lam >= 0, from
+    one dense eigendecomposition, ready for any power.
 
     Eigenvalues are clamped below at lam: M + lam I has none smaller, and
     the clamp keeps negative powers finite against round-off without
     touching any other eigenvalue.  With lam = 0 the clamp is 1e-12 times
-    the largest eigenvalue, below the rank cutoff of pinv_sqrt.
+    the largest eigenvalue, below the rank cutoff of rank_mask.
     """
-    if lam < 0:
-        raise InvalidInputError("lambda must be >= 0")
+    _check_lam(lam)
     op = sym_eigen(M, lam)
     floor = lam if lam > 0 else 1e-12 * max(op.spectrum[-1], 0.0)
     return SymOperator(0.0, op.basis, np.maximum(op.spectrum, floor))
 
 
 def covariance_operator(X, lam: float = 0.0) -> SymOperator:
-    """cov(X) + lam I for the feature rows X, lam >= 0.
+    """cov(X) + lam I for the feature rows X, lam finite and >= 0.
 
     Tall data (n - 1 >= d) goes through the d x d covariance
     (psd_operator).  Wide data never forms it: with Xc the centred rows
@@ -228,8 +234,7 @@ def covariance_operator(X, lam: float = 0.0) -> SymOperator:
     """
     X = as_feature_matrix(X)
     n, d = X.shape
-    if lam < 0:
-        raise InvalidInputError("lambda must be >= 0")
+    _check_lam(lam)
     if n - 1 >= d:
         return psd_operator(mean_and_covariance(X).cov, lam)
     Xc = X - X.mean(axis=0)

@@ -20,7 +20,7 @@ from coralign.bench.cli import main as cli_main
 from coralign.bench.io import load_bin, load_csv, save_bin, save_csv
 from coralign.bench.runner import ExperimentConfig, lambda_sweep, run_experiment
 from coralign.errors import FormatError, InvalidInputError
-from coralign.linalg import mean_and_covariance, standardize
+from coralign.linalg import mean_and_covariance, psd_operator, standardize
 
 
 @contextmanager
@@ -190,9 +190,9 @@ class TestAcceptance:
                 C = G @ G.T / d + 0.05 * np.eye(d)
                 mu_pos = 2.0 * rng.standard_normal(d)
                 mu_neg = 2.0 * rng.standard_normal(d)
-                plain = lda.fit_lda(mu_pos - mu_neg, C)
-                cross = lda.fit_coral_lda(mu_pos - mu_neg, lda.whitening(C, 1.0),
-                                          lda.whitening(C.copy(), 1.0))
+                plain = lda.fit_lda(mu_pos - mu_neg, psd_operator(C, 1.0))
+                cross = lda.fit_coral_lda(mu_pos - mu_neg, psd_operator(C, 1.0),
+                                          psd_operator(C.copy(), 1.0))
                 worst = max(worst, float(np.abs(plain - cross).max()))
             assert worst <= 1e-8
 

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from coralign import classify, lda, linalg
+from coralign import classify, coral, lda, linalg
 from coralign.bench import runner
 from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
 from coralign.bench.io import save_csv
@@ -189,6 +189,17 @@ class TestRunExperiment:
         rec = report.methods["target-recolor-source-direction"]
         assert all(0.0 <= a <= 1.0 for a in rec.target_acc)
 
+    def test_whiten_both_regularizes_at_lam(self):
+        # each domain whitened by its own (C + lam I)^{-1/2} at config.lam,
+        # the lam CORAL-reg and target-recolor-source-direction use
+        config = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=("whiten-both",),
+                                  trials=1, lam=0.5)
+        trial = _make_trial(config, 0, None)
+        got = _FEATURE_MAPS["whiten-both"](trial, config)
+        want = coral.whiten_both_baseline(trial.Xs, trial.Xt, 0.5)
+        for side, expected in zip(got, want):
+            np.testing.assert_array_equal(side, expected)
+
     def test_lda_family_direction(self):
         cfg = ExperimentConfig(
             spec=rotated_anisotropic_spec(seed=2),
@@ -217,12 +228,11 @@ class TestRunExperiment:
         assert matched >= unrelated - 0.01
 
     def test_lda_family_decomposes_each_whitening_covariance_once(self, monkeypatch):
-        # the three LDA methods share one solve for all K = 10
-        # discriminants and one source whitening: per trial, one solve,
-        # one eigendecomposition per distinct whitening covariance (source,
-        # target, unrelated) and one stacked fit_coral_lda call per CORAL
-        # variant, where each method on its own made 3 solves and 4
-        # eigendecompositions
+        # the three LDA methods share one source operator for all K = 10
+        # discriminants: per trial, no solve, one eigendecomposition per
+        # distinct covariance (source, target, unrelated) and one stacked
+        # fit_coral_lda call per CORAL variant, where each method on its
+        # own made 3 solves and 4 eigendecompositions
         calls = count_eigendecompositions(monkeypatch)
         solves, coral_fits = [], []
         monkeypatch.setattr(np.linalg, "solve", lambda *a, _fn=np.linalg.solve:
@@ -235,10 +245,19 @@ class TestRunExperiment:
             trials=2,
         )
         run_experiment(cfg)
-        assert len(solves) == cfg.trials
+        assert solves == []
         assert 0 < len(calls) <= 3 * cfg.trials
         assert set(calls) == {(16, 16)}
         assert len(coral_fits) == 2 * cfg.trials
+
+    def test_every_method_runs_without_a_dense_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        cfg = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=METHODS, trials=1)
+        report = run_experiment(cfg)
+        assert list(report.methods) == list(METHODS)
 
     def test_deep_methods_smoke(self):
         spec = rotated_anisotropic_spec(seed=3, d=6, K=2, n_source=120, n_target=120)

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 import coralign
-from coralign import coral, lda
+from coralign import coral, lda, linalg
 from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift, rotated_anisotropic_spec
 from coralign.bench.io import load_bin, load_csv, save_csv
 from coralign.bench.runner import (ExperimentConfig, config_from_dict, config_to_dict,
                                    run_experiment)
 from coralign.deep import TrainConfig
-from coralign.linalg import mean_and_covariance
+from coralign.linalg import mean_and_covariance, psd_operator
 
 
 def small_spec(seed=0, n=80, d=4, K=2):
@@ -135,7 +135,7 @@ class TestLdaCommand:
         mu1 = src.features[src.labels == 1].mean(axis=0)
         mu0 = src.features[src.labels == 0].mean(axis=0)
         cov = mean_and_covariance(src.features).cov
-        want = lda.fit_lda(mu1 - mu0, cov, lam=0.7)
+        want = lda.fit_lda(mu1 - mu0, psd_operator(cov, 0.7))
         np.testing.assert_array_equal(w, want)
 
     def test_coral_mode_uses_stats_file(self, tmp_path):
@@ -151,9 +151,7 @@ class TestLdaCommand:
         mu0 = src.features[src.labels == 0].mean(axis=0)
         cov_s = mean_and_covariance(src.features).cov
         cov_t = mean_and_covariance(tgt.features).cov
-        want = lda.fit_coral_lda(
-            mu1 - mu0, lda.whitening(cov_s, 1.0), lda.whitening(cov_t, 1.0)
-        )
+        want = lda.fit_coral_lda(mu1 - mu0, psd_operator(cov_s, 1.0), psd_operator(cov_t, 1.0))
         np.testing.assert_array_equal(w, want)
 
     def test_coral_mode_requires_stats(self, tmp_path):
@@ -162,9 +160,24 @@ class TestLdaCommand:
                    "--out", str(tmp_path / "w.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", ["plain", "coral"])
+    def test_weights_come_from_one_source_operator(self, tmp_path, monkeypatch, mode):
+        # one eigendecomposition per covariance, no dense solve
+        p, _, tgt = self._binary_csv(tmp_path)
+        stats_p = tmp_path / "stats.csv"
+        save_csv(Dataset(tgt.features, None, "t"), stats_p)
+        calls = []
+        monkeypatch.setattr(linalg, "sym_eigen", lambda *a, _fn=linalg.sym_eigen, **k:
+                            calls.append(1) or _fn(*a, **k))
+        monkeypatch.setattr(np.linalg, "solve", None)
+        rc = main(["lda", "--train", str(p), "--mode", mode, "--stats-from", str(stats_p),
+                   "--out", str(tmp_path / "w.csv")])
+        assert rc == 0
+        assert len(calls) == (1 if mode == "plain" else 2)
+
     def test_singular_covariance_exits_2(self, tmp_path):
         # duplicated column makes the covariance singular; with lam 0 the
-        # plain solve must fail numerically, not silently
+        # plain fit must fail numerically, not silently
         X = np.random.default_rng(0).standard_normal((40, 2))
         X = np.hstack([X, X[:, :1]])
         y = np.array([0, 1] * 20)
@@ -301,6 +314,69 @@ class TestBenchCommand:
         assert captured.out == ""
 
 
+class TestOutOfRangeNumbers:
+    """Non-finite regularization strengths and negative seeds are the
+    input's fault: every entry point exits 1 with an error line, where
+    they used to end in a numpy traceback (eigh failing to converge on
+    NaN or inf, numpy's generators rejecting a negative seed) or exit 2."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        src, tgt = generate_shift(small_spec())
+        paths = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        save_csv(src, paths[0])
+        save_csv(Dataset(tgt.features, None, "t"), paths[1])
+        return [str(p) for p in paths]
+
+    def _config(self, tmp_path, files, **overrides):
+        cfg = {"source_path": files[0], "target_path": files[1],
+               "target_csv_has_labels": False, "trials": 1, **overrides}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        return str(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--config", "{cfg}"],
+        ["sweep-lambda", "--config", "{cfg}", "--lambdas", "1", "--no-analytical"],
+    ], ids=["bench", "sweep-lambda"])
+    @pytest.mark.parametrize("key, value, method", [
+        ("lam", float("nan"), "CORAL-reg"),
+        ("lam", float("inf"), "CORAL-reg"),
+        ("lda_lam", float("nan"), "LDA"),
+        ("lda_lam", float("inf"), "LDA"),
+        ("seed_base", -1, "NA"),
+    ], ids=["lam-nan", "lam-inf", "lda_lam-nan", "lda_lam-inf", "seed_base-negative"])
+    def test_config_value(self, tmp_path, capsys, files, argv, key, value, method):
+        cfg = self._config(tmp_path, files, methods=[method], **{key: value})
+        assert main([a.format(cfg=cfg) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("command", ["bench", "sweep-lambda"])
+    def test_negative_seed_flag_with_data_files(self, tmp_path, capsys, files, command):
+        cfg = self._config(tmp_path, files, methods=["NA"])
+        assert main([command, "--config", cfg, "--seed", "-5"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed_base must be")
+
+    def test_sweep_lambda_list(self, tmp_path, capsys, files):
+        cfg = self._config(tmp_path, files, methods=["CORAL-reg"])
+        assert main(["sweep-lambda", "--config", cfg, "--lambdas", "1,nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: lam must be")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_transform_lambda(self, tmp_path, capsys, files, lam):
+        assert main(["transform", "--source", files[0], "--target", files[1],
+                     "--source-labels", "--lambda", lam,
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda must be")
+
+    @pytest.mark.parametrize("mode", ["plain", "coral"])
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_lda_lambda(self, tmp_path, capsys, files, mode, lam):
+        assert main(["lda", "--train", files[0], "--mode", mode, "--stats-from", files[1],
+                     "--lam", lam]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda must be a finite number")
+
+
 class TestSweepCommand:
     def test_single_lambda_no_analytical(self, tmp_path):
         cfgp = TestBenchCommand()._config_file(
@@ -391,6 +467,26 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--n", "4", "--d", "2", "--seeds", "2",
                    "--tol", "0"])
         assert rc == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0"], "--seeds >= 1"),
+        (["--seeds", "-1"], "--seeds >= 1"),
+        (["--n", ""], "non-empty --n and --d"),
+        (["--d", ","], "non-empty --n and --d"),
+        (["--n", "4,-3"], "of positive sizes"),
+        (["--step", "nan"], "--step must be"),
+        (["--step", "inf"], "--step must be"),
+        (["--tol", "nan"], "--tol must be"),
+        (["--tol", "inf"], "--tol must be"),
+        (["--tol", "-1"], "--tol must be"),
+    ])
+    def test_a_check_of_nothing_or_against_nothing_exits_1(self, capsys, flags, message):
+        # "over 0 checks" used to pass, a NaN tolerance to fail whatever the
+        # gradients, and a negative size to end in a numpy traceback
+        assert main(["gradcheck", "--n", "4", "--d", "2", "--seeds", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
 
 
 class TestConvertCommand:

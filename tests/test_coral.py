@@ -76,6 +76,14 @@ class TestFitRegularized:
         with pytest.raises(InvalidInputError, match="analytical"):
             fit_regularized(Ds, Dt, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        # NaN and inf used to reach eigh and fail to converge
+        rng = np.random.default_rng(3)
+        Ds, Dt = rng.standard_normal((2, 20, 3))
+        with pytest.raises(InvalidInputError, match="lambda"):
+            fit_regularized(Ds, Dt, lam=lam)
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(InvalidInputError):
@@ -393,6 +401,15 @@ class TestApplyToWeights:
         p_feature = predict(model, apply_to_features(T, X))
         p_weight = predict(apply_to_weights(T, model), X)
         np.testing.assert_array_equal(p_feature, p_weight)
+
+    def test_keeps_the_cross_validated_accuracy(self):
+        rng = np.random.default_rng(44)
+        model = LinearModel(W=rng.standard_normal((3, 5)), b=rng.standard_normal(3), C=0.1,
+                            cv_acc=0.533)
+        T = CoralTransform(A=rng.standard_normal((5, 5)), mode="regularized", lam=1.0,
+                           rank_used=None, source_dim=5)
+        out = apply_to_weights(T, model)
+        assert (out.C, out.cv_acc) == (0.1, 0.533)
 
     def test_dimension_mismatch_rejected(self):
         model = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2), C=1.0)

@@ -1,8 +1,8 @@
 """Tests for shared-covariance linear discriminant weights and the
 cross-domain weight correction.
 
-Oracles: hand linear solves, scipy matrix powers composed independently,
-and direct formula evaluation.
+Oracles: hand linear solves, scipy solves and matrix powers composed
+independently, and direct formula evaluation.
 """
 
 import numpy as np
@@ -10,10 +10,10 @@ import pytest
 import scipy.linalg
 
 from coralign.errors import InvalidInputError, NumericalError
-from coralign import lda
-from coralign.lda import domain_distance, fit_coral_lda, fit_lda, whitening
+from coralign.lda import domain_distance, fit_coral_lda, fit_lda
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
-from coralign.linalg import DomainStats, covariance_operator, mean_and_covariance, standardize
+from coralign.linalg import (DomainStats, covariance_operator, mean_and_covariance,
+                             psd_operator, standardize)
 
 
 def random_spd(d, rng):
@@ -27,17 +27,17 @@ def random_stats(d, rng):
 
 class TestFitLda:
     def test_identity_covariance(self):
-        w = fit_lda(np.array([1.0, 0.0]), np.eye(2), lam=0.0)
+        w = fit_lda(np.array([1.0, 0.0]), psd_operator(np.eye(2), 0.0))
         np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_equal_means_give_zero_weights(self):
         rng = np.random.default_rng(0)
         mu = rng.standard_normal(4)
-        w = fit_lda(mu - mu.copy(), random_spd(4, rng), lam=0.5)
+        w = fit_lda(mu - mu.copy(), psd_operator(random_spd(4, rng), 0.5))
         np.testing.assert_allclose(w, np.zeros(4), atol=1e-12)
 
     def test_diagonal_hand_solve(self):
-        w = fit_lda(np.array([2.0, 3.0]), np.diag([2.0, 1.0]), lam=0.0)
+        w = fit_lda(np.array([2.0, 3.0]), psd_operator(np.diag([2.0, 1.0]), 0.0))
         np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
 
     def test_matches_scipy_solve(self):
@@ -45,45 +45,47 @@ class TestFitLda:
         C = random_spd(5, rng)
         diff = rng.standard_normal(5)
         want = scipy.linalg.solve(C + np.eye(5), diff, assume_a="pos")
-        np.testing.assert_allclose(fit_lda(diff, C, lam=1.0), want, atol=1e-10)
+        np.testing.assert_allclose(fit_lda(diff, psd_operator(C, 1.0)), want, atol=1e-10)
 
     def test_singular_unregularized_rejected(self):
+        C = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError):
-            fit_lda(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), lam=0.0)
+            fit_lda(np.array([1.0, 0.0]), psd_operator(C, 0.0))
 
     def test_singular_covariance_rejected_whatever_the_solve_returns(self, monkeypatch):
-        # an LU on some BLAS kernels meets a round-off pivot, not an exact
-        # zero, and returns finite weights; the rank rule must still reject
+        # the clamp at lam = 0 keeps the inverse finite, and no solve is
+        # consulted: the rank rule alone must reject
         X = np.random.default_rng(0).standard_normal((40, 2))
         C = mean_and_covariance(np.hstack([X, X[:, :1]])).cov
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.ones_like(b))
         with pytest.raises(NumericalError, match="rank 2 of 3"):
-            fit_lda(np.array([1.0, 0.5, 1.0]), C, lam=0.0)
+            fit_lda(np.array([1.0, 0.5, 1.0]), psd_operator(C, 0.0))
 
-    def test_regularized_solve_skips_the_rank_check(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(lda, "psd_operator", lambda *a: calls.append(a))
-        C = np.array([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(fit_lda(np.array([1.0, 0.0]), C, lam=1.0),
-                                   np.linalg.solve(C + np.eye(2), [1.0, 0.0]))
-        assert calls == []
+    def test_thin_operator_rejected(self):
+        # wide rows give a basis of n - 1 = 8 of 30 directions
+        X = np.random.default_rng(5).standard_normal((9, 30))
+        thin = covariance_operator(X, 0.5)
+        assert thin.basis.shape == (30, 8)
+        with pytest.raises(InvalidInputError, match="8 of 30"):
+            fit_lda(np.ones(30), thin)
 
     def test_shape_and_lambda_checks(self):
-        C = np.eye(3)
+        source = psd_operator(np.eye(3))
         for diffs in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
             with pytest.raises(InvalidInputError):
-                fit_lda(diffs, C)
+                fit_lda(diffs, source)
         with pytest.raises(InvalidInputError):
-            fit_lda(np.zeros(3), C, lam=-1.0)
+            psd_operator(np.eye(3), -1.0)
 
     def test_stacked_rows_match_per_row_fits(self):
-        # one solve for K mean differences gives each row's own weight
+        # one pass of the inverse for K mean differences gives each row's
+        # own weight
         rng = np.random.default_rng(11)
-        C, D = random_spd(7, rng), rng.standard_normal((5, 7))
-        W = fit_lda(D, C, lam=0.3)
+        source, D = psd_operator(random_spd(7, rng), 0.3), rng.standard_normal((5, 7))
+        W = fit_lda(D, source)
         assert W.shape == (5, 7)
         for w, diff in zip(W, D):
-            want = fit_lda(diff, C, lam=0.3)
+            want = fit_lda(diff, source)
             assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -94,13 +96,13 @@ class TestFitCoralLda:
             d = int(g.integers(2, 8))
             C = random_spd(d, g)
             diff = g.standard_normal(d) - g.standard_normal(d)
-            w_coral = fit_coral_lda(diff, whitening(C, 1.0), whitening(C.copy(), 1.0))
-            w_plain = fit_lda(diff, C, lam=1.0)
+            w_coral = fit_coral_lda(diff, psd_operator(C, 1.0), psd_operator(C.copy(), 1.0))
+            w_plain = fit_lda(diff, psd_operator(C, 1.0))
             assert np.linalg.norm(w_coral - w_plain) <= 1e-8 * max(np.linalg.norm(w_plain), 1e-12)
 
     def test_identity_covariances_identity_reduction(self):
-        W = whitening(np.eye(2), 0.0)
-        got = fit_coral_lda(np.array([2.0, -1.0]) - np.array([0.5, 0.5]), W, W)
+        identity = psd_operator(np.eye(2), 0.0)
+        got = fit_coral_lda(np.array([2.0, -1.0]) - np.array([0.5, 0.5]), identity, identity)
         np.testing.assert_allclose(got, [1.5, -1.5], atol=1e-10)
 
     def test_matches_scipy_composition_oracle(self):
@@ -108,7 +110,7 @@ class TestFitCoralLda:
         Cs = random_spd(6, rng)
         Ct = random_spd(6, rng)
         diff = rng.standard_normal(6)
-        got = fit_coral_lda(diff, whitening(Cs, 0.0), whitening(Ct, 0.0))
+        got = fit_coral_lda(diff, psd_operator(Cs, 0.0), psd_operator(Ct, 0.0))
         want = (
             scipy.linalg.fractional_matrix_power(Ct, -0.5).real.T
             @ scipy.linalg.fractional_matrix_power(Cs, -0.5).real
@@ -122,7 +124,7 @@ class TestFitCoralLda:
         Cs, Ct = random_spd(5, rng), random_spd(5, rng)
         diff = rng.standard_normal(5) - rng.standard_normal(5)
         lam = 1.0
-        w = fit_coral_lda(diff, whitening(Cs, lam), whitening(Ct, lam))
+        w = fit_coral_lda(diff, psd_operator(Cs, lam), psd_operator(Ct, lam))
         I = np.eye(5)
         w_hat = scipy.linalg.fractional_matrix_power(Cs + lam * I, -0.5).real @ diff
         for _ in range(20):
@@ -136,29 +138,29 @@ class TestFitCoralLda:
         rng = np.random.default_rng(7)
         Xs, Xt = rng.standard_normal((9, 30)), 2.0 * rng.standard_normal((12, 30))
         diff = rng.standard_normal(30) - rng.standard_normal(30)
-        thin = [covariance_operator(X, 0.5).power(-0.5) for X in (Xs, Xt)]
+        thin = [covariance_operator(X, 0.5) for X in (Xs, Xt)]
         assert thin[0].basis.shape == (30, 8)
-        dense = [whitening(mean_and_covariance(X).cov, 0.5) for X in (Xs, Xt)]
+        dense = [psd_operator(mean_and_covariance(X).cov, 0.5) for X in (Xs, Xt)]
         want = fit_coral_lda(diff, *dense)
         np.testing.assert_allclose(fit_coral_lda(diff, *thin), want,
                                    rtol=1e-9, atol=1e-12)
 
     def test_stacked_rows_match_per_row_fits(self):
         rng = np.random.default_rng(12)
-        Ws, Wt = whitening(random_spd(6, rng), 0.5), whitening(random_spd(6, rng), 0.5)
+        Cs, Ct = psd_operator(random_spd(6, rng), 0.5), psd_operator(random_spd(6, rng), 0.5)
         D = rng.standard_normal((4, 6))
-        W = fit_coral_lda(D, Ws, Wt)
+        W = fit_coral_lda(D, Cs, Ct)
         assert W.shape == (4, 6)
         for w, diff in zip(W, D):
-            want = fit_coral_lda(diff, Ws, Wt)
+            want = fit_coral_lda(diff, Cs, Ct)
             assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dimension_mismatch_rejected(self):
-        W1, W2 = whitening(np.eye(1), 1.0), whitening(np.eye(2), 1.0)
+        C1, C2 = psd_operator(np.eye(1), 1.0), psd_operator(np.eye(2), 1.0)
         with pytest.raises(InvalidInputError):
-            fit_coral_lda(np.array([1.0]), W1, W2)
+            fit_coral_lda(np.array([1.0]), C1, C2)
         with pytest.raises(InvalidInputError):
-            whitening(np.eye(2), -1.0)
+            fit_coral_lda(np.array([1.0]), C2, C2)
 
 
 class TestDomainDistance:

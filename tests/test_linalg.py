@@ -307,6 +307,15 @@ class TestSymOperator:
         with pytest.raises(InvalidInputError):
             covariance_operator(np.ones((2, 5)), -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        # both used to reach eigh and fail to converge
+        with pytest.raises(InvalidInputError, match="finite"):
+            psd_operator(np.eye(2), lam)
+        for rows in (2, 9):  # wide (Gram) and tall (covariance) paths
+            with pytest.raises(InvalidInputError, match="finite"):
+                covariance_operator(np.arange(rows * 5.0).reshape(rows, 5) ** 2, lam)
+
 
 class TestStandardize:
     def test_two_point_column(self):
