@@ -22,9 +22,9 @@ from .data import Dataset
 from .io import load_dataset, save_dataset
 from .runner import (
     ExperimentConfig,
+    _deep_network,
     _load_file_pair,
     _make_trial,
-    _train_deep,
     config_from_dict,
     lambda_sweep,
     run_experiment,
@@ -160,7 +160,9 @@ def _cmd_deep(args) -> int:
     cfg = _read_config(args.config)
     pair = _load_file_pair(cfg) if cfg.spec is None else None
     trial = _make_trial(cfg, cfg.seed_base, pair)
-    _, rep = _train_deep(trial, cfg.deep, accuracy_curves=bool(args.curves_out))
+    _, rep = deep_mod.train_joint(_deep_network(trial, cfg.deep), trial.Xs, trial.ys, trial.Xt,
+                                  cfg.deep, trial.seed, target_labels=trial.yt,
+                                  accuracy_curves=bool(args.curves_out))
     if args.curves_out:
         lines = ["iteration,class_loss,coral_loss,source_acc,target_acc"]
         for i in range(len(rep.class_loss)):

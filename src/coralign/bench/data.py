@@ -125,16 +125,13 @@ def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _angles_rotation(d: int, angles) -> np.ndarray:
+    """The product of Givens rotations by angles[i] in axes (2i, 2i+1).
+    The axis pairs are disjoint, so the product is block-diagonal: each
+    angle's 2 x 2 block is set directly."""
     R = np.eye(d)
     for i, theta in enumerate(angles):
-        a, b = 2 * i, 2 * i + 1
-        G = np.eye(d)
         c, s = np.cos(theta), np.sin(theta)
-        G[a, a] = c
-        G[a, b] = -s
-        G[b, a] = s
-        G[b, b] = c
-        R = G @ R
+        R[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
     return R
 
 

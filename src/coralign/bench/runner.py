@@ -11,6 +11,8 @@ requested members, which share its work.  The five SVM methods share one
 decomposes each domain's covariance once and solves nothing; the two
 deep methods train side by side in one lockstep run, on the same source
 batches.  Every member is charged an equal share of its group's time.
+``lambda_sweep`` builds each trial once too, and fits CORAL-reg at every
+λ (and CORAL-analytical) as members of one such call.
 
 Method identifiers:
   NA                              no adaptation
@@ -47,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .. import classify, coral, lda
-from ..deep import TrainConfig, _Diverged, _train_members, init_network, train_joint
+from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import mean_and_covariance, psd_operator, standardize
 from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
@@ -108,6 +110,12 @@ class ExperimentConfig:
             raise InvalidInputError("lda_lam must be a finite number >= 0")
         if self.seed_base < 0:
             raise InvalidInputError("seed_base must be >= 0")
+        if not self.svm_grid or not all(0 < C < np.inf for C in self.svm_grid):
+            raise InvalidInputError("svm_grid must be a non-empty list of finite numbers > 0")
+        if self.svm_folds < 2:
+            raise InvalidInputError("svm_folds must be >= 2")
+        if self.svm_epochs < 1:
+            raise InvalidInputError("svm_epochs must be >= 1")
 
 
 @dataclass
@@ -333,21 +341,14 @@ def _deep_network(trial: _Trial, cfg: TrainConfig):
     return init_network([trial.Xs.shape[1], cfg.hidden, K], seed=trial.seed)
 
 
-def _train_deep(trial: _Trial, cfg: TrainConfig, accuracy_curves: bool = False):
-    """One deep run of a trial, at ``cfg.coral_weight``, its batches drawn
-    from the trial seed.  Returns the trained network and the LossReport
-    (with per-iteration accuracy curves only if ``accuracy_curves``)."""
-    return train_joint(_deep_network(trial, cfg), trial.Xs, trial.ys, trial.Xt, cfg,
-                       trial.seed, target_labels=trial.yt, accuracy_curves=accuracy_curves)
-
-
 def _deep_group(trial: _Trial, config: ExperimentConfig, names):
     """deep and deep-no-coral, the joint trainer with and without the
-    alignment loss, in one lockstep run: each member is what _train_deep
-    gives at its weight.  Pre and post are a member's alignment loss
-    before and after training, and the extras its loss balance at the
-    end.  A diverging member's NumericalError names the method and the
-    trial seed."""
+    alignment loss, in one lockstep run: each member is what train_joint
+    gives from _deep_network at its weight, its batches drawn from the
+    trial seed.  Pre and post are a member's alignment loss before and
+    after training, and the extras its loss balance at the end.  A
+    diverging member's NumericalError names the method and the trial
+    seed."""
     weights = [config.deep.coral_weight if name == "deep" else 0.0 for name in names]
     try:
         runs = _train_members(_deep_network(trial, config.deep), trial.Xs, trial.ys,
@@ -441,53 +442,42 @@ class SweepReport:
 def lambda_sweep(
     config: ExperimentConfig, lambdas, include_analytical: bool = True
 ) -> SweepReport:
-    """Accuracy per regularization strength, optionally plus analytical."""
-    lambdas = list(lambdas)
-    if not lambdas and not include_analytical:
-        raise InvalidInputError("empty lambda list")
-    runs = [(float(lam), dict(methods=("CORAL-reg",), lam=float(lam))) for lam in lambdas]
+    """CORAL-reg's target accuracy per trial at each λ, plus
+    CORAL-analytical's if asked: one row each, as ``run_experiment``
+    reports the method at ``lam`` = λ.  Each trial is built once, and all
+    rows' sources are the members of one ``classify.fit_cross_validated``
+    call, bitwise each row's own fit under OpenBLAS's default SkylakeX
+    kernel (Haswell and Nehalem can differ in the last bit, see
+    ``classify``)."""
+    runs = [(float(lam), _coral_regularized, dataclasses.replace(config, lam=float(lam)))
+            for lam in lambdas]
     if include_analytical:
-        runs.append(("analytical", dict(methods=("CORAL-analytical",))))
-    rows = []
-    for lam, overrides in runs:
-        cfg = dataclasses.replace(config, **overrides)
-        m = run_experiment(cfg).methods[cfg.methods[0]]
-        rows.append(
-            {
-                "lam": lam,
-                "target_acc": [float(x) for x in m.target_acc],
-                "target_acc_mean": m.target_acc_mean,
-                "target_acc_std": m.target_acc_std,
-            }
+        runs.append(("analytical", _coral_analytical, config))
+    if not runs:
+        raise InvalidInputError("empty lambda list")
+    file_pair = _load_file_pair(config) if config.spec is None else None
+    accs = [[] for _ in runs]
+    for t in range(config.trials):
+        trial = _make_trial(config, config.seed_base + t, file_pair)
+        models = classify.fit_cross_validated(
+            [fmap(trial, cfg)[0] for _, fmap, cfg in runs], trial.ys, config.svm_grid,
+            config.svm_folds, trial.seed, config.svm_epochs,
         )
-    return SweepReport(rows=rows)
+        for row, model in zip(accs, models):
+            row.append(_acc(classify.predict(model, trial.Xt), trial.yt))
+    return SweepReport(rows=[
+        {"lam": lam, "target_acc": row, "target_acc_mean": float(np.mean(row)),
+         "target_acc_std": float(np.std(row))}
+        for (lam, _, _), row in zip(runs, accs)
+    ])
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "methods": list(config.methods),
-        "trials": config.trials,
-        "seed_base": config.seed_base,
-        "lam": config.lam,
-        "lda_lam": config.lda_lam,
-        "svm_grid": list(config.svm_grid),
-        "svm_folds": config.svm_folds,
-        "svm_epochs": config.svm_epochs,
-        "deep": dataclasses.asdict(config.deep),
-        "csv_has_header": config.csv_has_header,
-        "target_csv_has_labels": config.target_csv_has_labels,
-    }
-    if config.spec is not None:
-        spec = dataclasses.asdict(config.spec)
-        spec["scales"] = list(config.spec.scales)
-        spec["mean_shift"] = list(config.spec.mean_shift)
-        if config.spec.rotation_angles is not None:
-            spec["rotation_angles"] = list(config.spec.rotation_angles)
-        out["spec"] = spec
-    if config.source_path is not None:
-        out["source_path"] = config.source_path
-    if config.target_path is not None:
-        out["target_path"] = config.target_path
+    """The config's fields as JSON-ready values: the data source (spec,
+    or the two file paths) last, each only when set."""
+    out = dataclasses.asdict(config)
+    source = {key: out.pop(key) for key in ("spec", "source_path", "target_path")}
+    out.update((key, value) for key, value in source.items() if value is not None)
     return out
 
 
@@ -556,7 +546,4 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raw["spec"] = ShiftSpec(**s)
     if "deep" in raw:
         raw["deep"] = TrainConfig(**_keywords(raw["deep"], TrainConfig, "deep"))
-    raw["methods"] = tuple(raw["methods"])
-    if "svm_grid" in raw:
-        raw["svm_grid"] = tuple(raw["svm_grid"])
     return ExperimentConfig(**raw)

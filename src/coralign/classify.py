@@ -19,8 +19,8 @@ minibatch positions, so they step in lockstep; each keeps its own
 lambda, step scale, snapshot and rollback.  ``fit_cross_validated``
 picks a C per member by cross-validation, one kernel run per group of
 folds that share a training size and class count, then fits every
-member on all rows at its own C in one more run.  ``train_svm`` and
-``cross_validate_C`` are its one-member cases.
+member on all rows at its own C in one more run.  ``train_svm`` is the
+one-member case of that final fit.
 
 Cross-validation shuffles the member rows in place, so each fold holds
 out one contiguous block and trains on the other rows in increasing
@@ -63,10 +63,6 @@ class LinearModel:
     cv_acc: float = float("nan")
 
     @property
-    def n_classes(self) -> int:
-        return self.W.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.W.shape[1]
 
@@ -85,8 +81,8 @@ def _check_labels(labels, n: int) -> tuple[np.ndarray, int]:
 
 
 def _check_fit(n: int, K: int, C: float, epochs: int) -> None:
-    if not C > 0:
-        raise InvalidInputError(f"C must be positive, got {C}")
+    if not 0 < C < np.inf:
+        raise InvalidInputError(f"C must be a finite number > 0, got {C}")
     if epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
     if n < K:
@@ -233,19 +229,6 @@ def train_svm(D, labels, C: float, epochs: int, seed: int) -> LinearModel:
     return _fit(_stack_members([D]), labels, [C], epochs, seed)[0]
 
 
-def svm_objective(model: LinearModel, D, labels) -> float:
-    """The training objective of a model on a dataset (lambda_reg from len(D))."""
-    Xa = _stack_members([D])[0]
-    n = Xa.shape[0]
-    labels, K = _check_labels(labels, n)
-    if K > model.n_classes:
-        raise InvalidInputError("labels reference classes the model does not have")
-    Wa = np.hstack([model.W, model.b[:, None]])
-    lam = np.full((1, model.n_classes), 1.0 / (model.C * n))
-    return float(_objectives(Wa[None, None], Xa[None], _signs(labels, model.n_classes),
-                             np.ones((n, 1, 1)), n, lam, model.n_classes)[0, 0, 0])
-
-
 def predict(model: LinearModel, D) -> np.ndarray:
     """Argmax class per row; ties break toward the lowest class index."""
     X = as_feature_matrix(D)
@@ -269,33 +252,22 @@ def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
                         epochs: int = CV_EPOCHS) -> list[LinearModel]:
     """One model per feature matrix in Ds, each at its own cross-validated C.
 
-    The matrices share one shape and the labels; each model equals
-    ``train_svm(D, labels, cross_validate_C(D, labels, grid, folds, seed,
-    epochs), epochs, seed)``.  Every member's cross-validation runs in
-    one kernel run per fold group and every final fit in one more.
+    The matrices share one shape and the labels.  A member's C is the
+    grid value with the best mean held-out accuracy over the folds, ties
+    toward the smaller C (stronger regularization); the folds come from
+    one seeded shuffle split into near-equal parts.  Each model equals
+    ``train_svm(D, labels, C, epochs, seed)`` at that C and carries the
+    C's mean held-out accuracy as ``cv_acc``.  Every member's
+    cross-validation runs in one kernel run per fold group and every
+    final fit in one more.
     """
     Xa = _stack_members(Ds)
-    Cs, cv_accs = _chosen_Cs(Xa, labels, grid, folds, seed, epochs)
-    return [dataclasses.replace(model, cv_acc=acc)
-            for model, acc in zip(_fit(Xa, labels, Cs, epochs, seed), cv_accs)]
-
-
-def cross_validate_C(D, labels, grid, folds: int, seed: int, epochs: int = CV_EPOCHS) -> float:
-    """Pick the grid value with the best mean held-out accuracy.
-
-    Folds come from one seeded shuffle split into near-equal parts.
-    Ties resolve toward the smaller C (stronger regularization).
-    """
-    return _chosen_Cs(_stack_members([D]), labels, grid, folds, seed, epochs)[0][0]
-
-
-def _chosen_Cs(Xa, labels, grid, folds: int, seed: int, epochs: int):
-    """Each member's cross_validate_C choice, and the mean held-out
-    accuracy of each choice."""
     grid = sorted(float(c) for c in grid)
     means = _cv_accuracies(Xa, labels, grid, folds, seed, epochs).mean(axis=2)
     best = np.argmax(means, axis=1)  # first maximum
-    return [grid[g] for g in best], [float(m[g]) for m, g in zip(means, best)]
+    models = _fit(Xa, labels, [grid[g] for g in best], epochs, seed)
+    return [dataclasses.replace(model, cv_acc=float(m[g]))
+            for model, m, g in zip(models, means, best)]
 
 
 def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:

@@ -91,12 +91,12 @@ class TrainConfig:
             raise InvalidInputError("hidden width must be >= 1")
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidInputError("learning rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidInputError("learning rate must be a finite number > 0")
         if self.batch_size < 2:
             raise InvalidInputError("batch size must be >= 2 (covariances need it)")
-        if not self.coral_weight >= 0:
-            raise InvalidInputError("alignment loss weight must be >= 0")
+        if not 0 <= self.coral_weight < np.inf:
+            raise InvalidInputError("alignment loss weight must be a finite number >= 0")
         if not 0 <= self.momentum < 1:
             raise InvalidInputError("momentum must lie in [0, 1)")
 
@@ -229,13 +229,14 @@ def _network_input(net: Network, X, name: str = "network input") -> np.ndarray:
     return X
 
 
-def forward(net: Network, X) -> tuple[np.ndarray, list]:
-    """Logits and the input of every layer, for backprop."""
-    inputs = [_network_input(net, X)]
+def forward(net: Network, X) -> np.ndarray:
+    """The logits of the network for the rows of X.  Training runs its
+    own stacked forward and backward passes (``_train_members``)."""
+    H = _network_input(net, X)
     for W, b in net.layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
+        H = np.maximum(H @ W + b, 0.0)
     W, b = net.layers[-1]
-    return inputs[-1] @ W + b, inputs
+    return H @ W + b
 
 
 # Training steps whose cross-entropy terms are buffered between two
@@ -280,13 +281,8 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def network_predict(net: Network, X) -> np.ndarray:
-    logits, _ = forward(net, X)
-    return np.argmax(logits, axis=1)
-
-
 def _score(logits, y) -> float:
-    """Accuracy of the argmax of ``logits``: what network_predict gives."""
+    """Accuracy of the argmax of ``logits``, ties to the lowest class."""
     return accuracy(np.argmax(logits, axis=1), y)
 
 
@@ -294,11 +290,11 @@ def _full_data_gap(net: Network, X, Xt):
     """Full-data logits and their statistics for each domain, then the
     alignment loss between the two; without a target (Xt None) its logits
     and statistics are None and the loss NaN."""
-    logits_s, _ = forward(net, X)
+    logits_s = forward(net, X)
     stats_s = mean_and_covariance(logits_s)
     if Xt is None:
         return logits_s, stats_s, None, None, float("nan")
-    logits_t, _ = forward(net, Xt)
+    logits_t = forward(net, Xt)
     stats_t = mean_and_covariance(logits_t)
     return logits_s, stats_s, logits_t, stats_t, _gap_loss(stats_s.cov - stats_t.cov)
 
@@ -473,9 +469,9 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
 
         if accuracy_curves:
             for m, work in enumerate(works):
-                src_acc[m, it] = _score(forward(work, X)[0], y)
+                src_acc[m, it] = _score(forward(work, X), y)
                 if yt is not None:
-                    tgt_acc[m, it] = _score(forward(work, Xt)[0], yt)
+                    tgt_acc[m, it] = _score(forward(work, Xt), yt)
 
     runs = [None] * M
     for m, work in enumerate(works):

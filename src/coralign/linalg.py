@@ -37,10 +37,6 @@ class DomainStats:
     cov: np.ndarray
     n: int
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
 
 @dataclass(frozen=True)
 class SymOperator:
@@ -250,14 +246,21 @@ def covariance_operator(X, lam: float = 0.0) -> SymOperator:
 def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center columns and scale them to unit sample std (ddof=1).
 
-    Zero-variance columns are centered and their std recorded as 1, so
-    the shape survives and no division by zero occurs.  Returns
+    Constant columns come out as exact zeros with their value as the mean
+    and std recorded as 1, so the shape survives and no division by zero
+    occurs.  When a constant column's mean rounds, its computed std is
+    round-off, not 0: only columns with a std that small (at most n eps
+    times the mean) are checked for equal values.  Returns
     (standardized, means, stds).
     """
     D = as_feature_matrix(D)
-    if D.shape[0] < 2:
+    n = D.shape[0]
+    if n < 2:
         raise InvalidInputError("standardize needs at least 2 rows")
     means = D.mean(axis=0)
     stds = D.std(axis=0, ddof=1)
+    for j in np.flatnonzero(stds <= n * np.finfo(float).eps * np.abs(means)):
+        if np.all(D[:, j] == D[0, j]):
+            means[j], stds[j] = D[0, j], 0.0
     stds = np.where(stds == 0.0, 1.0, stds)
     return (D - means) / stds, means, stds

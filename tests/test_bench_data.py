@@ -7,6 +7,7 @@ I + mean-scatter, and the target covariance is M Sigma_S M^T + noise^2 I
 where M applies the per-axis scales in the rotated frame.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from coralign.bench.data import (
     Dataset,
     ShiftSpec,
+    _angles_rotation,
     _simplex,
     generate_shift,
     rotated_anisotropic_spec,
@@ -295,3 +297,39 @@ class TestSimplexIsClosedForm:
         src, _ = generate_shift(rotated_anisotropic_spec(0))
         got = [src.features[src.labels == c].mean(axis=0) for c in range(3)]
         np.testing.assert_allclose(got, SEED0_SOURCE_CLASS_MEANS, rtol=0, atol=1e-9)
+
+
+def givens_product(d, angles):
+    """Oracle: the rotation as the product of one d x d Givens matrix per
+    angle, each applied on the left."""
+    R = np.eye(d)
+    for i, theta in enumerate(angles):
+        G = np.eye(d)
+        a, b = 2 * i, 2 * i + 1
+        G[a, a] = G[b, b] = np.cos(theta)
+        G[a, b], G[b, a] = -np.sin(theta), np.sin(theta)
+        R = G @ R
+    return R
+
+
+class TestAnglesRotation:
+    @pytest.mark.parametrize("d", [2, 3, 7, 20, 64, 257])
+    def test_equals_the_givens_product(self, d):
+        rng = np.random.default_rng(d)
+        for k in sorted({0, 1, d // 2}):
+            angles = tuple(rng.uniform(-np.pi, np.pi, k))
+            np.testing.assert_array_equal(_angles_rotation(d, angles),
+                                          givens_product(d, angles))
+
+    def test_builds_no_matrix_beside_the_rotation(self):
+        # one d x d Givens matrix and one product per angle cost O(k d^3):
+        # 1.06 s at d = 512 with 256 angles
+        d = 257
+        angles = tuple(np.linspace(-3.0, 3.0, d // 2))
+        tracemalloc.start()
+        try:
+            R = _angles_rotation(d, angles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * R.nbytes

@@ -21,14 +21,14 @@ from coralign.bench.runner import (
     ExperimentConfig,
     _FEATURE_MAPS,
     _GROUPS,
+    _deep_network,
     _make_trial,
-    _train_deep,
     config_from_dict,
     config_to_dict,
     lambda_sweep,
     run_experiment,
 )
-from coralign.deep import TrainConfig, network_predict
+from coralign.deep import TrainConfig, forward, train_joint
 from coralign.errors import InvalidInputError, NumericalError
 
 
@@ -42,6 +42,14 @@ def count_eigendecompositions(monkeypatch):
 
     monkeypatch.setattr(linalg, "sym_eigen", record)
     return calls
+
+
+def train_deep(trial, cfg):
+    """One deep run of a trial at cfg.coral_weight, as the deep methods
+    train it: from the trial's network, its batches drawn from the trial
+    seed."""
+    return train_joint(_deep_network(trial, cfg), trial.Xs, trial.ys, trial.Xt, cfg,
+                       trial.seed, target_labels=trial.yt)
 
 
 def zero_shift_spec(n=300, d=4, K=2, seed=0):
@@ -76,6 +84,46 @@ class TestConfigSerialization:
         )
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
+
+    def test_json_echo_of_a_spec_config(self):
+        spec = ShiftSpec(d=4, K=2, n_source=40, n_target=50, separation=2.0,
+                         scales=(1.0, 0.5, 2.0, 1.0), mean_shift=(0.0, 0.25, 0.0, 0.0),
+                         noise_std=0.1, seed=3, rotation_angles=(0.5,))
+        cfg = ExperimentConfig(spec=spec, methods=("NA", "CORAL-reg"), trials=4, seed_base=9,
+                               lam=0.5, svm_grid=(0.1, 1.0),
+                               deep=TrainConfig(hidden=8, coral_weight=2.0))
+        assert json.dumps(config_to_dict(cfg)) == (
+            '{"methods": ["NA", "CORAL-reg"], "trials": 4, "seed_base": 9, "lam": 0.5, '
+            '"lda_lam": 1.0, "svm_grid": [0.1, 1.0], "svm_folds": 5, "svm_epochs": 20, '
+            '"deep": {"hidden": 8, "iterations": 400, "learning_rate": 0.05, "batch_size": 64, '
+            '"coral_weight": 2.0, "momentum": 0.9}, "csv_has_header": false, '
+            '"target_csv_has_labels": true, "spec": {"d": 4, "K": 2, "n_source": 40, '
+            '"n_target": 50, "separation": 2.0, "scales": [1.0, 0.5, 2.0, 1.0], '
+            '"mean_shift": [0.0, 0.25, 0.0, 0.0], "noise_std": 0.1, "seed": 3, '
+            '"rotation_angles": [0.5], "rotation_seed": null}}')
+
+    def test_json_echo_of_a_file_config(self):
+        cfg = ExperimentConfig(spec=None, methods=("NA",), trials=1, source_path="a.csv",
+                               target_path="b.bin", csv_has_header=True,
+                               target_csv_has_labels=False)
+        assert json.dumps(config_to_dict(cfg)) == (
+            '{"methods": ["NA"], "trials": 1, "seed_base": 0, "lam": 1.0, "lda_lam": 1.0, '
+            '"svm_grid": [0.001, 0.01, 0.1, 1.0, 10.0], "svm_folds": 5, "svm_epochs": 20, '
+            '"deep": {"hidden": 16, "iterations": 400, "learning_rate": 0.05, '
+            '"batch_size": 64, "coral_weight": 1.0, "momentum": 0.9}, '
+            '"csv_has_header": true, "target_csv_has_labels": false, '
+            '"source_path": "a.csv", "target_path": "b.bin"}')
+
+    @pytest.mark.parametrize("key, value", [
+        ("svm_grid", ()), ("svm_grid", (np.inf,)), ("svm_grid", (1.0, np.nan)),
+        ("svm_grid", (0.0, 1.0)), ("svm_grid", (-1.0,)), ("svm_folds", 1),
+        ("svm_folds", 0), ("svm_epochs", 0),
+    ], ids=["grid-empty", "grid-inf", "grid-nan", "grid-zero", "grid-negative", "folds-1",
+            "folds-0", "epochs-0"])
+    def test_svm_settings_checked_when_built(self, key, value):
+        # checked even when no SVM method is requested
+        with pytest.raises(InvalidInputError, match=f"^{key} must be"):
+            ExperimentConfig(spec=zero_shift_spec(), methods=("LDA",), **{key: value})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError, match="SVD-align"):
@@ -275,7 +323,7 @@ class TestRunExperiment:
         # no-coral leaves a bigger residual distance than the aligned run
         assert a.methods["deep"].post_dist[0] >= 0.0
 
-    def test_deep_accuracies_are_network_predict_scores(self):
+    def test_deep_accuracies_are_the_argmax_scores_of_train_joint(self):
         spec = rotated_anisotropic_spec(seed=4, d=6, K=3, n_source=150, n_target=150)
         cfg = ExperimentConfig(
             spec=spec,
@@ -286,10 +334,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         trial = _make_trial(cfg, cfg.seed_base, None)
         for name, weight in (("deep", cfg.deep.coral_weight), ("deep-no-coral", 0.0)):
-            trained, _ = _train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
+            trained, _ = train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
             m = report.methods[name]
-            src_pred = network_predict(trained, trial.Xs)
-            tgt_pred = network_predict(trained, trial.Xt)
+            src_pred = np.argmax(forward(trained, trial.Xs), axis=1)
+            tgt_pred = np.argmax(forward(trained, trial.Xt), axis=1)
             assert m.source_acc[0] == np.mean(src_pred == trial.ys)
             assert m.target_acc[0] == np.mean(tgt_pred == trial.yt)
 
@@ -308,7 +356,7 @@ class TestRunExperiment:
             want_class, want_coral = [], []
             for t in range(cfg.trials):
                 trial = _make_trial(cfg, t, None)
-                _, rep = _train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
+                _, rep = train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
                 want_class.append(np.mean(rep.class_loss[10:]))
                 want_coral.append(weight * np.mean(rep.coral_loss[10:]))
             extras = report.methods[name].extras
@@ -523,7 +571,7 @@ class TestFrozenConfigResults:
 
 class TestChosenC:
     def test_svm_methods_report_each_trials_cross_validated_C(self):
-        # chosen_C is a serial cross_validate_C call on the method's source;
+        # chosen_C is a one-member cross-validated fit of the method's source;
         # cv_acc the mean over folds of serial _cv_accuracies at that C
         config = ExperimentConfig(spec=rotated_anisotropic_spec(0), trials=2,
                                   methods=tuple(_FEATURE_MAPS) + ("LDA", "CORAL-LDA"))
@@ -539,8 +587,8 @@ class TestChosenC:
             for t in range(2):
                 trial = _make_trial(config, t, None)
                 Xs = fmap(trial, config)[0]
-                C = classify.cross_validate_C(Xs, trial.ys, config.svm_grid,
-                                              config.svm_folds, trial.seed, config.svm_epochs)
+                C = classify.fit_cross_validated([Xs], trial.ys, config.svm_grid, config.svm_folds,
+                                                 trial.seed, config.svm_epochs)[0].C
                 accs = classify._cv_accuracies(classify._stack_members([Xs]), trial.ys, grid,
                                                config.svm_folds, trial.seed, config.svm_epochs)
                 want.append(C)
@@ -573,3 +621,71 @@ class TestLambdaSweep:
         accs = [r["target_acc_mean"] for r in rep.rows]
         assert max(accs) - min(accs) <= 0.05
         assert json.dumps(rep.to_dict())
+
+    def test_empty_lambda_list_without_analytical_rejected(self):
+        cfg = ExperimentConfig(spec=zero_shift_spec(n=120), methods=("CORAL-reg",), trials=1)
+        with pytest.raises(InvalidInputError, match="empty lambda list"):
+            lambda_sweep(cfg, [], include_analytical=False)
+
+
+def reference_sweep(config, lambdas, include_analytical):
+    """Oracle: the sweep as one run_experiment per row, each building
+    every trial and fitting its one method alone."""
+    runs = [(float(lam), dict(methods=("CORAL-reg",), lam=float(lam))) for lam in lambdas]
+    if include_analytical:
+        runs.append(("analytical", dict(methods=("CORAL-analytical",))))
+    rows = []
+    for lam, overrides in runs:
+        cfg = dataclasses.replace(config, **overrides)
+        m = run_experiment(cfg).methods[cfg.methods[0]]
+        rows.append({"lam": lam, "target_acc": m.target_acc,
+                     "target_acc_mean": m.target_acc_mean, "target_acc_std": m.target_acc_std})
+    return rows
+
+
+class TestLambdaSweepInOnePass:
+    # Each row is a member of one stacked fit per trial, bit for bit its
+    # lone fit under the default SkylakeX kernel (see classify).
+    SPEC = rotated_anisotropic_spec(seed=5, n_source=300, n_target=300)
+
+    @pytest.mark.parametrize("include_analytical", [True, False])
+    def test_rows_equal_one_run_per_row(self, include_analytical):
+        cfg = ExperimentConfig(spec=self.SPEC, methods=("NA",), trials=2, seed_base=3)
+        lambdas = [0.001, 0.1, 1.0, 10.0]
+        got = lambda_sweep(cfg, lambdas, include_analytical).to_dict()["rows"]
+        # JSON text compares every float exactly, NaN included
+        assert json.dumps(got) == json.dumps(reference_sweep(cfg, lambdas, include_analytical))
+
+    def test_file_config_rows_equal_one_run_per_row(self, tmp_path):
+        from coralign.bench.data import generate_shift
+
+        src, tgt = generate_shift(self.SPEC)
+        sp, tp = tmp_path / "s.csv", tmp_path / "t.csv"
+        save_csv(src, sp)
+        save_csv(tgt, tp)
+        cfg = ExperimentConfig(spec=None, methods=("CORAL-reg",), trials=2,
+                               source_path=str(sp), target_path=str(tp))
+        got = lambda_sweep(cfg, [0.01, 1.0]).to_dict()["rows"]
+        assert json.dumps(got) == json.dumps(reference_sweep(cfg, [0.01, 1.0], True))
+
+    def test_each_trial_built_once_and_fitted_in_one_call(self, monkeypatch):
+        shifts, sgd_runs = [], []
+        generate, kernel = runner.generate_shift, classify._sgd
+
+        def counting_shift(spec):
+            shifts.append(spec.seed)
+            return generate(spec)
+
+        def counting_sgd(Xa, *args):
+            sgd_runs.append(Xa.shape[0])
+            return kernel(Xa, *args)
+
+        monkeypatch.setattr(runner, "generate_shift", counting_shift)
+        monkeypatch.setattr(classify, "_sgd", counting_sgd)
+        cfg = ExperimentConfig(spec=self.SPEC, methods=("CORAL-reg",), trials=3, seed_base=2)
+        rep = lambda_sweep(cfg, [0.001, 0.01, 0.1, 1.0])
+        assert len(rep.rows) == 5
+        assert shifts == [2, 3, 4]
+        # 300 rows in 5 folds: one fold group, then the final fit, each
+        # run stepping the five rows' sources as members
+        assert sgd_runs == [5] * 6

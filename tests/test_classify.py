@@ -6,7 +6,7 @@ bit-for-bit on the final objective.  Cross-validation is checked against
 brute-force re-evaluation of every grid point, and its lockstep kernel
 (every (fold, C) fit in one run) against a serial loop over train_svm.
 The stacked fit of several feature matrices is checked, member by member,
-against serial cross_validate_C + train_svm.
+against a one-member fit's C and a serial train_svm at that C.
 """
 
 import warnings
@@ -21,10 +21,8 @@ from coralign.classify import (
     LinearModel,
     MINIBATCH,
     accuracy,
-    cross_validate_C,
     fit_cross_validated,
     predict,
-    svm_objective,
     train_svm,
 )
 from coralign.errors import InvalidInputError
@@ -38,6 +36,31 @@ def blobs(rng, means, per_class):
     y = np.repeat(np.arange(K), per_class)
     X = means[y] + rng.standard_normal((len(y), d))
     return X, y
+
+
+def replay_objective(Wa, X, y, C):
+    """Oracle: the documented training objective of augmented weight rows
+    Wa (K, d+1), the bias last, on the rows X: mean one-vs-rest hinge
+    plus 0.5 lambda_reg ||w||^2, lambda_reg = 1/(C n), averaged over the
+    classes."""
+    n = len(X)
+    K = int(np.max(y)) + 1
+    lam = 1.0 / (C * n)
+    Y = np.where(y[:, None] == np.arange(K)[None, :], 1.0, -1.0)
+    scores = np.hstack([X, np.ones((n, 1))]) @ Wa.T
+    hinge = np.maximum(0.0, 1.0 - Y * scores).mean(axis=0)
+    reg = 0.5 * lam * (Wa[:, :-1] ** 2).sum(axis=1)
+    return float((hinge + reg).mean())
+
+
+def augmented(model):
+    """A model's weight rows with the bias appended, as (K, d+1)."""
+    return np.hstack([model.W, model.b[:, None]])
+
+
+def cv_choice(D, y, grid, folds, seed, epochs=20):
+    """The C that cross-validation picks for one feature matrix."""
+    return fit_cross_validated([D], y, grid, folds, seed, epochs)[0].C
 
 
 def replay_train(X, y, C, epochs, seed):
@@ -59,10 +82,7 @@ def replay_train(X, y, C, epochs, seed):
     rng = np.random.default_rng(seed)
 
     def obj(Wm):
-        scores = Xa @ Wm.T
-        hinge = np.maximum(0.0, 1.0 - Y * scores).mean(axis=0)
-        reg = 0.5 * lam * (Wm[:, :-1] ** 2).sum(axis=1)
-        return float((hinge + reg).mean())
+        return replay_objective(Wm, X, y, C)
 
     t = 0
     scale = 1.0
@@ -121,9 +141,8 @@ class TestTrainSvm:
         y = np.array([0, 0, 1, 1, 2, 2])
         model = train_svm(X, y, C=0.7, epochs=3, seed=11)
         want_obj, want_W = replay_train(X, y, C=0.7, epochs=3, seed=11)
-        got_obj = svm_objective(model, X, y)
-        assert got_obj == want_obj  # bit-identical, no tolerance
-        np.testing.assert_array_equal(np.hstack([model.W, model.b[:, None]]), want_W)
+        np.testing.assert_array_equal(augmented(model), want_W)  # bit-identical
+        assert replay_objective(augmented(model), X, y, C=0.7) == want_obj
 
     def test_objective_non_increasing_per_epoch(self):
         # training for j epochs reproduces the state after epoch j of a
@@ -133,7 +152,7 @@ class TestTrainSvm:
         X, y = blobs(rng, [[1.0, 0.0, 0.5], [-0.5, 1.0, -1.0], [0.0, -1.2, 0.8]], 40)
         for C in (0.01, 1.0):
             objs = [
-                svm_objective(train_svm(X, y, C=C, epochs=j, seed=9), X, y)
+                replay_objective(augmented(train_svm(X, y, C=C, epochs=j, seed=9)), X, y, C)
                 for j in range(1, 9)
             ]
             diffs = np.diff(objs)
@@ -157,6 +176,18 @@ class TestTrainSvm:
         y = np.array([0, 1] * 5)
         with pytest.raises(InvalidInputError):
             train_svm(X, y, C=0.0, epochs=5, seed=0)
+
+    @pytest.mark.parametrize("C", [np.inf, np.nan])
+    def test_non_finite_C_rejected_before_training(self, C):
+        # an infinite C once trained to NaN weights with divide-by-zero warnings
+        X = np.random.default_rng(0).standard_normal((10, 2))
+        y = np.array([0, 1] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="C must be a finite number > 0"):
+                train_svm(X, y, C=C, epochs=5, seed=0)
+            with pytest.raises(InvalidInputError, match="C must be a finite number > 0"):
+                cv_choice(X, y, [1.0, C], folds=2, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
     def test_non_finite_or_huge_labels_rejected_without_a_warning(self, bad):
@@ -198,13 +229,13 @@ class TestCrossValidateC:
     def test_single_element_grid(self):
         rng = np.random.default_rng(3)
         X, y = blobs(rng, [[3.0, 0.0], [-3.0, 0.0]], 20)
-        assert cross_validate_C(X, y, [0.25], folds=2, seed=0) == 0.25
+        assert cv_choice(X, y, [0.25], folds=2, seed=0) == 0.25
 
     def test_best_grid_point_by_brute_force(self):
         rng = np.random.default_rng(4)
         X, y = blobs(rng, [[2.5, 0.5], [-2.5, -0.5]], 30)
         grid = [0.01, 1.0, 100.0]
-        got = cross_validate_C(X, y, grid, folds=3, seed=7)
+        got = cv_choice(X, y, grid, folds=3, seed=7)
 
         # oracle: same fold layout, every grid point re-evaluated from scratch
         perm = np.random.default_rng(7).permutation(len(X))
@@ -227,7 +258,7 @@ class TestCrossValidateC:
         X = rng.standard_normal((120, 5))
         y = rng.permutation(np.repeat(np.arange(3), 40))
         grid = [0.01, 1.0]
-        got = cross_validate_C(X, y, grid, folds=4, seed=1)
+        got = cv_choice(X, y, grid, folds=4, seed=1)
         assert got in grid
 
         perm = np.random.default_rng(1).permutation(len(X))
@@ -245,7 +276,7 @@ class TestCrossValidateC:
         X = np.random.default_rng(0).standard_normal((10, 2))
         y = np.array([0, 1] * 5)
         with pytest.raises(InvalidInputError):
-            cross_validate_C(X, y, [], folds=2, seed=0)
+            cv_choice(X, y, [], folds=2, seed=0)
 
 
 def serial_cv(X, y, grid, folds, seed, epochs=20):
@@ -310,7 +341,7 @@ class TestLockstepCrossValidation:
         Xa = classify._stack_members([X])
         got = classify._cv_accuracies(Xa, y, GRID, kw["folds"], kw["seed"], 20)[0]
         np.testing.assert_array_equal(got, want_accs)  # every (C, fold), exact
-        assert cross_validate_C(X, y, GRID, **kw) == want_C
+        assert cv_choice(X, y, GRID, **kw) == want_C
 
     def test_awkward_case_is_awkward(self):
         X, y, kw = awkward_case()
@@ -370,9 +401,11 @@ class TestLockstepCrossValidation:
 
         monkeypatch.setattr(classify, "_sgd", counting)
         monkeypatch.setattr(classify, "train_svm", forbidden)
-        cross_validate_C(X, y, GRID, **kw)
-        # groups by (training size, class count): fold 0; folds 1, 3; fold 2
-        assert sorted(runs) == [((1, 30), 3), ((1, 31), 2), ((2, 31), 3)]
+        cv_choice(X, y, GRID, **kw)
+        # groups by (training size, class count): fold 0; folds 1, 3; fold 2;
+        # then the final fit on all 41 rows
+        assert runs[-1] == ((1, 41), 3)
+        assert sorted(runs[:-1]) == [((1, 30), 3), ((1, 31), 2), ((2, 31), 3)]
 
     def test_single_class_training_fold_still_raises(self):
         # class 1 only in held-out part 0: fold 0 trains on class 0 alone
@@ -383,7 +416,7 @@ class TestLockstepCrossValidation:
         with pytest.raises(InvalidInputError):
             train_svm(X[parts[1]], y[parts[1]], C=1.0, epochs=5, seed=3)
         with pytest.raises(InvalidInputError):
-            cross_validate_C(X, y, [1.0], folds=2, seed=3)
+            cv_choice(X, y, [1.0], folds=2, seed=3)
 
     def test_fewer_rows_than_classes_in_a_fold_still_raises(self):
         # 4 rows, 2 folds: one fold trains 2 rows on labels {0, 3}, K = 4
@@ -395,12 +428,12 @@ class TestLockstepCrossValidation:
         with pytest.raises(InvalidInputError, match="at least K"):
             train_svm(X[parts[1]], y[parts[1]], C=1.0, epochs=5, seed=1)
         with pytest.raises(InvalidInputError, match="at least K"):
-            cross_validate_C(X, y, [1.0], folds=2, seed=1)
+            cv_choice(X, y, [1.0], folds=2, seed=1)
 
     def test_nonpositive_grid_value_rejected(self):
         X, y, kw = awkward_case()
         with pytest.raises(InvalidInputError):
-            cross_validate_C(X, y, [0.0, 1.0], **kw)
+            cv_choice(X, y, [0.0, 1.0], **kw)
 
 
 def awkward_members():
@@ -428,7 +461,7 @@ class TestFitCrossValidated:
         models = fit_cross_validated(Ds, y, GRID, kw["folds"], kw["seed"], 20)
         assert len(models) == len(Ds)
         for D, got in zip(Ds, models):
-            C = cross_validate_C(D, y, GRID, **kw)
+            C = cv_choice(D, y, GRID, **kw)
             want = train_svm(D, y, C=C, epochs=20, seed=kw["seed"])
             assert got.C == C
             np.testing.assert_array_equal(got.W, want.W)  # bit for bit

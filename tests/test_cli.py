@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,31 @@ class TestOutOfRangeNumbers:
                      "--source-labels", "--lambda", lam,
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: lambda must be")
+
+    @pytest.mark.parametrize("key, value, method", [
+        ("svm_grid", [float("inf")], "NA"),
+        ("svm_grid", [], "LDA"),
+        ("svm_folds", 0, "LDA"),
+        ("svm_epochs", 0, "LDA"),
+    ], ids=["grid-inf", "grid-empty", "folds-0", "epochs-0"])
+    def test_svm_setting(self, tmp_path, capsys, files, key, value, method):
+        # an infinite C trained to NaN weights and exited 0; the others
+        # passed unchecked when no SVM method ran
+        cfg = self._config(tmp_path, files, methods=[method], **{key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bench", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("key", ["learning_rate", "coral_weight"])
+    def test_deep_setting(self, tmp_path, capsys, files, key):
+        # exited 2 after numpy warnings, "diverged at iteration 1"
+        cfg = self._config(tmp_path, files, methods=["deep"], deep={key: float("inf")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["deep", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a finite number" in err
 
     @pytest.mark.parametrize("mode", ["plain", "coral"])
     @pytest.mark.parametrize("lam", ["nan", "inf"])

@@ -25,7 +25,6 @@ from coralign.deep import (
     finite_diff_check,
     forward,
     init_network,
-    network_predict,
     train_joint,
 )
 from coralign.errors import InvalidInputError
@@ -149,13 +148,13 @@ class TestForward:
     def test_single_identity_layer(self):
         net = Network(layers=[(np.eye(3), np.zeros(3))])
         X = np.random.default_rng(9).standard_normal((5, 3))
-        logits, _ = forward(net, X)
+        logits = forward(net, X)
         np.testing.assert_allclose(logits, X, atol=1e-12)
 
     def test_zero_weights_emit_bias(self):
         b = np.array([0.5, -1.5])
         net = Network(layers=[(np.zeros((4, 2)), b)])
-        logits, _ = forward(net, np.random.default_rng(10).standard_normal((6, 4)))
+        logits = forward(net, np.random.default_rng(10).standard_normal((6, 4)))
         np.testing.assert_allclose(logits, np.tile(b, (6, 1)), atol=1e-12)
 
     def test_two_layer_relu_matches_neuron_loop(self):
@@ -164,7 +163,7 @@ class TestForward:
         W2, b2 = rng.standard_normal((6, 3)), rng.standard_normal(3)
         net = Network(layers=[(W1, b1), (W2, b2)])
         X = rng.standard_normal((7, 4))
-        logits, _ = forward(net, X)
+        logits = forward(net, X)
         for i in range(7):
             hidden = np.zeros(6)
             for j in range(6):
@@ -215,8 +214,9 @@ class TestFiniteDiffCheck:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("hidden", 0), ("iterations", 0), ("learning_rate", 0.0),
-        ("learning_rate", -0.05), ("learning_rate", float("nan")), ("batch_size", 1),
-        ("coral_weight", -1.0), ("coral_weight", float("nan")), ("momentum", 1.0),
+        ("learning_rate", -0.05), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("batch_size", 1), ("coral_weight", -1.0),
+        ("coral_weight", float("nan")), ("coral_weight", float("inf")), ("momentum", 1.0),
         ("momentum", -0.1),
     ])
     def test_bad_setting_rejected_when_built(self, field, value):
@@ -301,26 +301,21 @@ class TestTraining:
     def test_default_run_scores_once_from_final_logits(self, monkeypatch):
         import coralign.deep as deep_mod
 
-        rows, predicted = [], []
+        rows = []
         monkeypatch.setattr(
             deep_mod, "forward",
             lambda net, X: rows.append(len(X)) or forward(net, X),
-        )
-        monkeypatch.setattr(
-            deep_mod, "network_predict",
-            lambda net, X: predicted.append(len(X)) or network_predict(net, X),
         )
         rng = np.random.default_rng(23)
         Xs, y, Xt, yt = shifted_blobs(rng)
         cfg = self._cfg(iterations=15)
         net, report = train_joint(init_network([6, 8, 3], seed=4), Xs, y, Xt,
                                   cfg, 0, target_labels=yt)
-        assert predicted == []
         assert sum(rows) <= cfg.iterations * 2 * cfg.batch_size + len(Xs) + len(Xt)
         assert report.source_acc is None and report.target_acc is None
-        # the final scores are network_predict's, bit for bit
-        assert report.final_source_acc == np.mean(network_predict(net, Xs) == y)
-        assert report.final_target_acc == np.mean(network_predict(net, Xt) == yt)
+        # the final scores are those of the trained logits' argmax, bit for bit
+        assert report.final_source_acc == np.mean(np.argmax(forward(net, Xs), axis=1) == y)
+        assert report.final_target_acc == np.mean(np.argmax(forward(net, Xt), axis=1) == yt)
 
     def test_accuracy_curves_change_no_other_output(self):
         rng = np.random.default_rng(24)
@@ -346,7 +341,7 @@ class TestTraining:
         Xs, y, Xt, _ = shifted_blobs(rng)
         net, report = train_joint(init_network([6, 8, 3], seed=8), Xs, y, Xt,
                                   self._cfg(iterations=10), 0)
-        ls, lt = forward(net, Xs)[0], forward(net, Xt)[0]
+        ls, lt = forward(net, Xs), forward(net, Xt)
         for stats, logits in ((report.final_source_stats, ls),
                               (report.final_target_stats, lt)):
             want = mean_and_covariance(logits)
@@ -361,7 +356,7 @@ class TestTraining:
         for weight in (1.0, 0.0):
             _, report = train_joint(net, Xs, y, Xt,
                                     self._cfg(iterations=10, coral_weight=weight), 0)
-            want = coral_loss(forward(net, Xs)[0], forward(net, Xt)[0])
+            want = coral_loss(forward(net, Xs), forward(net, Xt))
             assert report.initial_coral_distance == want  # bit for bit
         _, report = train_joint(net, Xs, y, None, self._cfg(iterations=5), 0)
         assert np.isnan(report.initial_coral_distance)
@@ -456,10 +451,10 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train_joint(net, Xs, y, Xt, self._cfg(batch_size=1000), 0)
 
-    def test_network_predict_argmax(self):
+    def test_argmax_of_the_logits_is_the_class(self):
         net = Network(layers=[(np.eye(3), np.zeros(3))])
         X = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 0.5]])
-        np.testing.assert_array_equal(network_predict(net, X), [1, 0])
+        np.testing.assert_array_equal(np.argmax(forward(net, X), axis=1), [1, 0])
 
 
 def reference_train(net, X, y, Xt, cfg, weight, seed):

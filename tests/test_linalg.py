@@ -343,6 +343,23 @@ class TestStandardize:
         np.testing.assert_allclose(means, [5.0])
         np.testing.assert_allclose(stds, [1.0])
 
+    @pytest.mark.parametrize("value", [0.1, 1e8 + 0.3, -7.3e-5])
+    def test_constant_column_whose_mean_rounds_comes_out_zero(self, value):
+        # the computed std of 1000 copies of 0.1 is 1.4e-15, not 0, and it
+        # once scaled the column to 0.9995 in every row
+        rng = np.random.default_rng(16)
+        X = np.column_stack([rng.standard_normal(1000), np.full(1000, value),
+                             1e8 + rng.standard_normal(1000)])
+        assert X[:, 1].std(ddof=1) > 0.0
+        out, means, stds = standardize(X)
+        np.testing.assert_array_equal(out[:, 1], np.zeros(1000))  # exactly
+        assert means[1] == value and stds[1] == 1.0
+        # the other columns are standardized as before, bit for bit
+        want_stds = X.std(axis=0, ddof=1)
+        want = (X - X.mean(axis=0)) / want_stds
+        np.testing.assert_array_equal(out[:, [0, 2]], want[:, [0, 2]])
+        np.testing.assert_array_equal(stds[[0, 2]], want_stds[[0, 2]])
+
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
             standardize(np.array([[1.0, 2.0]]))
