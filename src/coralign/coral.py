@@ -14,30 +14,70 @@ Both take each domain's covariance as a ``linalg.SymOperator``
 (n - 1 < d) that operator comes from the n x n Gram matrix of the
 centred rows, so wide fits never form or decompose a d x d covariance.
 
-The transform can be applied to feature rows (D @ A) or pushed into a
-linear model's weights (w -> A w), which scores identically.
+A fitted ``CoralTransform`` keeps A as its two symmetric factors,
+A = source · target, each a ``SymOperator``; the d x d matrix itself is
+formed only when ``CoralTransform.A`` is first read.  The transform can
+be applied to feature rows (D @ A) or pushed into a linear model's
+weights (w -> A w), which scores identically.  When both factors have a
+full d-column basis (tall data on both sides) either application goes
+through A; otherwise it goes through one factor after the other, so
+wide data is fitted and applied without any d x d matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .classify import LinearModel
 from .errors import InvalidInputError, NumericalError
-from .linalg import as_feature_matrix, covariance_operator
+from .linalg import SymOperator, as_feature_matrix, covariance_operator
+
+
+def _finite(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} contains non-finite entries")
+    return values
 
 
 @dataclass(frozen=True)
 class CoralTransform:
-    """A fitted alignment matrix with its provenance."""
+    """A fitted alignment map A = source · target with its provenance.
 
-    A: np.ndarray
+    ``source`` is (C_S + lam I)^{-1/2}, or pinv_sqrt(C_S) in analytical
+    mode; ``target`` is (C_T + lam I)^{1/2}, or root_r(C_T).  Both must be
+    finite (NumericalError otherwise).  ``A`` is formed from them on its
+    first read and kept; it raises NumericalError if it overflows.
+    """
+
+    source: SymOperator
+    target: SymOperator
     mode: str  # "regularized" or "analytical"
     lam: float | None
     rank_used: int | None
-    source_dim: int
+
+    def __post_init__(self):
+        for op in (self.source, self.target):
+            for part in (op.shift, op.basis, op.spectrum):
+                _finite(part, "fitted transform factor")
+
+    @property
+    def source_dim(self) -> int:
+        return self.source.dim
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        target = self.target
+        if self.mode == "analytical":
+            # root_r(C_T) as the plain product (U_r sqrt(w_r)) U_r^T:
+            # dense() would symmetrize it, which moves CORAL-analytical's
+            # results in the last bits
+            color = (target.basis * target.spectrum) @ target.basis.T
+        else:
+            color = target.dense()
+        return _finite(self.source.dense() @ color, "fitted transform")
 
 
 def _check_pair(D_S, D_T) -> tuple[np.ndarray, np.ndarray]:
@@ -61,13 +101,10 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
         raise InvalidInputError(
             "lambda must be > 0 in regularized mode; use the analytical fit for lambda = 0"
         )
-    inv_root = covariance_operator(D_S, lam).power(-0.5)
-    color = covariance_operator(D_T, lam).power(0.5)
-    A = inv_root.dense() @ color.dense()
-    if not np.all(np.isfinite(A)):
-        raise NumericalError("fitted transform contains non-finite entries")
     return CoralTransform(
-        A=A, mode="regularized", lam=float(lam), rank_used=None, source_dim=D_S.shape[1]
+        source=covariance_operator(D_S, lam).power(-0.5),
+        target=covariance_operator(D_T, lam).power(0.5),
+        mode="regularized", lam=float(lam), rank_used=None,
     )
 
 
@@ -83,52 +120,51 @@ def fit_analytical(D_S, D_T) -> CoralTransform:
     lie in that range.  That always holds when C_S has full rank, and
     then the result is C_T itself.  Otherwise, as on most wide source
     data, R P_S R falls short of C_T,r.
-
-    When either side is wide (n - 1 < d) the product is taken in
-    factored form, A = V_S diag(w_S)^{-1/2} (V_S^T U_r) diag(w_r)^{1/2}
-    U_r^T, so no d x d matrix is formed before A itself.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    d = D_S.shape[1]
     S, T = covariance_operator(D_S), covariance_operator(D_T)
-    inv_root = S.pinv_sqrt()
     r = min(int(S.rank_mask().sum()), int(T.rank_mask().sum()))
     top = np.argsort(T.spectrum)[::-1][:r]
-    U_r, root_w = T.basis[:, top], np.sqrt(T.spectrum[top])
-    if S.basis.shape[1] == d and T.basis.shape[1] == d:
-        A = inv_root.dense() @ ((U_r * root_w) @ U_r.T)
-    else:
-        V_S = inv_root.basis
-        A = (V_S * inv_root.spectrum) @ (((V_S.T @ U_r) * root_w) @ U_r.T)
-    if not np.all(np.isfinite(A)):
-        raise NumericalError("fitted transform contains non-finite entries")
     return CoralTransform(
-        A=A, mode="analytical", lam=None, rank_used=r, source_dim=d
+        source=S.pinv_sqrt(),
+        target=SymOperator(0.0, T.basis[:, top], np.sqrt(T.spectrum[top])),
+        mode="analytical", lam=None, rank_used=r,
     )
 
 
+def _full_bases(T: CoralTransform) -> bool:
+    """Whether both factors have a full d-column basis, as they do on
+    tall data; only then is the d x d map applied as one matrix."""
+    return T.source.basis.shape[1] == T.target.basis.shape[1] == T.source_dim
+
+
 def apply_to_features(T: CoralTransform, D) -> np.ndarray:
-    """Return D @ A."""
+    """Return D @ A: as D @ T.A when both factors have a full basis, else
+    as (D · source) · target.  NumericalError if the result overflows."""
     D = as_feature_matrix(D)
     if D.shape[1] != T.source_dim:
         raise InvalidInputError(
             f"transform expects dimension {T.source_dim}, got {D.shape[1]}"
         )
-    return D @ T.A
+    out = D @ T.A if _full_bases(T) else T.target.apply(T.source.apply(D))
+    return _finite(out, "transformed features")
 
 
 def apply_to_weights(T: CoralTransform, model: LinearModel) -> LinearModel:
     """Push the transform into the model: each class weight w becomes A w.
 
     Scores then satisfy (x A) · w = x · (A w), so predictions agree with
-    transforming the features instead.  Biases and every other field
-    (C, cv_acc) are untouched.
+    transforming the features instead.  With both factors symmetric,
+    W A^T = (W · target) · source, the route taken unless both factors
+    have a full basis.  Biases and every other field (C, cv_acc) are
+    untouched.  NumericalError if the weights overflow.
     """
     if model.dim != T.source_dim:
         raise InvalidInputError(
             f"transform expects dimension {T.source_dim}, model has {model.dim}"
         )
-    return replace(model, W=model.W @ T.A.T, b=model.b.copy())
+    W = model.W @ T.A.T if _full_bases(T) else T.source.apply(T.target.apply(model.W))
+    return replace(model, W=_finite(W, "transformed weights"), b=model.b.copy())
 
 
 def whiten_both_baseline(D_S, D_T, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -5,21 +5,24 @@ truncation for the deficient-rank analytical cases, per-row loops for
 application, and score comparison for the weight-space equivalence.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from coralign import linalg
+from coralign import coral, linalg
 from coralign.classify import LinearModel, predict
 from coralign.coral import (
     CoralTransform,
+    _full_bases,
     apply_to_features,
     apply_to_weights,
     fit_analytical,
     fit_regularized,
     whiten_both_baseline,
 )
-from coralign.errors import InvalidInputError
+from coralign.errors import InvalidInputError, NumericalError
 from coralign.linalg import DEFAULT_RANK_TOL, mean_and_covariance, standardize
 
 
@@ -327,69 +330,105 @@ class TestTransformProperties:
         assert gaps[-1] < gaps[0]
 
 
+def identity(d, thin):
+    """The d x d identity as an operator: a full orthonormal basis with
+    unit spectrum, or shift 1 on an empty thin basis."""
+    if thin:
+        return linalg.SymOperator(1.0, np.zeros((d, 0)), np.zeros(0))
+    return linalg.SymOperator(0.0, np.eye(d), np.ones(d))
+
+
+def transform(source, target, mode="regularized"):
+    return CoralTransform(source=source, target=target, mode=mode, lam=1.0, rank_used=None)
+
+
+def random_operator(d, k, shift, rng):
+    """shift I + Q diag(f) Q^T on a random orthonormal d x k basis."""
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :k]
+    return linalg.SymOperator(shift, Q, rng.uniform(0.5, 2.0, k))
+
+
 class TestApplyToFeatures:
     def test_identity_transform(self):
         rng = np.random.default_rng(30)
         D = rng.standard_normal((9, 4))
-        T = CoralTransform(A=np.eye(4), mode="regularized", lam=1.0, rank_used=None, source_dim=4)
-        np.testing.assert_array_equal(apply_to_features(T, D), D)
+        for thin in (False, True):
+            T = transform(identity(4, thin), identity(4, thin))
+            np.testing.assert_array_equal(apply_to_features(T, D), D)
 
     def test_permutation_on_single_row(self):
-        T = CoralTransform(
-            A=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            mode="regularized",
-            lam=1.0,
-            rank_used=None,
-            source_dim=2,
-        )
-        np.testing.assert_array_equal(apply_to_features(T, np.array([[1.0, 0.0]])), [[0.0, 1.0]])
+        # the swap [[0, 1], [1, 0]] as a source factor with the identity as
+        # target: from its full eigenbasis, and as the reflection I - 2 v v^T
+        v = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
+        full = linalg.SymOperator(0.0, np.hstack([np.abs(v), v]), np.array([1.0, -1.0]))
+        thin = linalg.SymOperator(1.0, v, np.array([-2.0]))
+        for swap, ident in ((full, identity(2, False)), (thin, identity(2, True))):
+            got = apply_to_features(transform(swap, ident), np.array([[1.0, 0.0]]))
+            np.testing.assert_allclose(got, [[0.0, 1.0]], atol=1e-15)
 
     def test_matches_per_row_dot_oracle(self):
         rng = np.random.default_rng(31)
-        A = rng.standard_normal((6, 6))
         D = rng.standard_normal((25, 6))
-        T = CoralTransform(A=A, mode="regularized", lam=1.0, rank_used=None, source_dim=6)
-        got = apply_to_features(T, D)
-        for i in range(25):
-            want_row = np.array([np.dot(D[i], A[:, j]) for j in range(6)])
-            np.testing.assert_allclose(got[i], want_row, atol=1e-12)
+        for k, shift in ((6, 0.0), (2, 0.7)):
+            T = transform(random_operator(6, k, shift, rng), random_operator(6, k, shift, rng))
+            A = T.A
+            got = apply_to_features(T, D)
+            for i in range(25):
+                want_row = np.array([np.dot(D[i], A[:, j]) for j in range(6)])
+                np.testing.assert_allclose(got[i], want_row, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        T = CoralTransform(A=np.eye(3), mode="regularized", lam=1.0, rank_used=None, source_dim=3)
+        rng = np.random.default_rng(32)
+        T = fit_regularized(rng.standard_normal((20, 3)), rng.standard_normal((20, 3)))
         with pytest.raises(InvalidInputError):
             apply_to_features(T, np.zeros((4, 2)))
+
+
+def fitted_pair(rng, d, wide):
+    """A regularized transform fitted on tall (n > d) or wide (n < d) rows."""
+    n = d // 2 if wide else 4 * d
+    return fit_regularized(rng.standard_normal((n, d)), rng.standard_normal((n + 1, d)))
 
 
 class TestApplyToWeights:
     def test_identity_leaves_model_unchanged(self):
         rng = np.random.default_rng(40)
         model = LinearModel(W=rng.standard_normal((3, 5)), b=rng.standard_normal(3), C=1.0)
-        T = CoralTransform(A=np.eye(5), mode="regularized", lam=1.0, rank_used=None, source_dim=5)
-        out = apply_to_weights(T, model)
-        np.testing.assert_array_equal(out.W, model.W)
-        np.testing.assert_array_equal(out.b, model.b)
+        for thin in (False, True):
+            out = apply_to_weights(transform(identity(5, thin), identity(5, thin)), model)
+            np.testing.assert_array_equal(out.W, model.W)
+            np.testing.assert_array_equal(out.b, model.b)
 
     def test_zero_weights_stay_zero(self):
         rng = np.random.default_rng(41)
         model = LinearModel(W=np.zeros((2, 4)), b=np.zeros(2), C=1.0)
-        T = CoralTransform(
-            A=rng.standard_normal((4, 4)), mode="regularized", lam=1.0, rank_used=None, source_dim=4
-        )
-        np.testing.assert_array_equal(apply_to_weights(T, model).W, np.zeros((2, 4)))
+        for wide in (False, True):
+            T = fitted_pair(rng, 4, wide)
+            np.testing.assert_array_equal(apply_to_weights(T, model).W, np.zeros((2, 4)))
 
-    def test_score_equivalence_feature_vs_weight_space(self):
-        rng = np.random.default_rng(42)
-        Ds = random_full_rank(80, 6, rng)
-        Dt = random_full_rank(90, 6, rng)
-        T = fit_regularized(Ds, Dt, lam=0.1)
-        model = LinearModel(W=rng.standard_normal((4, 6)), b=rng.standard_normal(4), C=1.0)
-        X = rng.standard_normal((100, 6))
-
+    @staticmethod
+    def assert_scores_agree(T, rng, d):
+        model = LinearModel(W=rng.standard_normal((4, d)), b=rng.standard_normal(4), C=1.0)
+        X = rng.standard_normal((100, d))
         scores_feature = apply_to_features(T, X) @ model.W.T + model.b
         m2 = apply_to_weights(T, model)
         scores_weight = X @ m2.W.T + m2.b
         denom = np.maximum(np.abs(scores_feature), 1e-12)
         assert (np.abs(scores_feature - scores_weight) / denom).max() < 1e-9
+
+    def test_score_equivalence_feature_vs_weight_space(self):
+        rng = np.random.default_rng(42)
+        Ds = random_full_rank(80, 6, rng)
+        Dt = random_full_rank(90, 6, rng)
+        self.assert_scores_agree(fit_regularized(Ds, Dt, lam=0.1), rng, 6)
+
+    @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
+    def test_score_equivalence_feature_vs_weight_space_wide(self, fit):
+        rng = np.random.default_rng(45)
+        Ds, Dt = wide_case("both-wide", rng)
+        T = fit(Ds, Dt)
+        assert not _full_bases(T)
+        self.assert_scores_agree(T, rng, 24)
 
     def test_argmax_predictions_identical(self):
         rng = np.random.default_rng(43)
@@ -406,16 +445,99 @@ class TestApplyToWeights:
         rng = np.random.default_rng(44)
         model = LinearModel(W=rng.standard_normal((3, 5)), b=rng.standard_normal(3), C=0.1,
                             cv_acc=0.533)
-        T = CoralTransform(A=rng.standard_normal((5, 5)), mode="regularized", lam=1.0,
-                           rank_used=None, source_dim=5)
-        out = apply_to_weights(T, model)
-        assert (out.C, out.cv_acc) == (0.1, 0.533)
+        for wide in (False, True):
+            out = apply_to_weights(fitted_pair(rng, 5, wide), model)
+            assert (out.C, out.cv_acc) == (0.1, 0.533)
 
     def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(46)
         model = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2), C=1.0)
-        T = CoralTransform(A=np.eye(4), mode="regularized", lam=1.0, rank_used=None, source_dim=4)
         with pytest.raises(InvalidInputError):
+            apply_to_weights(fitted_pair(rng, 4, wide=False), model)
+
+
+class TestFactoredRoute:
+    @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
+    @pytest.mark.parametrize("case", WIDE_CASES)
+    def test_wide_features_match_the_dense_map(self, case, fit):
+        Ds, Dt = wide_case(case, np.random.default_rng(70))
+        T = fit(Ds, Dt)
+        want = Ds @ T.A
+        got = apply_to_features(T, Ds)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_both_wide_never_forms_a_dense_operator(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("SymOperator.dense called")
+
+        monkeypatch.setattr(linalg.SymOperator, "dense", refuse)
+        rng = np.random.default_rng(71)
+        Ds, Dt = wide_case("both-wide", rng)
+        model = LinearModel(W=rng.standard_normal((3, 24)), b=np.zeros(3), C=1.0)
+        for fit in (fit_analytical, fit_regularized):
+            T = fit(Ds, Dt)
+            apply_to_features(T, Ds)
             apply_to_weights(T, model)
+
+    def test_tall_features_are_bitwise_D_at_A(self):
+        # on tall data A is source.dense() @ target.dense(), or with the
+        # analytical root_r(C_T) as the plain product (U_r sqrt(w_r)) U_r^T,
+        # and both applications go through it
+        rng = np.random.default_rng(72)
+        Ds = random_full_rank(200, 12, rng)
+        Dt = random_full_rank(150, 12, rng)
+        S, Ct = linalg.covariance_operator(Ds, 0.5), linalg.covariance_operator(Dt, 0.5)
+        T = fit_regularized(Ds, Dt, lam=0.5)
+        np.testing.assert_array_equal(T.A, S.power(-0.5).dense() @ Ct.power(0.5).dense())
+        S, Ct = linalg.covariance_operator(Ds), linalg.covariance_operator(Dt)
+        U, w = Ct.basis[:, ::-1], Ct.spectrum[::-1]
+        A = fit_analytical(Ds, Dt).A
+        np.testing.assert_array_equal(A, S.pinv_sqrt().dense() @ ((U * np.sqrt(w)) @ U.T))
+        model = LinearModel(W=rng.standard_normal((3, 12)), b=np.zeros(3), C=1.0)
+        for T in (fit_regularized(Ds, Dt, lam=0.5), fit_analytical(Ds, Dt)):
+            np.testing.assert_array_equal(apply_to_features(T, Dt), Dt @ T.A)
+            np.testing.assert_array_equal(apply_to_weights(T, model).W, model.W @ T.A.T)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("fit", [fit_analytical, fit_regularized])
+    def test_fits_reject_non_finite_factors(self, fit, monkeypatch):
+        def corrupted(X, lam=0.0):
+            op = linalg.covariance_operator(X, lam)
+            return replace(op, basis=np.full_like(op.basis, np.nan))
+
+        monkeypatch.setattr(coral, "covariance_operator", corrupted)
+        rng = np.random.default_rng(80)
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit(rng.standard_normal((30, 4)), rng.standard_normal((30, 4)))
+
+    def test_map_that_overflows_is_rejected(self):
+        # each factor is finite (about 1e160 and 1e150) but their product
+        # overflows; the tall application reads A and must not return NaN
+        rng = np.random.default_rng(81)
+        Ds = rng.standard_normal((50, 8)) * 1e-170
+        Dt = rng.standard_normal((60, 8)) * 1e150
+        T = fit_regularized(Ds, Dt, lam=1e-320)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite"):
+                T.A
+            with pytest.raises(NumericalError, match="non-finite"):
+                apply_to_features(T, Ds)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_applications_reject_non_finite_output(self, wide):
+        # a target 10 times the source's scale makes A about 7 I
+        rng = np.random.default_rng(82)
+        n = 4 if wide else 32
+        T = fit_regularized(rng.standard_normal((n, 8)), 10 * rng.standard_normal((n + 1, 8)))
+        assert _full_bases(T) is not wide
+        huge = np.full((3, 8), 1e308)
+        model = LinearModel(W=huge, b=np.zeros(3), C=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="transformed features"):
+                apply_to_features(T, huge)
+            with pytest.raises(NumericalError, match="transformed weights"):
+                apply_to_weights(T, model)
 
 
 class TestWhitenBothBaseline:
