@@ -183,23 +183,49 @@ def _balanced_labels(n: int, K: int) -> np.ndarray:
     return np.repeat(np.arange(K), counts)
 
 
+# Entries per row block of generate_shift's elementwise work: blocks
+# keep its temporaries small against the n x d outputs.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int, d: int) -> list[slice]:
+    step = max(1, _BLOCK_ENTRIES // d)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _clusters(rng: np.random.Generator, means, labels, d: int) -> np.ndarray:
+    """Unit Gaussian draws around the class means of ``labels``: the
+    draws made whole, the means added in row blocks."""
+    X = rng.standard_normal((len(labels), d))
+    for rows in _row_blocks(len(labels), d):
+        X[rows] += means[labels[rows]]
+    return X
+
+
 def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
-    """Draw one (source, target) pair; deterministic per spec."""
+    """Draw one (source, target) pair; deterministic per spec.
+
+    Entry for entry the arithmetic of the one-expression form
+    ``(means[y] + z) @ M.T + mean_shift + noise_std * z'``, with every
+    draw in the same order, so the output is bitwise the same; only the
+    product is formed whole, the rest runs in row blocks."""
     rng = np.random.default_rng(spec.seed)
     R = _rotation_for(spec)
     means = (_simplex(spec.K) * spec.separation) @ R[:, : spec.K - 1].T
     M = (R * np.asarray(spec.scales)) @ R.T
 
     y_s = _balanced_labels(spec.n_source, spec.K)
-    X_s = means[y_s] + rng.standard_normal((spec.n_source, spec.d))
+    X_s = _clusters(rng, means, y_s, spec.d)
 
     y_t = _balanced_labels(spec.n_target, spec.K)
-    base = means[y_t] + rng.standard_normal((spec.n_target, spec.d))
-    X_t = (
-        base @ M.T
-        + np.asarray(spec.mean_shift)
-        + spec.noise_std * rng.standard_normal((spec.n_target, spec.d))
-    )
+    base = _clusters(rng, means, y_t, spec.d)
+    X_t = base @ M.T
+    del base
+    shift = np.asarray(spec.mean_shift)
+    for rows in _row_blocks(spec.n_target, spec.d):
+        block = X_t[rows]
+        block += shift
+        block += spec.noise_std * rng.standard_normal(block.shape)
 
     return (
         Dataset(features=X_s, labels=y_s, domain_name="source"),

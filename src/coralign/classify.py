@@ -25,13 +25,17 @@ one-member case of that final fit.
 Cross-validation shuffles the member rows in place, so each fold holds
 out one contiguous block and trains on the other rows in increasing
 order.  The epoch objective is then one product per member over all
-rows: the held-out rows' hinge is zeroed and the sum runs in row order,
-so every fold's objective is that of its gathered training rows, bitwise
-under OpenBLAS's SkylakeX and Haswell kernels (Nehalem rounds a few
-entries of the wider product differently in the last bit).  With the
-default SkylakeX kernel every stacked fit's weights are bitwise those of
-a lone ``train_svm`` call on its rows; the Haswell and Nehalem kernels
-block the stacked products differently and can differ in the last bit.
+rows, (N, d+1) by (d+1, F*G*K) for F folds and G values of C over K
+classes, followed by four contiguous passes against one signed-target
+operand built once per kernel run: each row's +-1 targets on the folds
+that train on it, 0 on the folds that hold it out.  The held-out rows'
+hinge comes out +0 and the sum runs in row order, so every fold's
+objective is that of its gathered training rows, bitwise under
+OpenBLAS's SkylakeX and Haswell kernels (Nehalem rounds a few entries of
+the wider product differently in the last bit).  With the default
+SkylakeX kernel every stacked fit's weights are bitwise those of a lone
+``train_svm`` call on its rows; the Haswell and Nehalem kernels block
+the stacked products differently and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -113,53 +117,70 @@ def _stack_members(Ds) -> np.ndarray:
     return Xa
 
 
-def _objectives(Wa, Xa, Yt, train, n: int, lam, K: int) -> np.ndarray:
+def _objectives(Wa, Xa, Ytr, n: int, lam, K: int) -> np.ndarray:
     """(M, F, G) regularized mean hinge, averaged over the one-vs-rest
     problems, of stacked runs: weights Wa (M, F, G*K, d+1) with lam
-    (M, G*K) per weight row, Yt (N, G*K) the targets of every weight row,
-    fold f on the n rows where train (N, F, 1) is 1.
+    (M, G*K) per weight row, fold f on n rows, Ytr (N, F*G*K) the
+    signed-target operand of ``_sgd``.
 
-    One product per member scores every row against all its folds' weight
-    rows; the held-out rows' hinge is zeroed, and the sum over rows runs
-    in row order, so each fold's sum is that of its training rows gathered
-    in increasing order (bitwise where the product's entries round as in
-    the gathered product's, see the module docstring)."""
+    One product per member, (N, d+1) by (d+1, F*G*K), scores every row
+    against all its folds' weight rows; four passes over the scores s
+    give the hinge.  y (y - s) = 1 - y s exactly when y = +-1, and a
+    held-out row (y = 0) gives +0 once max(0, .) is taken.  The sum over
+    rows runs in row order, so each fold's sum is that of its training
+    rows gathered in increasing order (bitwise where the product's
+    entries round as in the gathered product's, see the module
+    docstring)."""
     M, F, GK, _ = Wa.shape
     hinge = np.empty((M, F * GK))
-    H = np.empty((Xa.shape[1], F * GK))  # every member's scores, in place from here
+    H = np.empty(Ytr.shape)  # every member's scores, in place from here
     for Wm, Xm, out in zip(Wa, Xa, hinge):
         np.matmul(Xm, Wm.reshape(F * GK, -1).T, out=H)
-        folds = H.reshape(len(H), F, GK)
-        folds *= Yt[:, None, :]
-        np.subtract(1.0, H, out=H)
+        np.subtract(Ytr, H, out=H)
+        H *= Ytr
         np.maximum(0.0, H, out=H)
-        folds *= train
-        H.sum(axis=0, out=out)
+        np.add.reduce(H, axis=0, out=out)
     hinge /= n
-    reg = 0.5 * lam[:, None, :] * (Wa[..., :-1] ** 2).sum(axis=-1)
+    reg = 0.5 * lam[:, None, :] * _squared_norms(Wa)
     return (hinge + reg.reshape(hinge.shape)).reshape(M, F, -1, K).mean(axis=-1)
 
 
-def _step(Wa, Xa, Yt, idx, lam_rows, eta, radius) -> None:
+def _squared_norms(Wa) -> np.ndarray:
+    """Squared norm of each weight row of Wa (..., d+1), bias excluded:
+    every entry squared in one contiguous pass, then each row's first d
+    squares summed."""
+    return np.add.reduce(np.square(Wa)[..., :-1], axis=-1)
+
+
+def _step(Wa, Xa, Yt, idx, lam_w, eta, radius) -> None:
     """One minibatch subgradient step and ball projection of every stacked
     fit, in place on Wa (M, F, G*K, d+1); fold f steps on rows idx[f], Yt
-    (N, G*K) the targets of every weight row.  Its temporaries die on
-    return, so no two steps' copies coexist."""
+    (N, G*K) the targets of every weight row, lam_w (M, 1, G*K, d+1) the
+    lambda of every weight, 0 on the bias.  Its temporaries die on
+    return, so no two steps' copies coexist.
+
+    The weight decay runs over whole rows, which are contiguous: it adds
+    0 * b to the bias gradient, which changes no stored weight.  A row
+    inside the ball has projection scale 1, which leaves it as it is, so
+    a step whose rows all stay inside skips the projection."""
     # take, not Xa[:, idx]: each (member, fold) block stays contiguous
     Xb, Yb = np.take(Xa, idx, axis=1), np.take(Yt, idx, axis=0)
-    coef = Xb @ Wa.swapaxes(2, 3)  # margins, then in place the hinge coefficients
+    # the weights' transpose as a contiguous copy: the same (d+1, G*K)
+    # operand, which OpenBLAS multiplies faster than a transposed view
+    coef = Xb @ np.ascontiguousarray(Wa.swapaxes(2, 3))  # margins, then the hinge coefficients
     coef *= Yb
     np.less(coef, 1.0, out=coef)  # 1.0 where the margin is violated, else 0.0
     coef *= np.negative(Yb, out=Yb)
     grad = coef.swapaxes(2, 3) @ Xb
     del Xb, Yb, coef  # freed before the rest of the step allocates
     grad /= idx.shape[1]
-    grad[..., :-1] += lam_rows[..., None] * Wa[..., :-1]
+    grad += lam_w * Wa
     grad *= eta[..., None]
     Wa -= grad
-    norms = np.linalg.norm(Wa[..., :-1], axis=-1)
+    norms = np.sqrt(_squared_norms(Wa))
     shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    Wa[..., :-1] *= shrink[..., None]
+    if (shrink != 1.0).any():
+        Wa[..., :-1] *= shrink[..., None]
 
 
 def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
@@ -177,6 +198,10 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     axes and lengths as a lone run's; with OpenBLAS's SkylakeX kernel
     that gives each run the weights of a one-run call bit for bit, which
     the tests check.
+
+    The epoch objectives read one signed-target operand Ytr (N, F*G*K),
+    built once per run: row i's +-1 target of every weight row of fold
+    f where fold f trains on row i, and 0 where it holds row i out.
     """
     F, n = rows.shape
     if not (np.diff(rows, axis=1) > 0).all():
@@ -184,25 +209,28 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     Cs = np.asarray(Cs, dtype=float)
     G, K = Cs.shape[1], Ysign.shape[1]
     Yt = np.tile(Ysign, G)  # (N, G*K): the target of every weight row
-    train = np.zeros((Xa.shape[1], F, 1))
-    train[rows.T, np.arange(F), 0] = 1.0
+    Ytr = np.zeros((Xa.shape[1], F, G * K))
+    Ytr[rows.T, np.arange(F)] = Yt[rows.T]
+    Ytr = Ytr.reshape(len(Ytr), -1)
     lam = np.repeat(1.0 / (Cs * n), K, axis=1)  # (M, G*K), per weight row
     lam_rows = lam[:, None, :]  # broadcast over folds
+    lam_w = np.zeros((*lam_rows.shape, Xa.shape[2]))  # per weight, 0 on the bias
+    lam_w[..., :-1] = lam_rows[..., None]
     radius = 1.0 / np.sqrt(lam_rows)
     Wa = np.zeros((Xa.shape[0], F, G * K, Xa.shape[2]))
     scale = np.ones(Wa.shape[:3])
     rng = np.random.default_rng(seed)
 
     t = 0
-    accepted = _objectives(Wa, Xa, Yt, train, n, lam, K)
+    accepted = _objectives(Wa, Xa, Ytr, n, lam, K)
     for _ in range(epochs):
         snapshot = Wa.copy()
         perm = rng.permutation(n)
         for start in range(0, n, MINIBATCH):
             t += 1
             _step(Wa, Xa, Yt, rows[:, perm[start : start + MINIBATCH]],
-                  lam_rows, scale / (lam_rows * t), radius)
-        candidate = _objectives(Wa, Xa, Yt, train, n, lam, K)
+                  lam_w, scale / (lam_rows * t), radius)
+        candidate = _objectives(Wa, Xa, Ytr, n, lam, K)
         reject = candidate > accepted
         accepted = np.where(reject, accepted, candidate)
         reject = np.repeat(reject, K, axis=-1)

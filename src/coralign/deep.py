@@ -132,7 +132,7 @@ class LossReport:
 def _gap_loss(diff) -> float:
     """||C_S - C_T||_F^2 / (4 d^2) for diff = C_S - C_T."""
     d = diff.shape[0]
-    return float(np.sum(diff * diff) / (4.0 * d * d))
+    return float(np.add.reduce(diff * diff, axis=None) / (4.0 * d * d))
 
 
 def _loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
@@ -262,7 +262,7 @@ def _check_not_diverged(logits, iteration: int, owners) -> None:
     source slot before its target slot) if any logit of ``logits`` (S, B,
     K) is not finite or past _DIVERGENCE_LIMIT; ``owners`` maps a slot
     to its member."""
-    peak = np.abs(logits).max()
+    peak = np.maximum.reduce(np.abs(logits), axis=None)
     if np.isfinite(peak) and peak <= _DIVERGENCE_LIMIT:
         return
     peaks = np.abs(logits).max(axis=(1, 2))
@@ -276,9 +276,9 @@ def _check_not_diverged(logits, iteration: int, owners) -> None:
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _score(logits, y) -> float:
@@ -353,9 +353,10 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
     so they train in lockstep.  Each has one source slot; each member
     with a nonzero weight (and a target) also has one target slot.  Every
     layer holds one stacked weight array and momentum buffer over the
-    members; a step gathers the source and target batches once, runs one
-    forward and one backward pass over all slots, and adds each aligned
-    member's target-slot gradient to its source-slot one.  Every slot's
+    members; a step gathers the source and target batches once, into one
+    slot buffer allocated per run, runs one forward and one backward pass
+    over all slots, and adds each aligned member's target-slot gradient
+    to its source-slot one.  Every slot's
     products and reductions have a lone run's operand shapes, which keeps
     each member bitwise equal to its lone run.  A divergence raises
     _Diverged naming the member.
@@ -400,6 +401,8 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
     owners = order + order[:A]  # slot -> member, indexed as in weights
     batch = cfg.batch_size
     row_starts = (np.arange(M * batch) * K).reshape(M, batch)  # in probs.ravel()
+    # each step's input batches, gathered in place: member slots, then target slots
+    slots = np.empty((M + A, batch, X.shape[1])) if A else None
 
     # the true classes' probabilities of up to _LOSS_CHUNK steps, logged
     # and averaged together: one contiguous row per member and step sums
@@ -414,7 +417,11 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
         idx = src_rng.integers(0, n_s, size=batch)
         if A:
             t_idx = tgt_rng.integers(0, Xt.shape[0], size=batch)
-            inputs = [np.stack([X[idx]] * M + [Xt[t_idx]] * A)]
+            np.take(X, idx, axis=0, out=slots[0])
+            slots[1:M] = slots[0]
+            np.take(Xt, t_idx, axis=0, out=slots[M])
+            slots[M + 1:] = slots[M]
+            inputs = [slots]
         else:
             inputs = [X[idx]]  # broadcast over the members
         # a slot's weights: its member's own, broadcast from one member, or
@@ -453,7 +460,7 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
         dZ = d_logits
         for i in range(len(params) - 1, -1, -1):
             gW = inputs[i].swapaxes(-1, -2) @ dZ
-            gb = dZ.sum(axis=-2, keepdims=True)
+            gb = np.add.reduce(dZ, axis=-2, keepdims=True)
             if i > 0:
                 dZ = (dZ @ slot_params[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
             if A:

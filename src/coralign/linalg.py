@@ -154,7 +154,7 @@ def _centred_covariance(D):
     """Mean, centred rows and covariance of a validated matrix of at least
     2 rows, as mean_and_covariance forms them; for callers that reuse the
     centred rows."""
-    mean = D.mean(axis=0)
+    mean = np.add.reduce(D, axis=0) / len(D)
     Dc = D - mean
     cov = (Dc.T @ Dc) / (len(D) - 1)
     return mean, Dc, (cov + cov.T) / 2.0

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from coralign.bench import data
 from coralign.bench.data import (
     Dataset,
     ShiftSpec,
@@ -231,6 +232,60 @@ class TestGenerateShift:
         tc = generate_shift(c)[1].features
         np.testing.assert_array_equal(ta, tb)
         assert not np.array_equal(ta, tc)
+
+
+def one_expression_shift(spec):
+    """Oracle: generate_shift as one whole-array expression per domain."""
+    rng = np.random.default_rng(spec.seed)
+    R = data._rotation_for(spec)
+    means = (_simplex(spec.K) * spec.separation) @ R[:, : spec.K - 1].T
+    M = (R * np.asarray(spec.scales)) @ R.T
+    y_s = data._balanced_labels(spec.n_source, spec.K)
+    X_s = means[y_s] + rng.standard_normal((spec.n_source, spec.d))
+    y_t = data._balanced_labels(spec.n_target, spec.K)
+    base = means[y_t] + rng.standard_normal((spec.n_target, spec.d))
+    X_t = (base @ M.T + np.asarray(spec.mean_shift)
+           + spec.noise_std * rng.standard_normal((spec.n_target, spec.d)))
+    return X_s, X_t
+
+
+BLOCKED_SPECS = {
+    "tall": rotated_anisotropic_spec(4, d=12, n_source=700, n_target=900),
+    "wide": rotated_anisotropic_spec(5, d=96, n_source=40, n_target=70),
+    "even_K": make_spec(K=4, d=6, n_source=300, n_target=500, noise_std=0.2,
+                        scales=(2.0, 0.5, 1.0, 3.0, 1.5, 0.25),
+                        mean_shift=(0.5, 0.0, -1.0, 2.0, 0.0, 0.125),
+                        rotation_angles=None, seed=13),
+    "shift_without_noise": make_spec(mean_shift=(3.0, -2.0, 0.0, 1e-3), noise_std=0.0,
+                                     scales=(4.0, 1.0, 0.5, 2.0), rotation_angles=None,
+                                     seed=14),
+}
+
+
+class TestGenerateShiftInRowBlocks:
+    @pytest.mark.parametrize("block_entries", [data._BLOCK_ENTRIES, 50])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_SPECS))
+    def test_bytes_equal_one_expression_form(self, name, block_entries, monkeypatch):
+        # 50 entries per block: a few rows per block and a short last block
+        monkeypatch.setattr(data, "_BLOCK_ENTRIES", block_entries)
+        spec = BLOCKED_SPECS[name]
+        src, tgt = generate_shift(spec)
+        want_s, want_t = one_expression_shift(spec)
+        assert src.features.tobytes() == want_s.tobytes()
+        assert tgt.features.tobytes() == want_t.tobytes()
+
+    def test_peak_memory_at_most_3_25_output_sized_arrays(self):
+        # source, target and the target's pre-map draws live at once; the
+        # rest is row blocks and d x d matrices
+        n, d = 4000, 256
+        spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
+        tracemalloc.start()
+        try:
+            generate_shift(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * n * d * 8
 
 
 class TestRotatedAnisotropicSpec:

@@ -556,13 +556,167 @@ class TestObjectiveOracle:
             lam = np.repeat(1.0 / (Cs * n), K, axis=1)
             train = np.zeros((len(y), F, 1))
             train[rows.T, np.arange(F), 0] = 1.0
+            Ytr = (np.tile(Ysign, len(GRID))[:, None, :] * train).reshape(len(y), -1)
             trained = classify._sgd(Xa, Ysign, rows, Cs, 20, 5)
             for Wa in (rng.standard_normal(trained.shape), trained):
-                got = classify._objectives(Wa, Xa, np.tile(Ysign, len(GRID)), train,
-                                           n, lam, K)
+                got = classify._objectives(Wa, Xa, Ytr, n, lam, K)
                 want = gathered_objectives(Wa, Xa, Ysign, rows, lam)
                 assert got.shape == (len(Ds), F, len(GRID))
                 np.testing.assert_array_equal(got, want)
+
+
+def five_pass_hinge_objectives(Wa, Xa, Yt, train, n, lam, K):
+    """Oracle: the epoch objective in its five-pass form.  Scores times
+    the broadcast targets Yt (N, G*K), 1 minus that, max(0, .), times the
+    broadcast training mask train (N, F, 1), then the row-order sum."""
+    M, F, GK, _ = Wa.shape
+    hinge = np.empty((M, F * GK))
+    for Wm, Xm, out in zip(Wa, Xa, hinge):
+        H = Xm @ Wm.reshape(F * GK, -1).T
+        folds = H.reshape(len(H), F, GK)
+        folds *= Yt[:, None, :]
+        np.subtract(1.0, H, out=H)
+        np.maximum(0.0, H, out=H)
+        folds *= train
+        H.sum(axis=0, out=out)
+    hinge /= n
+    reg = 0.5 * lam[:, None, :] * (Wa[..., :-1] ** 2).sum(axis=-1)
+    return (hinge + reg.reshape(hinge.shape)).reshape(M, F, -1, K).mean(axis=-1)
+
+
+class TestSignedTargetObjective:
+    """The four-pass objective on the signed-target operand equals the
+    five-pass form bit for bit."""
+
+    def kernel_operand(self, Xa, Ysign, rows, Cs):
+        """The signed-target operand of one kernel run, as _sgd builds it."""
+        seen = []
+
+        def spy(Wa, Xa, Ytr, *args):
+            seen.append(Ytr.copy())
+            raise InvalidInputError("operand seen")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_objectives", spy)
+            with pytest.raises(InvalidInputError, match="operand seen"):
+                classify._sgd(Xa, Ysign, rows, Cs, 1, 0)
+        return seen[0]
+
+    def test_operand_is_signed_targets_on_training_rows(self):
+        Ds, y, groups = awkward_fold_groups()
+        Xa = classify._stack_members(Ds)
+        rows = np.stack(groups[1])
+        Ysign = classify._signs(y, 3)
+        Ytr = self.kernel_operand(Xa, Ysign, rows, np.tile(GRID, (len(Ds), 1)))
+        G = len(GRID)
+        assert Ytr.shape == (len(y), 2 * G * 3) and Ytr.flags.c_contiguous
+        for f, r in enumerate(rows):
+            block = Ytr[:, f * G * 3:(f + 1) * G * 3]
+            held_out = np.setdiff1d(np.arange(len(y)), r)
+            np.testing.assert_array_equal(block[r], np.tile(Ysign[r], G))
+            assert not block[held_out].any()
+
+    @pytest.mark.parametrize("case", [frozen_fold_groups, awkward_fold_groups])
+    def test_equals_five_pass_form_bit_for_bit(self, case):
+        Ds, y, groups = case()
+        Xa = classify._stack_members(Ds)
+        Cs = np.tile(GRID, (len(Ds), 1))
+        rng = np.random.default_rng(8)
+        for rows in map(np.stack, groups):
+            F, n = rows.shape
+            K = int(y[rows].max()) + 1
+            Ysign = classify._signs(y, K)
+            Yt = np.tile(Ysign, len(GRID))
+            lam = np.repeat(1.0 / (Cs * n), K, axis=1)
+            train = np.zeros((len(y), F, 1))
+            train[rows.T, np.arange(F), 0] = 1.0
+            Ytr = self.kernel_operand(Xa, Ysign, rows, Cs)
+            # scores of every kind: y s > 1 and y s < 1 from large random
+            # weights, s = 0 exactly from zero rows, y s = +-1 exactly from
+            # rows that are only a bias of 1
+            Wa = 3.0 * rng.standard_normal((len(Ds), F, len(GRID) * K, Xa.shape[2]))
+            Wa[:, :, ::4] = 0.0
+            Wa[:, :, 1::4] = 0.0
+            Wa[:, :, 1::4, -1] = 1.0
+            margins = np.einsum("mnd,mfjd->mnfj", Xa, Wa) * Yt[None, :, None, :]
+            assert (margins > 1).any() and ((margins < 1) & (margins != 0)).any()
+            assert (margins == 0).any() and (margins == 1).any()
+            assert (train == 0).any()
+            got = classify._objectives(Wa, Xa, Ytr, n, lam, K)
+            want = five_pass_hinge_objectives(Wa, Xa, Yt, train, n, lam, K)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_every_epoch_of_a_kernel_run_equals_five_pass_form(self, monkeypatch):
+        Ds, y, groups = frozen_fold_groups()
+        Xa = classify._stack_members(Ds)
+        rows = np.stack(groups[0])
+        Ysign = classify._signs(y, 3)
+        train = np.zeros((len(y), len(rows), 1))
+        train[rows.T, np.arange(len(rows)), 0] = 1.0
+        objectives = classify._objectives
+        calls = []
+
+        def checked(Wa, Xa, Ytr, n, lam, K):
+            got = objectives(Wa, Xa, Ytr, n, lam, K)
+            want = five_pass_hinge_objectives(Wa, Xa, np.tile(Ysign, len(GRID)), train,
+                                              n, lam, K)
+            np.testing.assert_array_equal(got, want)
+            calls.append(1)
+            return got
+
+        monkeypatch.setattr(classify, "_objectives", checked)
+        classify._sgd(Xa, Ysign, rows, np.tile(GRID, (len(Ds), 1)), 20, 0)
+        assert len(calls) == 21
+
+
+def strided_step(Wa, Xa, Yt, idx, lam_w, eta, radius):
+    """Oracle: the minibatch step in its strided form.  Decay and
+    projection on the weights-only view Wa[..., :-1], the norm from
+    np.linalg.norm, the margins' product on a transposed view of Wa."""
+    Xb, Yb = np.take(Xa, idx, axis=1), np.take(Yt, idx, axis=0)
+    coef = Xb @ Wa.swapaxes(2, 3)
+    coef *= Yb
+    np.less(coef, 1.0, out=coef)
+    coef *= np.negative(Yb, out=Yb)
+    grad = coef.swapaxes(2, 3) @ Xb
+    grad /= idx.shape[1]
+    grad[..., :-1] += lam_w[..., :-1] * Wa[..., :-1]
+    grad *= eta[..., None]
+    Wa -= grad
+    norms = np.linalg.norm(Wa[..., :-1], axis=-1)
+    shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    Wa[..., :-1] *= shrink[..., None]
+
+
+class TestFullWidthStep:
+    def test_every_step_of_the_frozen_fits_stores_the_strided_weights(self, monkeypatch):
+        # full-width decay adds 0 * b to the bias gradient; no stored weight
+        # may differ from the strided form's, not even in its sign bit
+        Ds, y, kw = frozen_method_sources()
+        step = classify._step
+        seen = {"steps": 0, "projected": 0, "zero_bias_grad": 0}
+
+        def checked(Wa, Xa, Yt, idx, lam_w, eta, radius):
+            want = Wa.copy()
+            strided_step(want, Xa, Yt, idx, lam_w, eta, radius)
+            before = Wa.copy()
+            step(Wa, Xa, Yt, idx, lam_w, eta, radius)
+            np.testing.assert_array_equal(Wa, want)
+            np.testing.assert_array_equal(np.signbit(Wa), np.signbit(want))
+            seen["steps"] += 1
+            norms = np.linalg.norm(Wa[..., :-1], axis=-1)
+            seen["projected"] += bool((np.abs(norms - radius) <= 1e-12 * radius).any())
+            margins = (np.take(Xa, idx, axis=1) @ before.swapaxes(2, 3)) * np.take(Yt, idx, axis=0)
+            seen["zero_bias_grad"] += int(np.sum(~(margins < 1.0).any(axis=2)))
+
+        monkeypatch.setattr(classify, "_step", checked)
+        fit_cross_validated(Ds, y, GRID, kw["folds"], kw["seed"], 20)
+        # 260 cross-validation steps (5 folds of 800 rows) and 320 final ones
+        assert seen["steps"] == 580
+        assert seen["projected"] > 0  # rows scaled onto the ball
+        # weight rows whose minibatch violates no margin: a +-0 bias gradient
+        assert seen["zero_bias_grad"] > 0
 
 
 class TestAccuracy:
