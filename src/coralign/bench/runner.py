@@ -7,7 +7,9 @@ C on the method's transformed source, and evaluates on the target.
 
 Methods run in groups, one call per group and trial for the group's
 requested members, which share its work.  The five SVM methods share one
-``classify.fit_cross_validated`` call, each at its own C; the LDA family
+``classify.fit_cross_validated`` call, each at its own C, and NA and
+target-recolor-source-direction, which both train on the untouched
+source matrix, are one member of it, fit once; the LDA family
 decomposes each domain's covariance once and solves nothing; the two
 deep methods train side by side in one lockstep run, on the same source
 batches.  Every member is charged an equal share of its group's time.
@@ -269,7 +271,8 @@ def _recolor_target(trial, config):
 def _svm_group(trial: _Trial, config: ExperimentConfig, names):
     """The SVM methods: each feature map, then one cross-validated fit of
     all mapped sources, each at its own C, which each result carries with
-    its mean held-out accuracy.
+    its mean held-out accuracy.  NA and target-recolor-source-direction
+    both pass the trial's own source matrix, which that fit trains once.
     Each method is scored on its own features; post and domain_distance
     compare the covariances of its two sides, reusing the trial's
     statistics for an unmapped side."""

@@ -19,8 +19,9 @@ minibatch positions, so they step in lockstep; each keeps its own
 lambda, step scale, snapshot and rollback.  ``fit_cross_validated``
 picks a C per member by cross-validation, one kernel run per group of
 folds that share a training size and class count, then fits every
-member on all rows at its own C in one more run.  ``train_svm`` is the
-one-member case of that final fit.
+member on all rows at its own C in one more run.  A feature matrix
+passed more than once (the same object) is one member, fit once.
+``train_svm`` is the one-member case of that final fit.
 
 Cross-validation shuffles the member rows in place, so each fold holds
 out one contiguous block and trains on the other rows in increasing
@@ -161,8 +162,10 @@ def _step(Wa, Xa, Yt, idx, lam_w, eta, radius) -> None:
 
     The weight decay runs over whole rows, which are contiguous: it adds
     0 * b to the bias gradient, which changes no stored weight.  A row
-    inside the ball has projection scale 1, which leaves it as it is, so
-    a step whose rows all stay inside skips the projection."""
+    inside the ball (norm <= radius) has projection scale exactly 1, since
+    rounded division is monotone, and scaling by 1 leaves it as it is; so
+    a step whose rows all stay inside skips the projection, scales and
+    all."""
     # take, not Xa[:, idx]: each (member, fold) block stays contiguous
     Xb, Yb = np.take(Xa, idx, axis=1), np.take(Yt, idx, axis=0)
     # the weights' transpose as a contiguous copy: the same (d+1, G*K)
@@ -178,8 +181,8 @@ def _step(Wa, Xa, Yt, idx, lam_w, eta, radius) -> None:
     grad *= eta[..., None]
     Wa -= grad
     norms = np.sqrt(_squared_norms(Wa))
-    shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    if (shrink != 1.0).any():
+    if not (norms <= radius).all():  # a NaN norm fails <=, so it is scaled too
+        shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
         Wa[..., :-1] *= shrink[..., None]
 
 
@@ -202,6 +205,8 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     The epoch objectives read one signed-target operand Ytr (N, F*G*K),
     built once per run: row i's +-1 target of every weight row of fold
     f where fold f trains on row i, and 0 where it holds row i out.
+    The all-zero start needs no pass: every training row's hinge is then
+    exactly 1 and every held-out row's +0, so each objective is exactly 1.
     """
     F, n = rows.shape
     if not (np.diff(rows, axis=1) > 0).all():
@@ -222,7 +227,7 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
 
     t = 0
-    accepted = _objectives(Wa, Xa, Ytr, n, lam, K)
+    accepted = np.ones(Wa.shape[:2] + (G,))  # the objectives at Wa = 0
     for _ in range(epochs):
         snapshot = Wa.copy()
         perm = rng.permutation(n)
@@ -287,15 +292,19 @@ def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
     ``train_svm(D, labels, C, epochs, seed)`` at that C and carries the
     C's mean held-out accuracy as ``cv_acc``.  Every member's
     cross-validation runs in one kernel run per fold group and every
-    final fit in one more.
+    final fit in one more.  A matrix that appears in Ds more than once
+    (the same object, compared by identity) is fit once, and its one
+    model is returned at each of its positions.
     """
-    Xa = _stack_members(Ds)
+    distinct = {id(D): D for D in Ds}  # first-seen order
+    Xa = _stack_members(distinct.values())
     grid = sorted(float(c) for c in grid)
     means = _cv_accuracies(Xa, labels, grid, folds, seed, epochs).mean(axis=2)
     best = np.argmax(means, axis=1)  # first maximum
     models = _fit(Xa, labels, [grid[g] for g in best], epochs, seed)
-    return [dataclasses.replace(model, cv_acc=float(m[g]))
-            for model, m, g in zip(models, means, best)]
+    fitted = {key: dataclasses.replace(model, cv_acc=float(m[g]))
+              for key, model, m, g in zip(distinct, models, means, best)}
+    return [fitted[id(D)] for D in Ds]
 
 
 def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:

@@ -252,15 +252,22 @@ def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     round-off, not 0: only columns with a std that small (at most n eps
     times the mean) are checked for equal values.  Returns
     (standardized, means, stds).
+
+    The columns are centred once: the std is taken from the centred
+    array that is returned, the difference ``np.std`` forms itself, and
+    that array is then scaled in place.
     """
     D = as_feature_matrix(D)
     n = D.shape[0]
     if n < 2:
         raise InvalidInputError("standardize needs at least 2 rows")
     means = D.mean(axis=0)
-    stds = D.std(axis=0, ddof=1)
+    out = D - means
+    stds = np.sqrt(np.add.reduce(np.square(out), axis=0) / (n - 1))
     for j in np.flatnonzero(stds <= n * np.finfo(float).eps * np.abs(means)):
         if np.all(D[:, j] == D[0, j]):
             means[j], stds[j] = D[0, j], 0.0
+            out[:, j] = D[:, j] - D[0, j]
     stds = np.where(stds == 0.0, 1.0, stds)
-    return (D - means) / stds, means, stds
+    out /= stds
+    return out, means, stds

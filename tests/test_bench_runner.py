@@ -180,7 +180,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("methods", [tuple(_FEATURE_MAPS), ("CORAL-reg",)])
     def test_svm_methods_share_two_kernel_runs_per_trial(self, monkeypatch, methods):
         # one cross-validation run (every training fold has 800 rows and
-        # 3 classes) and one final-fit run, for all SVM methods together
+        # 3 classes) and one final-fit run, for all SVM methods together;
+        # NA and target-recolor-source-direction train on the same source
+        # matrix, one member
         runs = []
         kernel = classify._sgd
 
@@ -192,7 +194,18 @@ class TestRunExperiment:
         cfg = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=methods,
                                trials=2, svm_epochs=1)
         run_experiment(cfg)
-        assert runs == [len(methods)] * 4
+        shared = {"NA", "target-recolor-source-direction"} <= set(methods)
+        assert runs == [len(methods) - shared] * 4  # 4 members for the five, 1 for one
+
+    def test_methods_on_the_untouched_source_share_one_fit(self):
+        cfg = ExperimentConfig(spec=rotated_anisotropic_spec(0), trials=3,
+                               methods=tuple(_FEATURE_MAPS), svm_epochs=2)
+        methods = run_experiment(cfg).methods
+        na, recolor = methods["NA"], methods["target-recolor-source-direction"]
+        for key in ("chosen_C", "cv_acc"):
+            assert len(na.extras[key]) == 3
+            assert na.extras[key] == recolor.extras[key], key
+        assert na.source_acc == recolor.source_acc
 
     def test_deterministic_reports(self):
         cfg = ExperimentConfig(

@@ -481,6 +481,39 @@ class TestFitCrossValidated:
         # three fold groups (see test_no_train_svm_calls_...), then the final fit
         assert runs == [(3, (1, 30)), (3, (2, 31)), (3, (1, 31)), (3, (1, 41))]
 
+    @staticmethod
+    def stacked_members(monkeypatch):
+        """The member count of every kernel run from here on."""
+        runs = []
+        kernel = classify._sgd
+
+        def counting(Xa, *args):
+            runs.append(Xa.shape[0])
+            return kernel(Xa, *args)
+
+        monkeypatch.setattr(classify, "_sgd", counting)
+        return runs
+
+    def test_repeated_matrix_object_is_one_member(self, monkeypatch):
+        (D, E, _), y, kw = awkward_members()
+        want = fit_cross_validated([D, E], y, GRID, kw["folds"], kw["seed"], 20)
+        runs = self.stacked_members(monkeypatch)
+        got = fit_cross_validated([D, E, D], y, GRID, kw["folds"], kw["seed"], 20)
+        assert runs == [2] * 4  # three fold groups and the final fit
+        assert len(got) == 3 and got[0] is got[2]
+        for g, w in zip(got[:2], want):
+            assert (g.C, g.cv_acc) == (w.C, w.cv_acc)
+            np.testing.assert_array_equal(g.W, w.W)  # bit for bit
+            np.testing.assert_array_equal(g.b, w.b)
+
+    def test_equal_matrices_that_are_distinct_objects_stay_two_members(self, monkeypatch):
+        (D, _, _), y, kw = awkward_members()
+        runs = self.stacked_members(monkeypatch)
+        got = fit_cross_validated([D, D.copy()], y, GRID, kw["folds"], kw["seed"], 20)
+        assert runs == [2] * 4  # compared by identity, not by contents
+        assert got[0] is not got[1]
+        np.testing.assert_array_equal(got[0].W, got[1].W)
+
     def test_members_of_different_shapes_rejected(self):
         Ds, y, kw = awkward_members()
         for bad in (Ds[0][:, :2], Ds[0][:40]):
@@ -667,7 +700,25 @@ class TestSignedTargetObjective:
 
         monkeypatch.setattr(classify, "_objectives", checked)
         classify._sgd(Xa, Ysign, rows, np.tile(GRID, (len(Ds), 1)), 20, 0)
-        assert len(calls) == 21
+        assert len(calls) == 20  # one per epoch; the all-zero start needs none
+
+    @pytest.mark.parametrize("case", [frozen_fold_groups, awkward_fold_groups])
+    def test_five_pass_form_is_exactly_one_at_zero_weights(self, case):
+        # the kernel starts from these objectives without evaluating them
+        Ds, y, groups = case()
+        Xa = classify._stack_members(Ds)
+        Cs = np.tile(GRID, (len(Ds), 1))
+        for rows in map(np.stack, groups):
+            F, n = rows.shape
+            K = int(y[rows].max()) + 1
+            lam = np.repeat(1.0 / (Cs * n), K, axis=1)
+            train = np.zeros((len(y), F, 1))
+            train[rows.T, np.arange(F), 0] = 1.0
+            Wa = np.zeros((len(Ds), F, len(GRID) * K, Xa.shape[2]))
+            got = five_pass_hinge_objectives(Wa, Xa, np.tile(classify._signs(y, K), len(GRID)),
+                                             train, n, lam, K)
+            np.testing.assert_array_equal(got, np.ones((len(Ds), F, len(GRID))))
+            assert not np.signbit(got).any()
 
 
 def strided_step(Wa, Xa, Yt, idx, lam_w, eta, radius):
@@ -687,6 +738,78 @@ def strided_step(Wa, Xa, Yt, idx, lam_w, eta, radius):
     norms = np.linalg.norm(Wa[..., :-1], axis=-1)
     shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     Wa[..., :-1] *= shrink[..., None]
+
+
+def projected_by_scales(Wa, radius):
+    """Oracle: the ball projection as every scale, computed for every row,
+    times each row's weights, bias excluded."""
+    norms = np.sqrt(classify._squared_norms(Wa))
+    Wa[..., :-1] *= np.minimum(1.0, radius / np.maximum(norms, 1e-300))[..., None]
+
+
+class TestProjection:
+    def step_case(self):
+        """One step of the awkward members' three-class fit on fold 0 at
+        every grid C, from random weights."""
+        Ds, y, groups = awkward_fold_groups()
+        Xa = classify._stack_members(Ds)
+        rows = np.stack(groups[0])
+        Yt = np.tile(classify._signs(y, 3), len(GRID))
+        lam = np.repeat(1.0 / (np.tile(GRID, (len(Ds), 1)) * rows.shape[1]), 3, axis=1)
+        lam_rows = lam[:, None, :]
+        lam_w = np.zeros((*lam_rows.shape, Xa.shape[2]))
+        lam_w[..., :-1] = lam_rows[..., None]
+        Wa = np.random.default_rng(4).standard_normal((len(Ds), 1, lam.shape[1], Xa.shape[2]))
+        return Wa, Xa, Yt, rows[:, :64], lam_w, 1.0 / (lam_rows * 7)
+
+    def unprojected(self, case):
+        Wa, Xa, Yt, idx, lam_w, eta = case
+        Wa = Wa.copy()
+        classify._step(Wa, Xa, Yt, idx, lam_w, eta, np.inf)
+        return Wa
+
+    def test_step_equals_every_row_scaled(self):
+        case = self.step_case()
+        moved = self.unprojected(case)
+        norms = np.sqrt(classify._squared_norms(moved))
+        # radius per weight row: below its norm (scaled onto the ball),
+        # exactly its norm (scale 1) and above it (inside the ball)
+        radius = norms[:, :1].copy()
+        radius[..., 0::3] *= 0.5
+        radius[..., 2::3] *= 2.0
+        want = moved.copy()
+        projected_by_scales(want, radius)
+        Wa = case[0].copy()
+        classify._step(Wa, *case[1:], radius)
+        assert not np.array_equal(want, moved)  # some rows left the ball
+        np.testing.assert_array_equal(Wa[..., 1::3, :], moved[..., 1::3, :])
+        np.testing.assert_array_equal(Wa[..., 2::3, :], moved[..., 2::3, :])
+        np.testing.assert_array_equal(Wa, want)
+        np.testing.assert_array_equal(np.signbit(Wa), np.signbit(want))
+
+    def test_step_inside_the_ball_skips_the_scales_bit_for_bit(self):
+        case = self.step_case()
+        moved = self.unprojected(case)
+        radius = np.sqrt(classify._squared_norms(moved))[:, :1]  # every norm exactly
+        want = moved.copy()
+        projected_by_scales(want, radius)
+        Wa = case[0].copy()
+        classify._step(Wa, *case[1:], radius)
+        np.testing.assert_array_equal(Wa, want)
+        np.testing.assert_array_equal(Wa, moved)
+        np.testing.assert_array_equal(np.signbit(Wa), np.signbit(want))
+
+    def test_nan_weight_row_is_scaled_as_every_row_was(self):
+        case = self.step_case()
+        case[0][0, 0, 1, 0] = np.nan
+        moved = self.unprojected(case)
+        radius = 2.0 * np.nanmax(np.sqrt(classify._squared_norms(moved))) * np.ones(moved.shape[2])
+        want = moved.copy()
+        projected_by_scales(want, radius)
+        Wa = case[0].copy()
+        classify._step(Wa, *case[1:], radius)
+        assert np.isnan(want[0, 0, 1, :-1]).all()
+        np.testing.assert_array_equal(Wa, want)
 
 
 class TestFullWidthStep:

@@ -360,6 +360,30 @@ class TestStandardize:
         np.testing.assert_array_equal(out[:, [0, 2]], want[:, [0, 2]])
         np.testing.assert_array_equal(stds[[0, 2]], want_stds[[0, 2]])
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 5), (1000, 20), (700, 96)])
+    def test_equals_centring_twice_bit_for_bit(self, shape):
+        # the std from the returned centred array, scaled in place, against
+        # np.std and a second centring; column 0 exactly constant, column 1
+        # constant with a mean that rounds
+        rng = np.random.default_rng(17)
+        n, d = shape
+        X = rng.standard_normal(shape) * rng.uniform(0.1, 100.0, d) + rng.uniform(-1e6, 1e6, d)
+        X[:, 0] = 3.0
+        X[:, 1] = 0.1
+        if n > 2:
+            assert X[:, 1].std(ddof=1) > 0.0
+        means = X.mean(axis=0)
+        stds = X.std(axis=0, ddof=1)
+        for j in (0, 1):
+            means[j], stds[j] = X[0, j], 0.0
+        stds = np.where(stds == 0.0, 1.0, stds)
+        want = (X - means) / stds
+        got = standardize(X)
+        for g, w in zip(got, (want, means, stds)):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+        assert got[0].flags.c_contiguous
+
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
             standardize(np.array([[1.0, 2.0]]))
