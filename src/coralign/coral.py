@@ -95,6 +95,13 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
 
     Covariances only; means never enter A.  lam must be positive — the
     exact lam = 0 solution has its own fit mode.
+
+    lam is added to the raw covariances, so it is in their units (the
+    squared units of the features).  On standardized features it weighs
+    against unit variances.  On unstandardized features its effect
+    depends on the feature scales: directions whose variance is well
+    below lam are whitened and recoloured as if their variance were
+    about lam, and directions well above it are almost unaffected.
     """
     D_S, D_T = _check_pair(D_S, D_T)
     if not lam > 0:

@@ -24,6 +24,11 @@ One private kernel trains a stack of members that differ only in their
 alignment weight, in lockstep on shared batches (the runner trains
 ``deep`` and ``deep-no-coral`` of a trial this way); ``train_joint`` is
 its one-member case.  Each member equals its lone run bit for bit.
+Apart from the optional accuracy curves, the numpy calls of a step do
+not grow with the number of members: each layer is one buffer of every
+member's weights and bias, the aligned members' covariances, losses and
+gradients are formed as one stack, and batch positions are drawn once
+per chunk of steps.
 """
 
 from __future__ import annotations
@@ -239,9 +244,10 @@ def forward(net: Network, X) -> np.ndarray:
     return H @ W + b
 
 
-# Training steps whose cross-entropy terms are buffered between two
-# evaluations of the loss.
-_LOSS_CHUNK = 256
+# Training runs in chunks of steps whose batch positions are drawn, and
+# whose loss terms are reduced, together; the buffers of one chunk hold
+# at most this many entries (fewer steps per chunk for large batches).
+_CHUNK_ENTRIES = 1 << 17
 
 # Logit magnitudes past sqrt(float64 max) would overflow the covariance
 # products; treat reaching that scale as divergence.
@@ -262,8 +268,7 @@ def _check_not_diverged(logits, iteration: int, owners) -> None:
     source slot before its target slot) if any logit of ``logits`` (S, B,
     K) is not finite or past _DIVERGENCE_LIMIT; ``owners`` maps a slot
     to its member."""
-    peak = np.maximum.reduce(np.abs(logits), axis=None)
-    if np.isfinite(peak) and peak <= _DIVERGENCE_LIMIT:
+    if np.maximum.reduce(np.abs(logits), axis=None) <= _DIVERGENCE_LIMIT:  # NaN fails
         return
     peaks = np.abs(logits).max(axis=(1, 2))
     bad = [s for s, p in enumerate(peaks) if not p <= _DIVERGENCE_LIMIT]  # NaN too
@@ -350,16 +355,24 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
     ``cfg`` itself is not read).
 
     The members start from the same network and draw the same batches,
-    so they train in lockstep.  Each has one source slot; each member
-    with a nonzero weight (and a target) also has one target slot.  Every
-    layer holds one stacked weight array and momentum buffer over the
-    members; a step gathers the source and target batches once, into one
-    slot buffer allocated per run, runs one forward and one backward pass
-    over all slots, and adds each aligned member's target-slot gradient
-    to its source-slot one.  Every slot's
-    products and reductions have a lone run's operand shapes, which keeps
-    each member bitwise equal to its lone run.  A divergence raises
-    _Diverged naming the member.
+    so they train in lockstep.  Each member has one source slot, the
+    members without alignment (zero weight or no target) first; each of
+    the A aligned members (the last ones) also has one target slot, after
+    all source slots.  Each layer is one buffer (slots, d_in + 1, d_out):
+    a slot's weights in its first d_in rows and its bias in the last, a
+    target slot mirroring its member's rows (copied after each update);
+    the gradients and the members' momentum have the same layout.
+
+    Training runs in chunks of steps.  A chunk draws its batch positions
+    with one call per stream and gathers their rows; its steps'
+    cross-entropy terms and covariance gaps are reduced together at its
+    end.  A step copies its batches into one slot buffer and runs one
+    forward and one backward pass over all slots.  The aligned members'
+    source and target logits form one (2A, B, K) stack, whose covariances
+    and gradients are formed together.  Each slot's products and
+    reductions have a lone run's operand shapes, which keeps each member
+    bitwise equal to its lone run.  A divergence raises _Diverged naming
+    the member.
     """
     X = _network_input(net, source, "source features")
     n_s = X.shape[0]
@@ -374,11 +387,13 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
         if Xt is None:
             raise InvalidInputError("target labels given without target features")
         yt = _class_labels(target_labels, Xt.shape[0], K, "target")
-    # aligned members first, so that the first A slots and members line up
-    order = sorted(range(len(weights)), key=lambda m: Xt is None or weights[m] == 0)
+    # members without alignment first, so that the last A source slots and
+    # the A target slots form one stack
+    order = sorted(range(len(weights)), key=lambda m: Xt is not None and weights[m] != 0)
     w = [weights[m] for m in order]
     M = len(w)
     A = 0 if Xt is None else sum(v != 0 for v in w)
+    U = M - A  # the first aligned member
     if A:
         if Xt.shape[1] != X.shape[1]:
             raise InvalidInputError("source and target dimensions differ")
@@ -391,94 +406,97 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
     src_rng = np.random.default_rng(src_child)
     tgt_rng = np.random.default_rng(tgt_child)
 
-    # trained in place: each layer's weights (M, d_in, d_out) and biases
-    # (M, 1, d_out) over the members, and their momentum buffers; member
-    # m's network is a view of its rows
-    params = [(np.repeat(W[None], M, axis=0), np.repeat(b[None, None], M, axis=0))
-              for W, b in net.layers]
-    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-    works = [Network(layers=[(W[m], b[m, 0]) for W, b in params]) for m in range(M)]
-    owners = order + order[:A]  # slot -> member, indexed as in weights
+    # trained in place; member m's network is a view of its slot's rows
+    params = [np.repeat(np.vstack((W, b))[None], M + A, axis=0) for W, b in net.layers]
+    weight_rows = [P[:, :-1] for P in params]
+    bias_rows = [P[:, -1:] for P in params]
+    grads = [np.empty_like(P) for P in params]
+    velocity = [np.zeros_like(P[:M]) for P in params]
+    works = [Network(layers=[(P[m, :-1], P[m, -1]) for P in params]) for m in range(M)]
+    owners = order + order[U:]  # slot -> member, indexed as in weights
     batch = cfg.batch_size
     row_starts = (np.arange(M * batch) * K).reshape(M, batch)  # in probs.ravel()
-    # each step's input batches, gathered in place: member slots, then target slots
+    # each step's input batches: member slots, then target slots
     slots = np.empty((M + A, batch, X.shape[1])) if A else None
+    d_logits = np.empty((M + A, batch, K))
+    # the aligned members' weights, signed for their source and target slots
+    signed_w = np.array([w[U:], [-v for v in w[U:]]])[:, :, None, None]
 
-    # the true classes' probabilities of up to _LOSS_CHUNK steps, logged
-    # and averaged together: one contiguous row per member and step sums
-    # pairwise, as a lone run's mean does
-    picked = np.empty((min(cfg.iterations, _LOSS_CHUNK), M, batch))
+    # per chunk: the batch rows and the true classes' positions, then per
+    # step the true classes' probabilities and the aligned members'
+    # covariance gaps, logged and reduced together (one contiguous row
+    # per member and step, summed pairwise as a lone run's mean and gap)
+    step_entries = (2 * M + 2 * X.shape[1]) * batch + A * K * K
+    chunk = min(cfg.iterations, max(1, _CHUNK_ENTRIES // step_entries))
+    picked = np.empty((chunk, M, batch))
+    diffs = np.empty((chunk, A, K, K))
     class_curve = np.empty((cfg.iterations, M))
     coral_curve = np.zeros((M, cfg.iterations))
     src_acc = np.zeros((M, cfg.iterations)) if accuracy_curves else None
     tgt_acc = np.full((M, cfg.iterations), np.nan) if accuracy_curves else None
 
-    for it in range(cfg.iterations):
-        idx = src_rng.integers(0, n_s, size=batch)
-        if A:
-            t_idx = tgt_rng.integers(0, Xt.shape[0], size=batch)
-            np.take(X, idx, axis=0, out=slots[0])
-            slots[1:M] = slots[0]
-            np.take(Xt, t_idx, axis=0, out=slots[M])
-            slots[M + 1:] = slots[M]
-            inputs = [slots]
-        else:
-            inputs = [X[idx]]  # broadcast over the members
-        # a slot's weights: its member's own, broadcast from one member, or
-        # gathered when members and target slots both repeat
-        slot_params = (params if A == 0 or M == 1
-                       else [(np.concatenate((W, W[:A])), np.concatenate((b, b[:A])))
-                             for W, b in params])
-        for W, b in slot_params[:-1]:
-            Z = inputs[-1] @ W
-            Z += b
-            inputs.append(np.maximum(Z, 0.0, out=Z))
-        W, b = slot_params[-1]
-        logits = inputs[-1] @ W
-        logits += b
-        _check_not_diverged(logits, it, owners)
-
-        probs = _softmax(logits[:M])
-        true_class = row_starts + y[idx]
-        j = it % len(picked)
-        picked[j] = probs.ravel()[true_class]
-        if j == len(picked) - 1 or it == cfg.iterations - 1:
-            logs = np.log(np.maximum(picked[:j + 1], 1e-300))
-            class_curve[it - j:it + 1] = -(logs.sum(axis=-1) / batch)
-        probs.ravel()[true_class] -= 1.0  # probs - onehot(labels)
-        if A:
-            d_logits = np.empty_like(logits)
-            np.divide(probs, batch, out=d_logits[:M])
-        else:
-            d_logits = probs
-            d_logits /= batch
-        for a in range(A):
-            coral_curve[a, it], g_s, g_t = _loss_and_grad(logits[a], logits[M + a])
-            d_logits[a] += w[a] * g_s
-            np.multiply(w[a], g_t, out=d_logits[M + a])
-
-        dZ = d_logits
-        for i in range(len(params) - 1, -1, -1):
-            gW = inputs[i].swapaxes(-1, -2) @ dZ
-            gb = np.add.reduce(dZ, axis=-2, keepdims=True)
-            if i > 0:
-                dZ = (dZ @ slot_params[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
+    for start in range(0, cfg.iterations, chunk):
+        steps = min(chunk, cfg.iterations - start)
+        idx = src_rng.integers(0, n_s, size=(steps, batch))
+        t_idx = tgt_rng.integers(0, Xt.shape[0], size=(steps, batch)) if A else None
+        true_class = row_starts + y[idx][:, None]
+        rows = X[idx]
+        t_rows = Xt[t_idx] if A else None
+        for j in range(steps):
+            it = start + j
             if A:
-                gW[:A] += gW[M:]
-                gb[:A] += gb[M:]
-            (W, b), (vW, vb) = params[i], velocity[i]
-            vW *= cfg.momentum
-            vW -= cfg.learning_rate * gW[:M]
-            W += vW
-            vb *= cfg.momentum
-            vb -= cfg.learning_rate * gb[:M]
-            b += vb
+                slots[:M] = rows[j]
+                slots[M:] = t_rows[j]
+                inputs = [slots]
+            else:
+                inputs = [rows[j]]  # broadcast over the members
+            for W, b in zip(weight_rows[:-1], bias_rows):
+                Z = inputs[-1] @ W
+                Z += b
+                inputs.append(np.maximum(Z, 0.0, out=Z))
+            logits = inputs[-1] @ weight_rows[-1]
+            logits += bias_rows[-1]
+            _check_not_diverged(logits, it, owners)
 
-        if accuracy_curves:
-            for m, work in enumerate(works):
-                src_acc[m, it] = _score(forward(work, X), y)
-                if yt is not None:
-                    tgt_acc[m, it] = _score(forward(work, Xt), yt)
+            probs = _softmax(logits[:M])
+            np.take(probs, true_class[j], out=picked[j])
+            probs.ravel()[true_class[j]] -= 1.0  # probs - onehot(labels)
+            np.divide(probs, batch, out=d_logits[:M])
+            if A:
+                _, centred, cov = _centred_covariance(logits[U:])
+                diff = np.subtract(cov[:A], cov[A:], out=diffs[j])
+                g = centred.reshape(2, A, batch, K) @ diff
+                g /= K * K * (batch - 1)
+                g *= signed_w
+                d_logits[U:M] += g[0]
+                d_logits[M:] = g[1]
+
+            dZ = d_logits
+            for i in range(len(params) - 1, -1, -1):
+                G = grads[i]
+                np.matmul(inputs[i].swapaxes(-1, -2), dZ, out=G[:, :-1])
+                np.add.reduce(dZ, axis=-2, keepdims=True, out=G[:, -1:])
+                if i > 0:
+                    dZ = (dZ @ weight_rows[i].swapaxes(-1, -2)) * (inputs[i] > 0.0)
+                P, V = params[i], velocity[i]
+                if A:
+                    G[U:M] += G[M:]
+                V *= cfg.momentum
+                V -= cfg.learning_rate * G[:M]
+                P[:M] += V
+                if A:
+                    P[M:] = P[U:M]
+
+            if accuracy_curves:
+                for m, work in enumerate(works):
+                    src_acc[m, it] = _score(forward(work, X), y)
+                    if yt is not None:
+                        tgt_acc[m, it] = _score(forward(work, Xt), yt)
+
+        logs = np.log(np.maximum(picked[:steps], 1e-300))
+        class_curve[start:start + steps] = -(logs.sum(axis=-1) / batch)
+        gaps = np.square(diffs[:steps]).reshape(steps, A, K * K)
+        coral_curve[U:, start:start + steps] = (gaps.sum(axis=-1) / (4.0 * K * K)).T
 
     runs = [None] * M
     for m, work in enumerate(works):

@@ -153,11 +153,13 @@ def mean_and_covariance(D) -> DomainStats:
 def _centred_covariance(D):
     """Mean, centred rows and covariance of a validated matrix of at least
     2 rows, as mean_and_covariance forms them; for callers that reuse the
-    centred rows."""
-    mean = np.add.reduce(D, axis=0) / len(D)
-    Dc = D - mean
-    cov = (Dc.T @ Dc) / (len(D) - 1)
-    return mean, Dc, (cov + cov.T) / 2.0
+    centred rows.  A stack of such matrices (..., n, d) gives one of each
+    per matrix, each bit for bit its lone matrix's."""
+    n = D.shape[-2]
+    mean = np.add.reduce(D, axis=-2) / n
+    Dc = D - mean[..., None, :]
+    cov = (Dc.swapaxes(-1, -2) @ Dc) / (n - 1)
+    return mean, Dc, (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 def _check_symmetric(M, tol: float) -> np.ndarray:

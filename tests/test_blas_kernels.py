@@ -6,9 +6,11 @@ of the frozen shift, all ten methods) runs in a child process under the
 default kernel and under each named kernel.  Per-trial accuracies,
 chosen C and its cross-validated accuracy must be equal; every other
 float agrees to a relative 1e-9, or to 1e-12 absolute for values that
-are round-off (CORAL-analytical's post-alignment distances).  Under every kernel, the lockstep deep run of
-trial 0 (both deep methods) must equal, bit for bit, the reference loop
-that trains one network on 2-D arrays (tests/test_deep.py).
+are round-off (CORAL-analytical's post-alignment distances).  Under
+every kernel, two lockstep deep runs of trial 0 must equal, bit for bit,
+the reference loop that trains one network on 2-D arrays
+(tests/test_deep.py): the runner's (both deep methods), and one of five
+members, four of them aligned, whose covariances are formed as one stack.
 """
 
 import ctypes
@@ -26,7 +28,7 @@ SRC = TESTS.parent / "src"
 
 # Run in the child: the kernel OpenBLAS chose, the experiment's
 # per-method results, and whether each member of trial 0's lockstep deep
-# run equals the reference loop in weights and loss curves.
+# runs equals the reference loop in weights and loss curves.
 CHILD = """
 import ctypes, json, sys
 import numpy as np
@@ -46,15 +48,16 @@ sys.path.insert(0, sys.argv[2])
 from test_deep import reference_train
 trial = runner._make_trial(config, 0, None)
 net = runner._deep_network(trial, config.deep)
-weights = (config.deep.coral_weight, 0.0)
-runs = deep._train_members(net, trial.Xs, trial.ys, trial.Xt, config.deep, weights, trial.seed)
 bitwise = []
-for weight, (trained, rep) in zip(weights, runs):
-    layers, class_curve, coral_curve = reference_train(
-        net, trial.Xs, trial.ys, trial.Xt, config.deep, weight, trial.seed)
-    got = [a for layer in trained.layers for a in layer] + [rep.class_loss, rep.coral_loss]
-    want = [a for layer in layers for a in layer] + [class_curve, coral_curve]
-    bitwise.append(all(np.array_equal(a, b) for a, b in zip(got, want)))
+for weights in ((config.deep.coral_weight, 0.0), (0.5, 2.0, 0.0, 0.25, 1.0)):
+    runs = deep._train_members(net, trial.Xs, trial.ys, trial.Xt, config.deep, weights,
+                               trial.seed)
+    for weight, (trained, rep) in zip(weights, runs):
+        layers, class_curve, coral_curve = reference_train(
+            net, trial.Xs, trial.ys, trial.Xt, config.deep, weight, trial.seed)
+        got = [a for layer in trained.layers for a in layer] + [rep.class_loss, rep.coral_loss]
+        want = [a for layer in layers for a in layer] + [class_curve, coral_curve]
+        bitwise.append(all(np.array_equal(a, b) for a, b in zip(got, want)))
 print(json.dumps({"core": core, "methods": report, "lockstep_bitwise": bitwise}))
 """
 
@@ -96,7 +99,7 @@ def default_run():
 
 
 def test_lockstep_deep_run_matches_the_reference_loop(default_run):
-    assert default_run[1]["lockstep_bitwise"] == [True, True]
+    assert default_run[1]["lockstep_bitwise"] == [True] * 7
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
@@ -105,7 +108,7 @@ def test_results_agree_with_the_default_kernel(default_run, core):
     got = run_child(lib, core)
     if got["core"].lower() != core.lower():
         pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
-    assert got["lockstep_bitwise"] == [True, True], core
+    assert got["lockstep_bitwise"] == [True] * 7, core
     assert list(got["methods"]) == list(want["methods"])
     for name, fields in want["methods"].items():
         assert set(got["methods"][name]) == set(fields), name

@@ -262,22 +262,35 @@ class TestTraining:
     def test_one_covariance_per_batch_per_iteration(self, monkeypatch):
         import coralign.deep as deep_mod
 
-        # the training loop forms batch covariances with _centred_covariance
-        # (it reuses the centred rows), the initial and final distances with
-        # mean_and_covariance; count both
-        calls = []
+        # the training loop forms the aligned members' batch covariances in
+        # one stacked _centred_covariance call per step (it reuses the
+        # centred rows), the initial and final distances with
+        # mean_and_covariance; count the covariances each call forms
+        counts = {"stacked calls": 0, "covariances": 0}
+
+        def counted(real):
+            def call(D):
+                counts["stacked calls"] += real.__name__ == "_centred_covariance"
+                counts["covariances"] += 1 if D.ndim == 2 else len(D)
+                return real(D)
+            return call
+
         for name in ("mean_and_covariance", "_centred_covariance"):
-            real = getattr(deep_mod, name)
-            monkeypatch.setattr(
-                deep_mod, name, lambda D, real=real: calls.append(1) or real(D)
-            )
+            monkeypatch.setattr(deep_mod, name, counted(getattr(deep_mod, name)))
         rng = np.random.default_rng(22)
         Xs, y, Xt, _ = shifted_blobs(rng)
         cfg = self._cfg(iterations=10)
         train_joint(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg, 0)
         # two batch covariances per step, two for each of the initial and
         # the final distance
-        assert len(calls) == 2 * cfg.iterations + 4
+        assert counts == {"stacked calls": cfg.iterations, "covariances": 2 * cfg.iterations + 4}
+        counts.update({"stacked calls": 0, "covariances": 0})
+        deep_mod._train_members(init_network([6, 8, 3], seed=1), Xs, y, Xt, cfg,
+                                (1.0, 0.0, 0.5), 0)
+        # one call of four batch covariances per step for the two aligned
+        # members, two for the initial distance and two per member for
+        # the final ones
+        assert counts == {"stacked calls": cfg.iterations, "covariances": 4 * cfg.iterations + 8}
 
     def test_report_lengths_match_iterations(self):
         rng = np.random.default_rng(17)
@@ -528,10 +541,14 @@ def assert_same_run(got, want):
 
 
 class TestLockstep:
-    # 270 steps: one full buffer of cross-entropy terms and part of another
+    # 270 steps: two chunks for every stack below at the default chunk size
+    # (a lone run's steps fit in one)
     CFG = TrainConfig(hidden=8, batch_size=32, iterations=270)
 
-    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (2.0, 0.0, 0.5)])
+    # the last weights: four aligned members out of weight order and one
+    # unaligned member
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (2.0, 0.0, 0.5),
+                                         (0.5, 2.0, 0.0, 0.25, 1.0)])
     @pytest.mark.parametrize("seed", [40, 41, 42])
     def test_members_equal_lone_runs_and_the_reference_loop(self, weights, seed):
         Xs, y, Xt, yt = shifted_blobs(np.random.default_rng(seed))
@@ -549,6 +566,13 @@ class TestLockstep:
             np.testing.assert_array_equal(lone[1].coral_loss, coral_curve)
             assert (lone[1].coral_loss != 0).all() == (weight != 0)
 
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.5, 2.0, 0.0, 0.25, 1.0)])
+    def test_chunks_of_a_few_steps_change_no_bit(self, weights, monkeypatch):
+        # 3000 entries: chunks of four or five steps for these stacks, of
+        # six for their lone runs
+        monkeypatch.setattr(deep_mod, "_CHUNK_ENTRIES", 3000)
+        self.test_members_equal_lone_runs_and_the_reference_loop(weights, 43)
+
     def test_accuracy_curves_and_a_missing_target(self):
         Xs, y, Xt, yt = shifted_blobs(np.random.default_rng(43))
         net = init_network([6, 8, 3], seed=5)
@@ -565,23 +589,25 @@ class TestLockstep:
         Xs, y, Xt, _ = shifted_blobs(np.random.default_rng(44))
         net = init_network([6, 8, 3], seed=6)
         cfg = dataclasses.replace(self.CFG, iterations=15)
-        streams = []  # draws per generator the trainer made: source, target
+        streams = []  # rows drawn per generator the trainer made: source, target
         real = np.random.default_rng
 
         class Counting:
             def __init__(self, seed):
-                self.rng, self.draws = real(seed), 0
+                self.rng, self.rows = real(seed), 0
                 streams.append(self)
 
             def integers(self, *args, **kwargs):
-                self.draws += 1
-                return self.rng.integers(*args, **kwargs)
+                drawn = self.rng.integers(*args, **kwargs)
+                self.rows += drawn.size
+                return drawn
 
         monkeypatch.setattr(np.random, "default_rng", Counting)
-        for weights, target_draws in (((0.0,), 0), ((0.0, 0.0), 0), ((1.0, 0.0), 15)):
+        rows = cfg.iterations * cfg.batch_size
+        for weights, target_rows in (((0.0,), 0), ((0.0, 0.0), 0), ((1.0, 0.0), rows)):
             streams.clear()
             deep_mod._train_members(net, Xs, y, Xt, cfg, weights, 0)
-            assert [s.draws for s in streams] == [15, target_draws]
+            assert [s.rows for s in streams] == [rows, target_rows]
 
     @pytest.mark.parametrize("weights, member", [((0.0, 10.0), 1), ((10.0, 0.0), 0)])
     def test_divergence_names_the_member(self, weights, member):
