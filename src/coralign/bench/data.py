@@ -202,23 +202,44 @@ def _clusters(rng: np.random.Generator, means, labels, d: int) -> np.ndarray:
     return X
 
 
-def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
-    """Draw one (source, target) pair; deterministic per spec.
+def _skip_normals(rng: np.random.Generator, n: int, d: int) -> None:
+    """Advance rng past an n x d standard normal draw without keeping it.
+
+    The ziggurat takes a data-dependent number of raw values per normal,
+    so the draws must be made; they go, in row blocks, into one scratch
+    block, and drawing in row blocks leaves the stream where one whole
+    draw leaves it."""
+    rows = _row_blocks(n, d)
+    scratch = np.empty((min(rows[0].stop, n), d))
+    for block in rows:
+        rng.standard_normal(out=scratch[: min(block.stop, n) - block.start])
+
+
+def _shift_features(spec: ShiftSpec, keep_source: bool = True):
+    """The (source, target) features of generate_shift(spec); without
+    keep_source the source is None, its draws made only to advance the
+    generator, so no source matrix is ever held.
 
     Entry for entry the arithmetic of the one-expression form
     ``(means[y] + z) @ M.T + mean_shift + noise_std * z'``, with every
-    draw in the same order, so the output is bitwise the same; only the
-    product is formed whole, the rest runs in row blocks."""
+    draw in the same order, so the output is bitwise the same.  Only the
+    product is formed whole, the rest runs in row blocks: products of
+    row blocks are bitwise under OpenBLAS's SkylakeX and Haswell kernels,
+    but under Nehalem they moved entries by up to 7e-15 at d = 512 and
+    d = 2048."""
     rng = np.random.default_rng(spec.seed)
     R = _rotation_for(spec)
     means = (_simplex(spec.K) * spec.separation) @ R[:, : spec.K - 1].T
     M = (R * np.asarray(spec.scales)) @ R.T
+    del R
 
-    y_s = _balanced_labels(spec.n_source, spec.K)
-    X_s = _clusters(rng, means, y_s, spec.d)
+    if keep_source:
+        X_s = _clusters(rng, means, _balanced_labels(spec.n_source, spec.K), spec.d)
+    else:
+        X_s = None
+        _skip_normals(rng, spec.n_source, spec.d)
 
-    y_t = _balanced_labels(spec.n_target, spec.K)
-    base = _clusters(rng, means, y_t, spec.d)
+    base = _clusters(rng, means, _balanced_labels(spec.n_target, spec.K), spec.d)
     X_t = base @ M.T
     del base
     shift = np.asarray(spec.mean_shift)
@@ -226,10 +247,22 @@ def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
         block = X_t[rows]
         block += shift
         block += spec.noise_std * rng.standard_normal(block.shape)
+    return X_s, X_t
 
+
+def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
+    """Draw one (source, target) pair; deterministic per spec.
+
+    The features are ``_shift_features(spec)``, bitwise the one-expression
+    form; its target product ``base @ M.T`` stays whole, because in row
+    blocks it would move the target's last bits under OpenBLAS's Nehalem
+    kernel."""
+    X_s, X_t = _shift_features(spec)
     return (
-        Dataset(features=X_s, labels=y_s, domain_name="source"),
-        Dataset(features=X_t, labels=y_t, domain_name="target"),
+        Dataset(features=X_s, labels=_balanced_labels(spec.n_source, spec.K),
+                domain_name="source"),
+        Dataset(features=X_t, labels=_balanced_labels(spec.n_target, spec.K),
+                domain_name="target"),
     )
 
 

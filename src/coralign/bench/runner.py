@@ -54,7 +54,7 @@ from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import mean_and_covariance, psd_operator, standardize
-from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, generate_shift
+from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, _shift_features, generate_shift
 from .io import load_dataset
 
 # Seed offset deriving the "unrelated" third domain; a large prime so it
@@ -220,19 +220,26 @@ def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
+    """The trial's standardized domains and their statistics.  A generated
+    domain's raw features are released once standardized, so the trial
+    never holds both copies of it; a file pair, shared by every trial,
+    stays intact."""
     if file_pair is not None:
         src, tgt = file_pair
         spec = None
     else:
         spec = dataclasses.replace(config.spec, seed=seed)
         src, tgt = generate_shift(spec)
-    Xs, _, _ = standardize(src.features)
-    Xt, _, _ = standardize(tgt.features)
+    ys, yt = src.labels, tgt.labels
+    Xs = standardize(src.features)[0]
+    del src
+    Xt = standardize(tgt.features)[0]
+    del tgt
     stats_s = mean_and_covariance(Xs)
     stats_t = mean_and_covariance(Xt)
     pre = float(np.linalg.norm(stats_s.cov - stats_t.cov))
     return _Trial(
-        Xs=Xs, ys=src.labels, Xt=Xt, yt=tgt.labels,
+        Xs=Xs, ys=ys, Xt=Xt, yt=yt,
         stats_s=stats_s, stats_t=stats_t, pre=pre, seed=seed, spec=spec,
     )
 
@@ -326,14 +333,15 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
 
 def _unrelated_stats(spec: ShiftSpec):
     """Statistics of a third, differently-shifted domain, standardized
-    like the trial's own."""
+    like the trial's own: the target of generate_shift(spec_u), drawn
+    without its source (only the source's draws are made, to advance the
+    generator), and released once standardized."""
     rot = spec.rotation_seed
     if rot is None:
         rot = spec.seed + ROTATION_SEED_OFFSET
     spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET,
                                  rotation_angles=None, rotation_seed=rot + UNRELATED_OFFSET)
-    _, unrel = generate_shift(spec_u)
-    Xu, _, _ = standardize(unrel.features)
+    Xu = standardize(_shift_features(spec_u, keep_source=False)[1])[0]
     return mean_and_covariance(Xu)
 
 

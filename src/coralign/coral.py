@@ -33,7 +33,7 @@ import numpy as np
 
 from .classify import LinearModel
 from .errors import InvalidInputError, NumericalError
-from .linalg import SymOperator, as_feature_matrix, covariance_operator
+from .linalg import SymOperator, _covariance_operator, as_feature_matrix
 
 
 def _finite(values, what: str):
@@ -81,6 +81,8 @@ class CoralTransform:
 
 
 def _check_pair(D_S, D_T) -> tuple[np.ndarray, np.ndarray]:
+    """Both domains validated, once: the fits pass them on to
+    linalg._covariance_operator, which checks them no more."""
     D_S = as_feature_matrix(D_S, "source features")
     D_T = as_feature_matrix(D_T, "target features")
     if D_S.shape[1] != D_T.shape[1]:
@@ -109,8 +111,8 @@ def fit_regularized(D_S, D_T, lam: float = 1.0) -> CoralTransform:
             "lambda must be > 0 in regularized mode; use the analytical fit for lambda = 0"
         )
     return CoralTransform(
-        source=covariance_operator(D_S, lam).power(-0.5),
-        target=covariance_operator(D_T, lam).power(0.5),
+        source=_covariance_operator(D_S, lam).power(-0.5),
+        target=_covariance_operator(D_T, lam).power(0.5),
         mode="regularized", lam=float(lam), rank_used=None,
     )
 
@@ -129,7 +131,7 @@ def fit_analytical(D_S, D_T) -> CoralTransform:
     data, R P_S R falls short of C_T,r.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    S, T = covariance_operator(D_S), covariance_operator(D_T)
+    S, T = _covariance_operator(D_S, 0.0), _covariance_operator(D_T, 0.0)
     r = min(int(S.rank_mask().sum()), int(T.rank_mask().sum()))
     top = np.argsort(T.spectrum)[::-1][:r]
     return CoralTransform(
@@ -182,6 +184,6 @@ def whiten_both_baseline(D_S, D_T, lam: float = 1.0) -> tuple[np.ndarray, np.nda
     and is provided to show it underperforms alignment.
     """
     D_S, D_T = _check_pair(D_S, D_T)
-    out_S = covariance_operator(D_S, lam).power(-0.5).apply(D_S)
-    out_T = covariance_operator(D_T, lam).power(-0.5).apply(D_T)
+    out_S = _covariance_operator(D_S, lam).power(-0.5).apply(D_S)
+    out_T = _covariance_operator(D_T, lam).power(-0.5).apply(D_T)
     return out_S, out_T

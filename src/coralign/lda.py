@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DomainStats, SymOperator
+from .linalg import DEFAULT_RANK_TOL, DomainStats, SymOperator
 
 
 def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
@@ -40,22 +40,22 @@ def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
 def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
     """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
     or one weight row per row of a stack of them, for the operator
-    ``source`` = C_S + lam I from ``psd_operator``.
+    ``source`` = C_S + lam I from ``psd_operator``, or, for wide data,
+    ``covariance_operator(X, lam)``, whose thin basis leaves the d - k
+    other directions at eigenvalue lam.
 
-    Raises NumericalError when the operator is singular under
-    ``SymOperator.rank_mask``'s rule, and InvalidInputError for a thin
-    operator, whose basis does not span the space."""
-    d = source.dim
+    The operator's eigenvalues are shift + spectrum on its basis and
+    shift on every direction outside it; raises NumericalError when one
+    of them is at or below DEFAULT_RANK_TOL times the largest (the rule
+    of ``SymOperator.rank_mask``), as for a thin operator at shift 0."""
+    d, k = source.basis.shape
     diffs = _mean_diffs(mean_diffs, d)
-    if source.basis.shape[1] != d:
-        raise InvalidInputError(
-            "fit_lda needs a covariance operator whose basis spans the space "
-            f"(got {source.basis.shape[1]} of {d} directions)"
-        )
-    keep = source.rank_mask()
-    if not keep.all():
+    eig = np.append(source.shift + source.spectrum, source.shift)
+    count = np.append(np.ones(k, dtype=int), d - k)
+    rank = int(count[eig > DEFAULT_RANK_TOL * eig.max()].sum())
+    if rank < d:
         raise NumericalError(
-            f"covariance not invertible: C_S + lam I has rank {keep.sum()} of {d}"
+            f"covariance not invertible: C_S + lam I has rank {rank} of {d}"
         )
     w = source.power(-1).apply(diffs)
     if not np.all(np.isfinite(w)):

@@ -230,11 +230,16 @@ def covariance_operator(X, lam: float = 0.0) -> SymOperator:
     none, and on raw features of very different scales a real direction
     can sit far below 1e-10 * g_max.
     """
-    X = as_feature_matrix(X)
+    return _covariance_operator(as_feature_matrix(X), lam)
+
+
+def _covariance_operator(X: np.ndarray, lam: float) -> SymOperator:
+    """covariance_operator for feature rows X already validated by
+    as_feature_matrix, for callers that have checked them."""
     n, d = X.shape
     _check_lam(lam)
     if n - 1 >= d:
-        return psd_operator(mean_and_covariance(X).cov, lam)
+        return psd_operator(_centred_covariance(X)[2], lam)
     Xc = X - X.mean(axis=0)
     G = Xc @ Xc.T
     gram = sym_eigen((G + G.T) / 2.0)
@@ -243,6 +248,33 @@ def covariance_operator(X, lam: float = 0.0) -> SymOperator:
     V = Xc.T @ gram.basis[:, keep]
     V /= np.sqrt(g[keep])
     return SymOperator(float(lam), V, g[keep] / max(n - 1, 1))
+
+
+# Entries per row block of _column_square_sums' squares.
+_SQUARE_BLOCK_ENTRIES = 1 << 16
+
+
+def _column_square_sums(X) -> np.ndarray:
+    """np.add.reduce(np.square(X), axis=0), bit for bit, without an n x d
+    square.
+
+    With d >= 2 numpy sums a column of a C-ordered matrix row after row,
+    so the squares are formed one row block at a time and each block is
+    reduced behind the running sums, [sums; block^2], which continues the
+    same sequence.  With d = 1 numpy sums the lone column pairwise, which
+    a blocked sum would not repeat, so one column is squared whole."""
+    n, d = X.shape
+    if d == 1:
+        return np.add.reduce(np.square(X), axis=0)
+    step = max(1, _SQUARE_BLOCK_ENTRIES // d)
+    buf = np.empty((min(step, n) + 1, d))
+    sums = np.zeros(d)
+    for start in range(0, n, step):
+        block = X[start:start + step]
+        buf[0] = sums
+        np.square(block, out=buf[1:len(block) + 1])
+        np.add.reduce(buf[:len(block) + 1], axis=0, out=sums)
+    return sums
 
 
 def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,7 +289,9 @@ def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The columns are centred once: the std is taken from the centred
     array that is returned, the difference ``np.std`` forms itself, and
-    that array is then scaled in place.
+    that array is then scaled in place.  Its squares are summed in row
+    blocks (``_column_square_sums``), so the only n x d array formed is
+    the one returned.
     """
     D = as_feature_matrix(D)
     n = D.shape[0]
@@ -265,7 +299,7 @@ def standardize(D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise InvalidInputError("standardize needs at least 2 rows")
     means = D.mean(axis=0)
     out = D - means
-    stds = np.sqrt(np.add.reduce(np.square(out), axis=0) / (n - 1))
+    stds = np.sqrt(_column_square_sums(out) / (n - 1))
     for j in np.flatnonzero(stds <= n * np.finfo(float).eps * np.abs(means)):
         if np.all(D[:, j] == D[0, j]):
             means[j], stds[j] = D[0, j], 0.0

@@ -7,13 +7,15 @@ plus exact checks for shapes, determinism, and serialization.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coralign import classify, coral, lda, linalg
 from coralign.bench import runner
-from coralign.bench.data import ShiftSpec, rotated_anisotropic_spec
+from coralign.bench.data import (ROTATION_SEED_OFFSET, ShiftSpec, generate_shift,
+                                 rotated_anisotropic_spec)
 from coralign.bench.io import save_csv
 from coralign.bench.runner import (
     LOSS_BALANCE_STEPS,
@@ -310,6 +312,47 @@ class TestRunExperiment:
         assert 0 < len(calls) <= 3 * cfg.trials
         assert set(calls) == {(16, 16)}
         assert len(coral_fits) == 2 * cfg.trials
+
+    @pytest.mark.parametrize("spec", [
+        rotated_anisotropic_spec(3),
+        rotated_anisotropic_spec(5, d=96, K=4, n_source=1500, n_target=40),
+        zero_shift_spec(seed=2),
+        dataclasses.replace(zero_shift_spec(seed=2), rotation_angles=None, rotation_seed=9),
+    ], ids=["frozen", "wide-blocks", "rotation-angles", "rotation-seed"])
+    def test_unrelated_stats_are_the_standardized_unrelated_target(self, spec):
+        rot = spec.seed + ROTATION_SEED_OFFSET if spec.rotation_seed is None else spec.rotation_seed
+        spec_u = dataclasses.replace(spec, seed=spec.seed + runner.UNRELATED_OFFSET,
+                                     rotation_angles=None,
+                                     rotation_seed=rot + runner.UNRELATED_OFFSET)
+        want = linalg.mean_and_covariance(linalg.standardize(generate_shift(spec_u)[1].features)[0])
+        got = runner._unrelated_stats(spec)
+        assert got.n == want.n
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+
+    def test_lda_trial_holds_no_raw_or_source_copy(self):
+        # in arrays of n x d: the trial peaks while drawing its domains (3)
+        # and then holds its two standardized domains, to which the
+        # unrelated domain adds its target draws and product.  Raw domains
+        # beside their standardized copies took 5.4 in _make_trial, and
+        # with the unrelated source and a whole square in standardize the
+        # trial took 6.4
+        n, d = 4000, 256
+        cfg = ExperimentConfig(
+            spec=rotated_anisotropic_spec(0, d=d, K=10, n_source=n, n_target=n),
+            methods=("LDA", "CORAL-LDA", "CORAL-LDA-mismatched"),
+            trials=1,
+        )
+        tracemalloc.start()
+        try:
+            trial = _make_trial(cfg, 0, None)
+            _, make_peak = tracemalloc.get_traced_memory()
+            runner._lda_group(trial, cfg, list(cfg.methods))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert make_peak <= 3.75 * n * d * 8
+        assert peak <= 5.0 * n * d * 8
 
     def test_every_method_runs_without_a_dense_solve(self, monkeypatch):
         def no_solve(*args):

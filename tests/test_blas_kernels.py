@@ -11,6 +11,11 @@ every kernel, two lockstep deep runs of trial 0 must equal, bit for bit,
 the reference loop that trains one network on 2-D arrays
 (tests/test_deep.py): the runner's (both deep methods), and one of five
 members, four of them aligned, whose covariances are formed as one stack.
+Under every kernel, too, generate_shift and its target-only draw must
+equal, bit for bit, the one-expression form (tests/test_bench_data.py)
+at d = 512 and d = 2048 with more rows than one row block: a target
+product taken in row blocks moved entries in the last bits under Nehalem
+at both sizes.
 """
 
 import ctypes
@@ -58,7 +63,22 @@ for weights in ((config.deep.coral_weight, 0.0), (0.5, 2.0, 0.0, 0.25, 1.0)):
         got = [a for layer in trained.layers for a in layer] + [rep.class_loss, rep.coral_loss]
         want = [a for layer in layers for a in layer] + [class_curve, coral_curve]
         bitwise.append(all(np.array_equal(a, b) for a, b in zip(got, want)))
-print(json.dumps({"core": core, "methods": report, "lockstep_bitwise": bitwise}))
+
+from test_bench_data import one_expression_shift
+from coralign.bench import data
+draws = []
+rotation_for = data._rotation_for
+for d, n in ((512, 300), (2048, 100)):
+    spec = rotated_anisotropic_spec(1, d=d, n_source=n, n_target=n)
+    # the rotation (a d x d QR, 2 s at d = 2048) once for the three draws
+    data._rotation_for = lambda _, R=rotation_for(spec): R
+    want_s, want_t = one_expression_shift(spec)
+    src, tgt = data.generate_shift(spec)
+    draws.append(src.features.tobytes() == want_s.tobytes())
+    draws.append(tgt.features.tobytes() == want_t.tobytes())
+    draws.append(data._shift_features(spec, keep_source=False)[1].tobytes() == want_t.tobytes())
+print(json.dumps({"core": core, "methods": report, "lockstep_bitwise": bitwise,
+                  "draws_bitwise": draws}))
 """
 
 EXACT = ("target_acc", "source_acc", "target_acc_mean", "target_acc_std",
@@ -102,6 +122,10 @@ def test_lockstep_deep_run_matches_the_reference_loop(default_run):
     assert default_run[1]["lockstep_bitwise"] == [True] * 7
 
 
+def test_generated_shifts_match_the_one_expression_form(default_run):
+    assert default_run[1]["draws_bitwise"] == [True] * 6
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
 def test_results_agree_with_the_default_kernel(default_run, core):
     lib, want = default_run
@@ -109,6 +133,7 @@ def test_results_agree_with_the_default_kernel(default_run, core):
     if got["core"].lower() != core.lower():
         pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
     assert got["lockstep_bitwise"] == [True] * 7, core
+    assert got["draws_bitwise"] == [True] * 6, core
     assert list(got["methods"]) == list(want["methods"])
     for name, fields in want["methods"].items():
         assert set(got["methods"][name]) == set(fields), name

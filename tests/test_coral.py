@@ -506,7 +506,7 @@ class TestNonFiniteGuard:
             op = linalg.covariance_operator(X, lam)
             return replace(op, basis=np.full_like(op.basis, np.nan))
 
-        monkeypatch.setattr(coral, "covariance_operator", corrupted)
+        monkeypatch.setattr(coral, "_covariance_operator", corrupted)
         rng = np.random.default_rng(80)
         with pytest.raises(NumericalError, match="non-finite"):
             fit(rng.standard_normal((30, 4)), rng.standard_normal((30, 4)))

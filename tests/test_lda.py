@@ -61,13 +61,33 @@ class TestFitLda:
         with pytest.raises(NumericalError, match="rank 2 of 3"):
             fit_lda(np.array([1.0, 0.5, 1.0]), psd_operator(C, 0.0))
 
-    def test_thin_operator_rejected(self):
-        # wide rows give a basis of n - 1 = 8 of 30 directions
+    def test_thin_operator_at_shift_zero_is_singular(self):
+        # wide rows give a basis of n - 1 = 8 of 30 directions; at shift 0
+        # the other 22 have eigenvalue 0
         X = np.random.default_rng(5).standard_normal((9, 30))
-        thin = covariance_operator(X, 0.5)
+        thin = covariance_operator(X, 0.0)
         assert thin.basis.shape == (30, 8)
-        with pytest.raises(InvalidInputError, match="8 of 30"):
+        with pytest.raises(NumericalError, match="rank 8 of 30"):
             fit_lda(np.ones(30), thin)
+
+    @pytest.mark.parametrize("lam", [0.5, 1e-3])
+    def test_thin_operator_matches_dense(self, lam):
+        # at shift lam > 0 the directions outside the thin basis have
+        # eigenvalue lam and the inverse is exact
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((9, 30)) * np.linspace(0.5, 3.0, 30)
+        diffs = rng.standard_normal((3, 30))
+        thin = covariance_operator(X, lam)
+        assert thin.basis.shape == (30, 8)
+        want = fit_lda(diffs, psd_operator(mean_and_covariance(X).cov, lam))
+        got = fit_lda(diffs, thin)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_thin_operator_with_a_negligible_shift_is_singular(self):
+        # eigenvalue lam outside the basis, below 1e-10 of the largest
+        X = np.random.default_rng(5).standard_normal((9, 30)) * 1e6
+        with pytest.raises(NumericalError, match="rank 8 of 30"):
+            fit_lda(np.ones(30), covariance_operator(X, 1e-3))
 
     def test_shape_and_lambda_checks(self):
         source = psd_operator(np.eye(3))

@@ -5,10 +5,16 @@ covariance estimator, scipy's matrix-function routines, elementwise
 Python loops, and hand-worked small cases.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coralign import linalg
 from coralign.coral import fit_regularized
 from coralign.errors import InvalidInputError, NotPSDError, NumericalError
 from coralign.linalg import (
@@ -383,6 +389,35 @@ class TestStandardize:
             np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
         assert got[0].flags.c_contiguous
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(2, 200), d=st.integers(1, 9), block=st.integers(1, 40),
+           scale=st.sampled_from([1e-3, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+    # one column, and two columns above one default block
+    @example(n=70000, d=1, block=linalg._SQUARE_BLOCK_ENTRIES, scale=1.0, seed=0)
+    @example(n=40000, d=2, block=linalg._SQUARE_BLOCK_ENTRIES, scale=1.0, seed=1)
+    def test_square_sums_in_row_blocks_equal_the_whole_reduce(self, n, d, block, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((n, d)) + rng.uniform(-10.0, 10.0, d)
+        centred = X - X.mean(axis=0)
+        want = np.add.reduce(np.square(centred), axis=0)
+        with mock.patch.object(linalg, "_SQUARE_BLOCK_ENTRIES", block):
+            assert linalg._column_square_sums(centred).tobytes() == want.tobytes()
+            _, _, stds = standardize(X)
+        assert stds.tobytes() == np.sqrt(want / (n - 1)).tobytes()
+
+    def test_forms_no_square_beside_its_output(self):
+        # the returned array and one row block of squares; a whole n x d
+        # square of the centred rows beside it took 2.0 arrays
+        n, d = 4000, 256
+        X = np.random.default_rng(18).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            standardize(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.nbytes
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
