@@ -53,31 +53,24 @@ def _read_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _int_list(text: str):
+def _parse_list(text: str, kind):
+    """The comma-separated values of text, each read by kind (int or float)."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        return [kind(x) for x in text.split(",") if x]
     except ValueError:
-        raise InvalidInputError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str):
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise InvalidInputError(f"expected comma-separated numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise InvalidInputError(f"expected comma-separated {what}, got {text!r}")
 
 
 def _cmd_transform(args) -> int:
-    src = load_dataset(args.source, args.csv_has_header, args.source_labels,
-                       "source")
-    tgt = load_dataset(args.target, args.csv_has_header, args.target_labels,
-                       "target")
+    src = load_dataset(args.source, args.csv_has_header, args.source_labels)
+    tgt = load_dataset(args.target, args.csv_has_header, args.target_labels)
     if args.analytical:
         tr = coral.fit_analytical(src.features, tgt.features)
     else:
         tr = coral.fit_regularized(src.features, tgt.features, args.lam)
     moved = coral.apply_to_features(tr, src.features)
-    save_dataset(Dataset(moved, src.labels, src.domain_name), args.out)
+    save_dataset(Dataset(moved, src.labels), args.out)
     ct = mean_and_covariance(tgt.features).cov
     pre = np.linalg.norm(mean_and_covariance(src.features).cov - ct)
     post = np.linalg.norm(mean_and_covariance(moved).cov - ct)
@@ -88,7 +81,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_lda(args) -> int:
-    train = load_dataset(args.train, args.csv_has_header, True, "train")
+    train = load_dataset(args.train, args.csv_has_header, True)
     if train.labels is None:
         raise InvalidInputError("training dataset must carry labels")
     if int(train.labels.max()) + 1 != 2:
@@ -101,7 +94,7 @@ def _cmd_lda(args) -> int:
     if args.mode == "coral":
         if not args.stats_from:
             raise InvalidInputError("--stats-from is required with --mode coral")
-        other = load_dataset(args.stats_from, args.csv_has_header, False, "stats")
+        other = load_dataset(args.stats_from, args.csv_has_header, False)
         stats_other = mean_and_covariance(other.features)
         w = lda_mod.fit_coral_lda(mu1 - mu0, source, psd_operator(stats_other.cov, args.lam))
         dist = lda_mod.domain_distance(stats_train, stats_other)
@@ -111,7 +104,7 @@ def _cmd_lda(args) -> int:
         w = lda_mod.fit_lda(mu1 - mu0, source)
         print(f"plain discriminant fitted (dim {train.d})")
     if args.out:
-        save_dataset(Dataset(w[None, :], None, "weights"), args.out)
+        save_dataset(Dataset(w[None, :], None), args.out)
     else:
         print(",".join(format(v, ".17g") for v in w))
     return EXIT_OK
@@ -147,7 +140,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rep = lambda_sweep(_read_run_config(args), _float_list(args.lambdas),
+    rep = lambda_sweep(_read_run_config(args), _parse_list(args.lambdas, float),
                        include_analytical=not args.no_analytical)
     for row in rep.rows:
         print(f"lambda={row['lam']}: target {row['target_acc_mean']:.4f} "
@@ -177,7 +170,7 @@ def _cmd_deep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    ns, ds = _int_list(args.n), _int_list(args.d)
+    ns, ds = _parse_list(args.n, int), _parse_list(args.d, int)
     if args.seeds < 1 or not ns or not ds or min(ns + ds) < 1:
         raise InvalidInputError("gradcheck needs --seeds >= 1 and non-empty --n and --d "
                                 "of positive sizes")

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..linalg import as_feature_matrix, integer_labels
+from ..linalg import _row_blocks, as_feature_matrix, class_labels
 
 # Rotation seed derived from the data seed when neither angles nor an
 # explicit rotation seed are given, so specs stay single-seed.
@@ -31,23 +31,17 @@ ROTATION_SEED_OFFSET = 7777
 
 @dataclass
 class Dataset:
-    """A feature matrix with optional class labels and a domain tag."""
+    """A feature matrix with optional class labels: one per row, checked
+    by linalg.class_labels, with classes contiguous from 0."""
 
     features: np.ndarray
     labels: Optional[np.ndarray]
-    domain_name: str
 
     def __post_init__(self):
         feats = as_feature_matrix(self.features)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (feats.shape[0],):
-                raise InvalidInputError(
-                    f"labels length {labels.shape} does not match "
-                    f"{feats.shape[0]} rows"
-                )
-            labels = integer_labels(labels)
+            labels = class_labels(self.labels, feats.shape[0])
             present = np.unique(labels)
             if not np.array_equal(present, np.arange(len(present))):
                 raise InvalidInputError(
@@ -72,7 +66,9 @@ class ShiftSpec:
     ``rotation_angles`` (radians, Givens rotations in consecutive axis
     pairs) pins the frame explicitly; an empty tuple means identity.
     When it is None the frame is a random rotation drawn from
-    ``rotation_seed`` (default: seed + ROTATION_SEED_OFFSET).
+    ``rotation_seed`` (default: seed + ROTATION_SEED_OFFSET).  The
+    sequence fields are stored as tuples, so a spec built from lists
+    equals, and hashes like, the one built from tuples.
     """
 
     d: int
@@ -88,6 +84,9 @@ class ShiftSpec:
     rotation_seed: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("scales", "mean_shift", "rotation_angles"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.K < 2:
             raise InvalidInputError("need at least 2 classes")
         if self.d < self.K - 1:
@@ -166,31 +165,23 @@ def _simplex(K: int) -> np.ndarray:
     return cols / np.sqrt((cols**2).sum(axis=1).mean())
 
 
+def _rotation_seed(spec: ShiftSpec) -> int:
+    """The seed of the random rotation of a spec without angles."""
+    if spec.rotation_seed is not None:
+        return spec.rotation_seed
+    return spec.seed + ROTATION_SEED_OFFSET
+
+
 def _rotation_for(spec: ShiftSpec) -> np.ndarray:
     if spec.rotation_angles is not None:
         return _angles_rotation(spec.d, spec.rotation_angles)
-    rot_seed = (
-        spec.rotation_seed
-        if spec.rotation_seed is not None
-        else spec.seed + ROTATION_SEED_OFFSET
-    )
-    return _random_rotation(spec.d, np.random.default_rng(rot_seed))
+    return _random_rotation(spec.d, np.random.default_rng(_rotation_seed(spec)))
 
 
 def _balanced_labels(n: int, K: int) -> np.ndarray:
     counts = np.full(K, n // K)
     counts[: n % K] += 1
     return np.repeat(np.arange(K), counts)
-
-
-# Entries per row block of generate_shift's elementwise work: blocks
-# keep its temporaries small against the n x d outputs.
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _row_blocks(n: int, d: int) -> list[slice]:
-    step = max(1, _BLOCK_ENTRIES // d)
-    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _clusters(rng: np.random.Generator, means, labels, d: int) -> np.ndarray:
@@ -259,10 +250,8 @@ def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
     kernel."""
     X_s, X_t = _shift_features(spec)
     return (
-        Dataset(features=X_s, labels=_balanced_labels(spec.n_source, spec.K),
-                domain_name="source"),
-        Dataset(features=X_t, labels=_balanced_labels(spec.n_target, spec.K),
-                domain_name="target"),
+        Dataset(features=X_s, labels=_balanced_labels(spec.n_source, spec.K)),
+        Dataset(features=X_t, labels=_balanced_labels(spec.n_target, spec.K)),
     )
 
 

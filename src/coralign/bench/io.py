@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -43,12 +42,9 @@ def save_csv(dataset: Dataset, path, header: bool = False) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_csv(
-    path,
-    has_header: bool = False,
-    has_labels: bool = False,
-    domain_name: Optional[str] = None,
-) -> Dataset:
+def load_csv(path, has_header: bool = False, has_labels: bool = False) -> Dataset:
+    """A CSV file as a Dataset: the header line skipped when has_header,
+    the last column taken as integer labels when has_labels."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -96,11 +92,8 @@ def load_csv(
                 f"{path}: line {lineno}: non-numeric cell {bad!r}"
             ) from None
 
-    return Dataset(
-        features=np.array(rows, dtype=float),
-        labels=np.array(labels) if has_labels else None,
-        domain_name=domain_name if domain_name is not None else path.stem,
-    )
+    return Dataset(features=np.array(rows, dtype=float),
+                   labels=np.array(labels) if has_labels else None)
 
 
 def _is_float(cell: str) -> bool:
@@ -122,7 +115,8 @@ def save_bin(dataset: Dataset, path) -> None:
     Path(path).write_bytes(blob)
 
 
-def load_bin(path, domain_name: Optional[str] = None) -> Dataset:
+def load_bin(path) -> Dataset:
+    """A CORF file as a Dataset, labels present when its header says so."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -153,27 +147,17 @@ def load_bin(path, domain_name: Optional[str] = None) -> Dataset:
     labels = None
     if has_labels:
         labels = np.frombuffer(payload[rows * cols * 8:], dtype="<u4").astype(int)
-    return Dataset(
-        features=feats,
-        labels=labels,
-        domain_name=domain_name if domain_name is not None else path.stem,
-    )
+    return Dataset(features=feats, labels=labels)
 
 
-def load_dataset(
-    path,
-    has_header: bool = False,
-    has_labels: bool = False,
-    domain_name: Optional[str] = None,
-) -> Dataset:
+def load_dataset(path, has_header: bool = False, has_labels: bool = False) -> Dataset:
     """Load a ``.bin`` file as CORF and any other path as CSV.
 
     The CSV flags are ignored for CORF, whose header records the labels.
     """
     if str(path).endswith(".bin"):
-        return load_bin(path, domain_name=domain_name)
-    return load_csv(path, has_header=has_header, has_labels=has_labels,
-                    domain_name=domain_name)
+        return load_bin(path)
+    return load_csv(path, has_header=has_header, has_labels=has_labels)
 
 
 def save_dataset(dataset: Dataset, path, header: bool = False) -> None:

@@ -54,7 +54,7 @@ from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import mean_and_covariance, psd_operator, standardize
-from .data import ROTATION_SEED_OFFSET, Dataset, ShiftSpec, _shift_features, generate_shift
+from .data import Dataset, ShiftSpec, _rotation_seed, _shift_features, generate_shift
 from .io import load_dataset
 
 # Seed offset deriving the "unrelated" third domain; a large prime so it
@@ -135,7 +135,6 @@ class MethodAggregate:
     min(LOSS_BALANCE_STEPS, iterations) training steps.  ``to_dict`` adds
     each after the common fields."""
 
-    name: str
     target_acc: list = field(default_factory=list)
     source_acc: list = field(default_factory=list)
     pre_dist: list = field(default_factory=list)
@@ -180,14 +179,12 @@ class MethodAggregate:
 @dataclass
 class ExperimentReport:
     methods: dict
-    trials: int
-    seed_base: int
     config: ExperimentConfig
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
-            "seed_base": self.seed_base,
+            "trials": self.config.trials,
+            "seed_base": self.config.seed_base,
             "config": config_to_dict(self.config),
             "methods": {k: v.to_dict() for k, v in self.methods.items()},
         }
@@ -209,9 +206,8 @@ class _Trial:
 
 
 def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    src = load_dataset(config.source_path, config.csv_has_header, True, "source")
-    tgt = load_dataset(config.target_path, config.csv_has_header,
-                       config.target_csv_has_labels, "target")
+    src = load_dataset(config.source_path, config.csv_has_header, True)
+    tgt = load_dataset(config.target_path, config.csv_has_header, config.target_csv_has_labels)
     if src.labels is None:
         raise InvalidInputError("source dataset must carry labels")
     if src.d != tgt.d:
@@ -336,11 +332,8 @@ def _unrelated_stats(spec: ShiftSpec):
     like the trial's own: the target of generate_shift(spec_u), drawn
     without its source (only the source's draws are made, to advance the
     generator), and released once standardized."""
-    rot = spec.rotation_seed
-    if rot is None:
-        rot = spec.seed + ROTATION_SEED_OFFSET
-    spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET,
-                                 rotation_angles=None, rotation_seed=rot + UNRELATED_OFFSET)
+    spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET, rotation_angles=None,
+                                 rotation_seed=_rotation_seed(spec) + UNRELATED_OFFSET)
     Xu = standardize(_shift_features(spec_u, keep_source=False)[1])[0]
     return mean_and_covariance(Xu)
 
@@ -419,7 +412,7 @@ def _run_trial(trial: _Trial, config: ExperimentConfig, agg: dict) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     file_pair = _load_file_pair(config) if config.spec is None else None
-    agg = {name: MethodAggregate(name=name) for name in config.methods}
+    agg = {name: MethodAggregate() for name in config.methods}
     for t in range(config.trials):
         trial = _make_trial(config, config.seed_base + t, file_pair)
         results = _run_trial(trial, config, agg)
@@ -434,12 +427,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             agg[name].domain_distance.append(dmd)
             for key, value in extras.items():
                 agg[name].extras.setdefault(key, []).append(value)
-    return ExperimentReport(
-        methods=agg,
-        trials=config.trials,
-        seed_base=config.seed_base,
-        config=config,
-    )
+    return ExperimentReport(methods=agg, config=config)
 
 
 @dataclass
@@ -549,12 +537,7 @@ def _keywords(raw, cls, what: str, **defaults) -> dict:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = _keywords(raw, ExperimentConfig, "config", spec=None, methods=("NA",))
     if raw["spec"] is not None:
-        s = _keywords(raw["spec"], ShiftSpec, "spec")
-        s["scales"] = tuple(s["scales"])
-        s["mean_shift"] = tuple(s["mean_shift"])
-        if s.get("rotation_angles") is not None:
-            s["rotation_angles"] = tuple(s["rotation_angles"])
-        raw["spec"] = ShiftSpec(**s)
+        raw["spec"] = ShiftSpec(**_keywords(raw["spec"], ShiftSpec, "spec"))
     if "deep" in raw:
         raw["deep"] = TrainConfig(**_keywords(raw["deep"], TrainConfig, "deep"))
     return ExperimentConfig(**raw)

@@ -47,12 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_feature_matrix, integer_labels
+from .linalg import as_feature_matrix, class_labels
 
 # Minibatch size for the subgradient steps.
 MINIBATCH = 64
-# Default epochs of cross-validated fits.
-CV_EPOCHS = 20
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,7 @@ class LinearModel:
 
 
 def _check_labels(labels, n: int) -> tuple[np.ndarray, int]:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise InvalidInputError(f"labels must have shape ({n},), got {labels.shape}")
-    labels = integer_labels(labels)
-    if labels.min() < 0:
-        raise InvalidInputError("labels must be non-negative class indices")
+    labels = class_labels(labels, n)
     K = int(labels.max()) + 1
     if K < 2:
         raise InvalidInputError("need at least two classes to train")
@@ -282,18 +275,19 @@ def accuracy(pred, truth) -> float:
 
 
 def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
-                        epochs: int = CV_EPOCHS) -> list[LinearModel]:
+                        epochs: int) -> list[LinearModel]:
     """One model per feature matrix in Ds, each at its own cross-validated C.
 
-    The matrices share one shape and the labels.  A member's C is the
-    grid value with the best mean held-out accuracy over the folds, ties
-    toward the smaller C (stronger regularization); the folds come from
-    one seeded shuffle split into near-equal parts.  Each model equals
-    ``train_svm(D, labels, C, epochs, seed)`` at that C and carries the
-    C's mean held-out accuracy as ``cv_acc``.  Every member's
-    cross-validation runs in one kernel run per fold group and every
-    final fit in one more.  A matrix that appears in Ds more than once
-    (the same object, compared by identity) is fit once, and its one
+    The matrices share one shape and the labels; every fit runs
+    ``epochs`` epochs, which, as in train_svm, has no default.  A
+    member's C is the grid value with the best mean held-out accuracy
+    over the folds, ties toward the smaller C (stronger regularization);
+    the folds come from one seeded shuffle split into near-equal parts.
+    Each model equals ``train_svm(D, labels, C, epochs, seed)`` at that
+    C and carries the C's mean held-out accuracy as ``cv_acc``.  Every
+    member's cross-validation runs in one kernel run per fold group and
+    every final fit in one more.  A matrix that appears in Ds more than
+    once (the same object, compared by identity) is fit once, and its one
     model is returned at each of its positions.
     """
     distinct = {id(D): D for D in Ds}  # first-seen order

@@ -40,7 +40,7 @@ import numpy as np
 
 from .classify import accuracy
 from .errors import InvalidInputError, NumericalError
-from .linalg import (DomainStats, _centred_covariance, as_feature_matrix, integer_labels,
+from .linalg import (DomainStats, _centred_covariance, as_feature_matrix, class_labels,
                      mean_and_covariance)
 
 # Layer weight-init spread: the monitored (final) layer is deliberately
@@ -134,21 +134,13 @@ class LossReport:
     final_target_stats: Optional[DomainStats]
 
 
-def _gap_loss(diff) -> float:
-    """||C_S - C_T||_F^2 / (4 d^2) for diff = C_S - C_T."""
-    d = diff.shape[0]
-    return float(np.add.reduce(diff * diff, axis=None) / (4.0 * d * d))
-
-
-def _loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
-    """coral_loss_and_grad for batches of at least 2 checked rows."""
-    _, Sc, cov_s = _centred_covariance(S)
-    _, Tc, cov_t = _centred_covariance(T)
-    diff = cov_s - cov_t
-    d = diff.shape[0]
-    grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
-    grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
-    return _gap_loss(diff), grad_S, grad_T
+def _gap_loss(diff):
+    """||C_S - C_T||_F^2 / (4 d^2) for diff = C_S - C_T, or one loss per
+    matrix of a stack (..., d, d), each bit for bit its lone matrix's:
+    every matrix's d^2 squares are summed as one contiguous row."""
+    d = diff.shape[-1]
+    squares = np.square(diff).reshape(diff.shape[:-2] + (d * d,))
+    return np.add.reduce(squares, axis=-1) / (4.0 * d * d)
 
 
 def _check_batches(S, T):
@@ -165,13 +157,20 @@ def _check_batches(S, T):
 def coral_loss(S, T) -> float:
     """||C_S - C_T||_F^2 / (4 d^2) over unbiased batch covariances."""
     S, T = _check_batches(S, T)
-    return _gap_loss(_centred_covariance(S)[2] - _centred_covariance(T)[2])
+    return float(_gap_loss(_centred_covariance(S)[2] - _centred_covariance(T)[2]))
 
 
 def coral_loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
     """coral_loss and its analytic gradients w.r.t. both activation
     batches, from one covariance per batch."""
-    return _loss_and_grad(*_check_batches(S, T))
+    S, T = _check_batches(S, T)
+    _, Sc, cov_s = _centred_covariance(S)
+    _, Tc, cov_t = _centred_covariance(T)
+    diff = cov_s - cov_t
+    d = diff.shape[0]
+    grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
+    grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
+    return float(_gap_loss(diff)), grad_S, grad_T
 
 
 def finite_diff_check(S, T, step: float = 1e-5) -> float:
@@ -234,14 +233,26 @@ def _network_input(net: Network, X, name: str = "network input") -> np.ndarray:
     return X
 
 
+def _forward(H, weights, biases):
+    """Each layer's input, H first, and the logits of the layers' weights
+    and biases: one network's on 2-D arrays, or a stack of slots' (the
+    trainer's buffers).  Each bias is added, and the ReLU applied, in
+    place on the layer's fresh product."""
+    inputs = [H]
+    for W, b in zip(weights[:-1], biases):
+        Z = inputs[-1] @ W
+        Z += b
+        inputs.append(np.maximum(Z, 0.0, out=Z))
+    logits = inputs[-1] @ weights[-1]
+    logits += biases[-1]
+    return inputs, logits
+
+
 def forward(net: Network, X) -> np.ndarray:
-    """The logits of the network for the rows of X.  Training runs its
-    own stacked forward and backward passes (``_train_members``)."""
-    H = _network_input(net, X)
-    for W, b in net.layers[:-1]:
-        H = np.maximum(H @ W + b, 0.0)
-    W, b = net.layers[-1]
-    return H @ W + b
+    """The logits of the network for the rows of X, from the forward pass
+    (``_forward``) that each training step also runs."""
+    weights, biases = zip(*net.layers)
+    return _forward(_network_input(net, X), weights, biases)[1]
 
 
 # Training runs in chunks of steps whose batch positions are drawn, and
@@ -301,17 +312,14 @@ def _full_data_gap(net: Network, X, Xt):
         return logits_s, stats_s, None, None, float("nan")
     logits_t = forward(net, Xt)
     stats_t = mean_and_covariance(logits_t)
-    return logits_s, stats_s, logits_t, stats_t, _gap_loss(stats_s.cov - stats_t.cov)
+    return logits_s, stats_s, logits_t, stats_t, float(_gap_loss(stats_s.cov - stats_t.cov))
 
 
 def _class_labels(labels, n: int, K: int, domain: str) -> np.ndarray:
     """One class index in [0, K) per row of the domain's n rows, as
-    integers (linalg.integer_labels)."""
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise InvalidInputError(f"{domain} labels must align with {domain} rows")
-    y = integer_labels(y, f"{domain} labels")
-    if y.min() < 0 or y.max() >= K:
+    integers (linalg.class_labels, plus the bound K)."""
+    y = class_labels(labels, n, f"{domain} labels")
+    if y.max() >= K:
         raise InvalidInputError(f"{domain} labels must lie in [0, {K})")
     return y
 
@@ -447,15 +455,10 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
             if A:
                 slots[:M] = rows[j]
                 slots[M:] = t_rows[j]
-                inputs = [slots]
+                H = slots
             else:
-                inputs = [rows[j]]  # broadcast over the members
-            for W, b in zip(weight_rows[:-1], bias_rows):
-                Z = inputs[-1] @ W
-                Z += b
-                inputs.append(np.maximum(Z, 0.0, out=Z))
-            logits = inputs[-1] @ weight_rows[-1]
-            logits += bias_rows[-1]
+                H = rows[j]  # broadcast over the members
+            inputs, logits = _forward(H, weight_rows, bias_rows)
             _check_not_diverged(logits, it, owners)
 
             probs = _softmax(logits[:M])
@@ -495,8 +498,7 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
 
         logs = np.log(np.maximum(picked[:steps], 1e-300))
         class_curve[start:start + steps] = -(logs.sum(axis=-1) / batch)
-        gaps = np.square(diffs[:steps]).reshape(steps, A, K * K)
-        coral_curve[U:, start:start + steps] = (gaps.sum(axis=-1) / (4.0 * K * K)).T
+        coral_curve[U:, start:start + steps] = _gap_loss(diffs[:steps]).T
 
     runs = [None] * M
     for m, work in enumerate(works):

@@ -132,6 +132,19 @@ def integer_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     return labels.astype(int)
 
 
+def class_labels(labels, n: int, name: str = "labels") -> np.ndarray:
+    """One non-negative integer class index per row of n rows: the shape
+    checked, the values cast by integer_labels; InvalidInputError naming
+    ``name`` otherwise.  Callers add their own rules on the classes."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidInputError(f"{name} must have shape ({n},), got {labels.shape}")
+    labels = integer_labels(labels, name)
+    if labels.min() < 0:
+        raise InvalidInputError(f"{name} must be non-negative class indices")
+    return labels
+
+
 def mean_and_covariance(D) -> DomainStats:
     """Column means and unbiased covariance of a feature matrix.
 
@@ -250,8 +263,14 @@ def _covariance_operator(X: np.ndarray, lam: float) -> SymOperator:
     return SymOperator(float(lam), V, g[keep] / max(n - 1, 1))
 
 
-# Entries per row block of _column_square_sums' squares.
-_SQUARE_BLOCK_ENTRIES = 1 << 16
+# Entries per row block of the work that runs in row blocks (generate_shift,
+# _column_square_sums): blocks keep temporaries small against n x d arrays.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int, d: int) -> list[slice]:
+    step = max(1, _BLOCK_ENTRIES // d)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _column_square_sums(X) -> np.ndarray:
@@ -266,11 +285,11 @@ def _column_square_sums(X) -> np.ndarray:
     n, d = X.shape
     if d == 1:
         return np.add.reduce(np.square(X), axis=0)
-    step = max(1, _SQUARE_BLOCK_ENTRIES // d)
-    buf = np.empty((min(step, n) + 1, d))
+    blocks = _row_blocks(n, d)
+    buf = np.empty((min(blocks[0].stop, n) + 1, d))
     sums = np.zeros(d)
-    for start in range(0, n, step):
-        block = X[start:start + step]
+    for rows in blocks:
+        block = X[rows]
         buf[0] = sums
         np.square(block, out=buf[1:len(block) + 1])
         np.add.reduce(buf[:len(block) + 1], axis=0, out=sums)

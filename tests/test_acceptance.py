@@ -320,7 +320,7 @@ class TestAcceptance:
             X[2, 2] = -1e-300
             X[3, 3] = np.pi
             y = rng.integers(0, 4, 37)
-            ds = Dataset(X, y, domain_name="acc")
+            ds = Dataset(X, y)
 
             bin_path = tmp_path / "acc.bin"
             save_bin(ds, bin_path)

@@ -7,6 +7,7 @@ I + mean-scatter, and the target covariance is M Sigma_S M^T + noise^2 I
 where M applies the per-axis scales in the rotated frame.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from coralign.bench.data import (
 )
 from coralign.errors import InvalidInputError
 from coralign.linalg import mean_and_covariance
-from coralign import coral
+from coralign import coral, linalg
 
 
 def make_spec(**kw):
@@ -47,30 +48,18 @@ def make_spec(**kw):
 class TestDataset:
     def test_label_length_must_match(self):
         with pytest.raises(InvalidInputError):
-            Dataset(
-                features=np.zeros((3, 2)),
-                labels=np.array([0, 1]),
-                domain_name="x",
-            )
+            Dataset(features=np.zeros((3, 2)), labels=np.array([0, 1]))
 
     def test_class_indices_must_start_at_zero(self):
         with pytest.raises(InvalidInputError):
-            Dataset(
-                features=np.zeros((3, 2)),
-                labels=np.array([1, 2, 1]),
-                domain_name="x",
-            )
+            Dataset(features=np.zeros((3, 2)), labels=np.array([1, 2, 1]))
 
     def test_class_indices_must_be_contiguous(self):
         with pytest.raises(InvalidInputError):
-            Dataset(
-                features=np.zeros((3, 2)),
-                labels=np.array([0, 2, 0]),
-                domain_name="x",
-            )
+            Dataset(features=np.zeros((3, 2)), labels=np.array([0, 2, 0]))
 
     def test_unlabeled_allowed(self):
-        ds = Dataset(features=np.zeros((3, 2)), labels=None, domain_name="t")
+        ds = Dataset(features=np.zeros((3, 2)), labels=None)
         assert ds.n == 3 and ds.d == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
@@ -78,8 +67,7 @@ class TestDataset:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="labels must be integers"):
-                Dataset(features=np.zeros((3, 2)), labels=np.array([bad, 1.0, 0.0]),
-                        domain_name="x")
+                Dataset(features=np.zeros((3, 2)), labels=np.array([bad, 1.0, 0.0]))
 
 
 class TestShiftSpecValidation:
@@ -127,6 +115,16 @@ class TestShiftSpecValidation:
         with pytest.raises(InvalidInputError):
             make_spec(noise_std=-0.1)
 
+    @pytest.mark.parametrize("angles", [None, (0.5,)])
+    def test_spec_from_lists_equals_spec_from_tuples(self, angles):
+        spec = make_spec(rotation_angles=angles)
+        listed = dataclasses.replace(
+            spec, scales=list(spec.scales), mean_shift=list(spec.mean_shift),
+            rotation_angles=None if angles is None else list(angles))
+        assert listed == spec
+        assert hash(listed) == hash(spec)
+        assert isinstance(listed.scales, tuple) and isinstance(listed.mean_shift, tuple)
+
 
 class TestGenerateShift:
     def test_bit_identical_repeatability(self):
@@ -143,7 +141,6 @@ class TestGenerateShift:
         src, tgt = generate_shift(spec)
         assert src.features.shape == (203, 4)
         assert tgt.features.shape == (101, 4)
-        assert src.domain_name == "source" and tgt.domain_name == "target"
         for ds in (src, tgt):
             counts = np.bincount(ds.labels, minlength=2)
             assert counts.max() - counts.min() <= 1
@@ -263,22 +260,22 @@ BLOCKED_SPECS = {
 
 
 class TestGenerateShiftInRowBlocks:
-    @pytest.mark.parametrize("block_entries", [data._BLOCK_ENTRIES, 50])
+    @pytest.mark.parametrize("block_entries", [linalg._BLOCK_ENTRIES, 50])
     @pytest.mark.parametrize("name", sorted(BLOCKED_SPECS))
     def test_bytes_equal_one_expression_form(self, name, block_entries, monkeypatch):
         # 50 entries per block: a few rows per block and a short last block
-        monkeypatch.setattr(data, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
         spec = BLOCKED_SPECS[name]
         src, tgt = generate_shift(spec)
         want_s, want_t = one_expression_shift(spec)
         assert src.features.tobytes() == want_s.tobytes()
         assert tgt.features.tobytes() == want_t.tobytes()
 
-    @pytest.mark.parametrize("block_entries", [data._BLOCK_ENTRIES, 50])
+    @pytest.mark.parametrize("block_entries", [linalg._BLOCK_ENTRIES, 50])
     @pytest.mark.parametrize("name", sorted(BLOCKED_SPECS))
     def test_target_only_draw_bytes_equal_one_expression_form(self, name, block_entries,
                                                              monkeypatch):
-        monkeypatch.setattr(data, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
         spec = BLOCKED_SPECS[name]
         source, target = data._shift_features(spec, keep_source=False)
         assert source is None

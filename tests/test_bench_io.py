@@ -20,7 +20,7 @@ def random_dataset(seed, n=7, d=3, labeled=True, K=3):
     labels = rng.integers(0, K, size=n) if labeled else None
     if labeled:
         labels[:K] = np.arange(K)  # keep indices contiguous
-    return Dataset(features=feats, labels=labels, domain_name="rand")
+    return Dataset(features=feats, labels=labels)
 
 
 class TestCsvRoundTrip:
@@ -28,7 +28,6 @@ class TestCsvRoundTrip:
         ds = Dataset(
             features=np.array([[1.5, -2.25], [0.125, 3.0]]),
             labels=np.array([0, 1]),
-            domain_name="tiny",
         )
         p = tmp_path / "tiny.csv"
         save_csv(ds, p)
@@ -44,7 +43,7 @@ class TestCsvRoundTrip:
                 [1.7976931348623157e308, 2.2250738585072014e-308, -0.0],
             ]
         )
-        ds = Dataset(features=feats, labels=None, domain_name="x")
+        ds = Dataset(features=feats, labels=None)
         p = tmp_path / "x.csv"
         save_csv(ds, p)
         back = load_csv(p)
@@ -71,12 +70,6 @@ class TestCsvRoundTrip:
         save_csv(ds, p, header=True)
         back = load_csv(p, has_header=True, has_labels=True)
         np.testing.assert_array_equal(back.features, ds.features)
-
-    def test_domain_name_defaults_to_file_stem(self, tmp_path):
-        ds = random_dataset(2, labeled=False)
-        p = tmp_path / "office31.csv"
-        save_csv(ds, p)
-        assert load_csv(p).domain_name == "office31"
 
 
 class TestCsvErrors:
@@ -140,7 +133,7 @@ class TestBinaryRoundTrip:
 
     def test_exact_byte_layout_written(self, tmp_path):
         feats = np.array([[1.5, -2.0], [0.25, 3.0]])
-        ds = Dataset(features=feats, labels=np.array([0, 1]), domain_name="t")
+        ds = Dataset(features=feats, labels=np.array([0, 1]))
         p = tmp_path / "layout.bin"
         save_bin(ds, p)
         want = (

@@ -169,7 +169,7 @@ class TestRunExperiment:
             spec=zero_shift_spec(n=120), methods=("NA", "CORAL-reg"), trials=3
         )
         report = run_experiment(cfg)
-        assert report.trials == 3
+        assert report.config.trials == 3
         for name in ("NA", "CORAL-reg"):
             m = report.methods[name]
             assert len(m.target_acc) == 3

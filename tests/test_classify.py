@@ -518,17 +518,17 @@ class TestFitCrossValidated:
         Ds, y, kw = awkward_members()
         for bad in (Ds[0][:, :2], Ds[0][:40]):
             with pytest.raises(InvalidInputError, match="share one shape"):
-                fit_cross_validated([Ds[0], bad], y, GRID, **kw)
+                fit_cross_validated([Ds[0], bad], y, GRID, epochs=20, **kw)
 
     def test_labels_of_wrong_length_rejected(self):
         Ds, y, kw = awkward_members()
         with pytest.raises(InvalidInputError, match="labels must have shape"):
-            fit_cross_validated(Ds, y[:-1], GRID, **kw)
+            fit_cross_validated(Ds, y[:-1], GRID, epochs=20, **kw)
 
     def test_no_members_rejected(self):
         _, y, kw = awkward_members()
         with pytest.raises(InvalidInputError):
-            fit_cross_validated([], y, GRID, **kw)
+            fit_cross_validated([], y, GRID, epochs=20, **kw)
 
 
 def gathered_objectives(Wa, Xa, Ysign, rows, lam):

@@ -87,8 +87,8 @@ class TestTransform:
         Ds = 3.0 * rng.standard_normal((n_source, 16)) + 5.0
         Dt = rng.standard_normal((n_target, 16)) @ rng.standard_normal((16, 16))
         sp, tp, out = tmp_path / "s.csv", tmp_path / "t.csv", tmp_path / "o.csv"
-        save_csv(Dataset(Ds, None, "source"), sp)
-        save_csv(Dataset(Dt, None, "target"), tp)
+        save_csv(Dataset(Ds, None), sp)
+        save_csv(Dataset(Dt, None), tp)
         rc = main(["transform", "--source", str(sp), "--target", str(tp),
                    "--out", str(out), *mode])
         assert rc == 0
@@ -142,7 +142,7 @@ class TestLdaCommand:
     def test_coral_mode_uses_stats_file(self, tmp_path):
         p, src, tgt = self._binary_csv(tmp_path)
         stats_p = tmp_path / "stats.csv"
-        save_csv(Dataset(tgt.features, None, "t"), stats_p)
+        save_csv(Dataset(tgt.features, None), stats_p)
         out = tmp_path / "w.csv"
         rc = main(["lda", "--train", str(p), "--mode", "coral",
                    "--stats-from", str(stats_p), "--out", str(out)])
@@ -166,7 +166,7 @@ class TestLdaCommand:
         # one eigendecomposition per covariance, no dense solve
         p, _, tgt = self._binary_csv(tmp_path)
         stats_p = tmp_path / "stats.csv"
-        save_csv(Dataset(tgt.features, None, "t"), stats_p)
+        save_csv(Dataset(tgt.features, None), stats_p)
         calls = []
         monkeypatch.setattr(linalg, "sym_eigen", lambda *a, _fn=linalg.sym_eigen, **k:
                             calls.append(1) or _fn(*a, **k))
@@ -183,7 +183,7 @@ class TestLdaCommand:
         X = np.hstack([X, X[:, :1]])
         y = np.array([0, 1] * 20)
         p = tmp_path / "sing.csv"
-        save_csv(Dataset(X, y, "s"), p)
+        save_csv(Dataset(X, y), p)
         rc = main(["lda", "--train", str(p), "--mode", "plain",
                    "--lam", "0", "--out", str(tmp_path / "w.csv")])
         assert rc == 2
@@ -326,7 +326,7 @@ class TestOutOfRangeNumbers:
         src, tgt = generate_shift(small_spec())
         paths = tmp_path / "src.csv", tmp_path / "tgt.csv"
         save_csv(src, paths[0])
-        save_csv(Dataset(tgt.features, None, "t"), paths[1])
+        save_csv(Dataset(tgt.features, None), paths[1])
         return [str(p) for p in paths]
 
     def _config(self, tmp_path, files, **overrides):

@@ -92,6 +92,20 @@ class TestCoralLoss:
         with pytest.raises(InvalidInputError):
             coral_loss(rng.standard_normal((1, 3)), rng.standard_normal((5, 3)))
 
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_gap_loss_of_a_stack_equals_each_matrix_bit_for_bit(self, K):
+        # a (steps, A, K, K) stack, as the trainer reduces a chunk's gaps;
+        # each lone matrix also against the whole-array reduce
+        diffs = np.random.default_rng(4).standard_normal((7, 3, K, K))
+        got = deep_mod._gap_loss(diffs)
+        assert got.shape == (7, 3)
+        for s in range(7):
+            for a in range(3):
+                want = deep_mod._gap_loss(diffs[s, a])
+                assert got[s, a].tobytes() == want.tobytes()
+                whole = np.add.reduce(diffs[s, a] * diffs[s, a], axis=None) / (4.0 * K * K)
+                assert want.tobytes() == whole.tobytes()
+
 
 class TestCoralLossGrad:
     def test_identical_batches_zero_gradient(self):

@@ -6,6 +6,7 @@ Python loops, and hand-worked small cases.
 """
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coralign import linalg
+from coralign import classify, deep, linalg
+from coralign.bench.data import Dataset
 from coralign.coral import fit_regularized
 from coralign.errors import InvalidInputError, NotPSDError, NumericalError
 from coralign.linalg import (
@@ -394,14 +396,14 @@ class TestStandardize:
     @given(n=st.integers(2, 200), d=st.integers(1, 9), block=st.integers(1, 40),
            scale=st.sampled_from([1e-3, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1))
     # one column, and two columns above one default block
-    @example(n=70000, d=1, block=linalg._SQUARE_BLOCK_ENTRIES, scale=1.0, seed=0)
-    @example(n=40000, d=2, block=linalg._SQUARE_BLOCK_ENTRIES, scale=1.0, seed=1)
+    @example(n=70000, d=1, block=linalg._BLOCK_ENTRIES, scale=1.0, seed=0)
+    @example(n=40000, d=2, block=linalg._BLOCK_ENTRIES, scale=1.0, seed=1)
     def test_square_sums_in_row_blocks_equal_the_whole_reduce(self, n, d, block, scale, seed):
         rng = np.random.default_rng(seed)
         X = scale * rng.standard_normal((n, d)) + rng.uniform(-10.0, 10.0, d)
         centred = X - X.mean(axis=0)
         want = np.add.reduce(np.square(centred), axis=0)
-        with mock.patch.object(linalg, "_SQUARE_BLOCK_ENTRIES", block):
+        with mock.patch.object(linalg, "_BLOCK_ENTRIES", block):
             assert linalg._column_square_sums(centred).tobytes() == want.tobytes()
             _, _, stds = standardize(X)
         assert stds.tobytes() == np.sqrt(want / (n - 1)).tobytes()
@@ -422,3 +424,57 @@ class TestStandardize:
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
             standardize(np.array([[1.0, 2.0]]))
+
+
+def _label_callers():
+    """Each caller of class_labels as (argument name, call with labels):
+    ten rows of two classes."""
+    rng = np.random.default_rng(40)
+    X, Xt = rng.standard_normal((10, 2)), rng.standard_normal((10, 2))
+    y = np.array([0, 1] * 5)
+    cfg = deep.TrainConfig(iterations=2, batch_size=4)
+
+    def train(source_labels, target_labels):
+        deep.train_joint(deep.init_network([2, 4, 2], seed=0), X, source_labels, Xt, cfg,
+                         0, target_labels=target_labels)
+
+    return y, {
+        "fit_cross_validated": ("labels", lambda labels: classify.fit_cross_validated(
+            [X], labels, [1.0], folds=2, seed=0, epochs=20)),
+        "train_joint source": ("source labels", lambda labels: train(labels, y)),
+        "train_joint target": ("target labels", lambda labels: train(y, labels)),
+        "Dataset": ("labels", lambda labels: Dataset(X, labels)),
+    }
+
+
+def _bad_labels(y, case):
+    bad = y.astype(float)
+    if case == "short":
+        return y[:-1]
+    if case == "2-d":
+        return y[:, None]
+    if case == "fractional":
+        return bad + 0.5
+    bad[0] = {"nan": np.nan, "inf": np.inf, "huge": 1e30, "negative": -1.0}[case]
+    return bad
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize("case", ["short", "2-d", "fractional", "nan", "inf", "huge",
+                                      "negative"])
+    @pytest.mark.parametrize("caller", ["fit_cross_validated", "train_joint source",
+                                        "train_joint target", "Dataset"])
+    def test_every_caller_rejects_bad_labels_naming_them(self, caller, case):
+        y, callers = _label_callers()
+        name, call = callers[caller]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                call(_bad_labels(y, case))
+
+    def test_integral_floats_and_integers_give_the_same_labels(self):
+        y = np.array([2, 0, 1, 0])
+        for labels in (y, y.astype(float), list(y)):
+            got = linalg.class_labels(labels, 4)
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, y)
