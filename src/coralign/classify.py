@@ -23,20 +23,22 @@ member on all rows at its own C in one more run.  A feature matrix
 passed more than once (the same object) is one member, fit once.
 ``train_svm`` is the one-member case of that final fit.
 
-Cross-validation shuffles the member rows in place, so each fold holds
-out one contiguous block and trains on the other rows in increasing
-order.  The epoch objective is then one product per member over all
-rows, (N, d+1) by (d+1, F*G*K) for F folds and G values of C over K
-classes, followed by four contiguous passes against one signed-target
-operand built once per kernel run: each row's +-1 targets on the folds
-that train on it, 0 on the folds that hold it out.  The held-out rows'
-hinge comes out +0 and the sum runs in row order, so every fold's
-objective is that of its gathered training rows, bitwise under
-OpenBLAS's SkylakeX and Haswell kernels (Nehalem rounds a few entries of
-the wider product differently in the last bit).  With the default
-SkylakeX kernel every stacked fit's weights are bitwise those of a lone
-``train_svm`` call on its rows; the Haswell and Nehalem kernels block
-the stacked products differently and can differ in the last bit.
+Cross-validation stacks the member rows in fold order, one seeded
+permutation drawn once: each fold holds out one contiguous block and
+trains on the other rows in increasing order.  That stack is freed
+before the final fit's, in the rows' own order, is built.  The epoch
+objective is then one product per member over all rows, (N, d+1) by
+(d+1, F*G*K) for F folds and G values of C over K classes, followed by
+four contiguous passes against one signed-target operand built once per
+kernel run: each row's +-1 targets on the folds that train on it, 0 on
+the folds that hold it out.  The held-out rows' hinge comes out +0 and
+the sum runs in row order, so every fold's objective is that of its
+gathered training rows, bitwise under OpenBLAS's SkylakeX and Haswell
+kernels (Nehalem rounds a few entries of the wider product differently
+in the last bit).  With the default SkylakeX kernel every stacked fit's
+weights are bitwise those of a lone ``train_svm`` call on its rows; the
+Haswell and Nehalem kernels block the stacked products differently and
+can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -70,21 +72,25 @@ class LinearModel:
         return self.W.shape[1]
 
 
-def _check_labels(labels, n: int) -> tuple[np.ndarray, int]:
-    labels = class_labels(labels, n)
+def _class_count(labels) -> int:
+    """The class count K = max + 1 of training labels; InvalidInputError
+    unless 2 <= K <= the number of labels."""
     K = int(labels.max()) + 1
     if K < 2:
         raise InvalidInputError("need at least two classes to train")
-    return labels, K
+    if len(labels) < K:
+        raise InvalidInputError(f"need at least K={K} examples, got {len(labels)}")
+    return K
 
 
-def _check_fit(n: int, K: int, C: float, epochs: int) -> None:
-    if not 0 < C < np.inf:
-        raise InvalidInputError(f"C must be a finite number > 0, got {C}")
+def _check_fit(Cs, epochs: int) -> None:
+    if not Cs:
+        raise InvalidInputError("empty C grid")
+    for C in Cs:
+        if not 0 < C < np.inf:
+            raise InvalidInputError(f"C must be a finite number > 0, got {C}")
     if epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
-    if n < K:
-        raise InvalidInputError(f"need at least K={K} examples, got {n}")
 
 
 def _signs(labels, K: int) -> np.ndarray:
@@ -92,9 +98,9 @@ def _signs(labels, K: int) -> np.ndarray:
     return np.where(labels[:, None] == np.arange(K)[None, :], 1.0, -1.0)
 
 
-def _stack_members(Ds) -> np.ndarray:
-    """Feature matrices of one shape as (M, N, d+1) augmented rows, the
-    constant-1 bias column appended, built in place."""
+def _check_members(Ds, labels) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Feature matrices validated, at least one and all of one shape, and
+    their shared labels checked, with the class count K."""
     Xs = [as_feature_matrix(D) for D in Ds]
     if not Xs:
         raise InvalidInputError("need at least one feature matrix")
@@ -103,10 +109,17 @@ def _stack_members(Ds) -> np.ndarray:
             raise InvalidInputError(
                 f"feature matrices must share one shape, got {Xs[0].shape} and {X.shape}"
             )
+    labels = class_labels(labels, len(Xs[0]))
+    return Xs, labels, _class_count(labels)
+
+
+def _stack_members(Xs, order=slice(None)) -> np.ndarray:
+    """Validated matrices of one shape as (M, N, d+1) augmented rows, the
+    rows taken in ``order`` and the constant-1 bias column appended."""
     n, d = Xs[0].shape
     Xa = np.empty((len(Xs), n, d + 1))
     for dst, X in zip(Xa, Xs):
-        dst[:, :-1] = X
+        dst[:, :-1] = X[order]
     Xa[..., -1] = 1.0
     return Xa
 
@@ -237,14 +250,10 @@ def _sgd(Xa, Ysign, rows, Cs, epochs: int, seed: int) -> np.ndarray:
     return Wa
 
 
-def _fit(Xa, labels, Cs, epochs: int, seed: int) -> list[LinearModel]:
+def _fit(Xa, labels, K: int, Cs, epochs: int, seed: int) -> list[LinearModel]:
     """Every member trained on all its rows, member m at Cs[m], in one
-    kernel run."""
-    n = Xa.shape[1]
-    labels, K = _check_labels(labels, n)
-    for C in Cs:
-        _check_fit(n, K, C, epochs)
-    Wa = _sgd(Xa, _signs(labels, K), np.arange(n)[None, :],
+    kernel run; the labels and fit arguments already checked."""
+    Wa = _sgd(Xa, _signs(labels, K), np.arange(Xa.shape[1])[None, :],
               np.reshape(Cs, (-1, 1)), epochs, seed)
     return [LinearModel(W=W[:, :-1].copy(), b=W[:, -1].copy(), C=float(C))
             for W, C in zip(Wa[:, 0], Cs)]
@@ -252,7 +261,9 @@ def _fit(Xa, labels, Cs, epochs: int, seed: int) -> list[LinearModel]:
 
 def train_svm(D, labels, C: float, epochs: int, seed: int) -> LinearModel:
     """Train the one-vs-rest hinge classifier; deterministic per seed."""
-    return _fit(_stack_members([D]), labels, [C], epochs, seed)[0]
+    Xs, labels, K = _check_members([D], labels)
+    _check_fit([C], epochs)
+    return _fit(_stack_members(Xs), labels, K, [C], epochs, seed)[0]
 
 
 def predict(model: LinearModel, D) -> np.ndarray:
@@ -291,63 +302,51 @@ def fit_cross_validated(Ds, labels, grid, folds: int, seed: int,
     model is returned at each of its positions.
     """
     distinct = {id(D): D for D in Ds}  # first-seen order
-    Xa = _stack_members(distinct.values())
+    Xs, labels, K = _check_members(distinct.values(), labels)
     grid = sorted(float(c) for c in grid)
-    means = _cv_accuracies(Xa, labels, grid, folds, seed, epochs).mean(axis=2)
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    # the fold-ordered stack is freed on return, before the final fit's
+    accs = _cv_accuracies(_stack_members(Xs, perm), labels[perm], grid, folds, seed, epochs)
+    means = accs.mean(axis=2)
     best = np.argmax(means, axis=1)  # first maximum
-    models = _fit(Xa, labels, [grid[g] for g in best], epochs, seed)
+    models = _fit(_stack_members(Xs), labels, K, [grid[g] for g in best], epochs, seed)
     fitted = {key: dataclasses.replace(model, cv_acc=float(m[g]))
               for key, model, m, g in zip(distinct, models, means, best)}
     return [fitted[id(D)] for D in Ds]
 
 
 def _cv_accuracies(Xa, labels, grid, folds: int, seed: int, epochs: int) -> np.ndarray:
-    """Held-out accuracy (M, G, F) of every (member, C, fold) triple.
+    """Held-out accuracy (M, G, F) of every (member, C, fold) triple, for
+    a stack Xa and checked labels in fold order; writes neither.
 
-    Each entry equals a lone ``train_svm`` fit on the member's fold
-    training rows.  Folds with the same training size and class count
-    train in one lockstep kernel run for all members: the same seed and
-    size give the same minibatches.
-    """
+    Fold f holds out the contiguous rows array_split(arange(N), F)[f] and
+    trains on the others in increasing order, as a lone ``train_svm`` fit
+    on them would.  Folds with the same training size and class count
+    train in one lockstep kernel run for all members; the seed seeds only
+    the minibatches."""
     M, n = Xa.shape[:2]
-    labels, _ = _check_labels(labels, n)
-    if not grid:
-        raise InvalidInputError("empty C grid")
+    _check_fit(grid, epochs)
     if folds < 2:
         raise InvalidInputError("need at least 2 folds")
     if folds > n:
         raise InvalidInputError("more folds than examples")
 
-    # Xa is shuffled in place, one member at a time, and restored before
-    # returning.  Fold f holds out the shuffled rows parts[f], a contiguous
-    # block, and trains on the others in increasing order.
-    perm = np.random.default_rng(seed).permutation(n)
-    labels = labels[perm]
     parts = np.array_split(np.arange(n), folds)
     groups = {}
     for f in range(folds):
-        train_idx = np.concatenate([parts[g] for g in range(folds) if g != f])
-        _, K = _check_labels(labels[train_idx], len(train_idx))
-        for C in grid:
-            _check_fit(len(train_idx), K, C, epochs)
+        train_idx = np.concatenate(parts[:f] + parts[f + 1:])
+        K = _class_count(labels[train_idx])
         groups.setdefault((len(train_idx), K), []).append((f, train_idx))
 
     G = len(grid)
     accs = np.empty((M, G, folds))
-    for Xm in Xa:
-        Xm[...] = Xm[perm]
-    try:
-        for (_, K), group in groups.items():
-            rows = np.stack([train_idx for _, train_idx in group])
-            Wa = _sgd(Xa, _signs(labels, K), rows, np.tile(grid, (M, 1)), epochs, seed)
-            for (f, _), Wf in zip(group, Wa.swapaxes(0, 1)):
-                test_idx = parts[f]
-                for m, W in enumerate(Wf):
-                    scores = Xa[m, test_idx, :-1] @ W[:, :-1].T + W[:, -1]
-                    pred = scores.reshape(len(test_idx), G, K).argmax(axis=2)
-                    accs[m, :, f] = (pred == labels[test_idx][:, None]).mean(axis=0)
-    finally:
-        inverse = np.argsort(perm)
-        for Xm in Xa:
-            Xm[...] = Xm[inverse]
+    for (_, K), group in groups.items():
+        rows = np.stack([train_idx for _, train_idx in group])
+        Wa = _sgd(Xa, _signs(labels, K), rows, np.tile(grid, (M, 1)), epochs, seed)
+        for (f, _), Wf in zip(group, Wa.swapaxes(0, 1)):
+            test = slice(parts[f][0], parts[f][-1] + 1)
+            for m, W in enumerate(Wf):
+                scores = Xa[m, test, :-1] @ W[:, :-1].T + W[:, -1]
+                pred = scores.reshape(-1, G, K).argmax(axis=2)
+                accs[m, :, f] = (pred == labels[test, None]).mean(axis=0)
     return accs

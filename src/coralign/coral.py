@@ -132,7 +132,7 @@ def fit_analytical(D_S, D_T) -> CoralTransform:
     """
     D_S, D_T = _check_pair(D_S, D_T)
     S, T = _covariance_operator(D_S, 0.0), _covariance_operator(D_T, 0.0)
-    r = min(int(S.rank_mask().sum()), int(T.rank_mask().sum()))
+    r = min(S.rank, T.rank)
     top = np.argsort(T.spectrum)[::-1][:r]
     return CoralTransform(
         source=S.pinv_sqrt(),

@@ -425,7 +425,7 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
     batch = cfg.batch_size
     row_starts = (np.arange(M * batch) * K).reshape(M, batch)  # in probs.ravel()
     # each step's input batches: member slots, then target slots
-    slots = np.empty((M + A, batch, X.shape[1])) if A else None
+    slots = np.empty((M + A, batch, X.shape[1]))
     d_logits = np.empty((M + A, batch, K))
     # the aligned members' weights, signed for their source and target slots
     signed_w = np.array([w[U:], [-v for v in w[U:]]])[:, :, None, None]
@@ -452,13 +452,10 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
         t_rows = Xt[t_idx] if A else None
         for j in range(steps):
             it = start + j
+            slots[:M] = rows[j]
             if A:
-                slots[:M] = rows[j]
                 slots[M:] = t_rows[j]
-                H = slots
-            else:
-                H = rows[j]  # broadcast over the members
-            inputs, logits = _forward(H, weight_rows, bias_rows)
+            inputs, logits = _forward(slots, weight_rows, bias_rows)
             _check_not_diverged(logits, it, owners)
 
             probs = _softmax(logits[:M])

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import DEFAULT_RANK_TOL, DomainStats, SymOperator
+from .linalg import DomainStats, SymOperator
 
 
 def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
@@ -44,16 +44,11 @@ def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
     ``covariance_operator(X, lam)``, whose thin basis leaves the d - k
     other directions at eigenvalue lam.
 
-    The operator's eigenvalues are shift + spectrum on its basis and
-    shift on every direction outside it; raises NumericalError when one
-    of them is at or below DEFAULT_RANK_TOL times the largest (the rule
-    of ``SymOperator.rank_mask``), as for a thin operator at shift 0."""
-    d, k = source.basis.shape
+    Raises NumericalError when the operator is singular by
+    ``SymOperator.rank``, as a thin operator at shift 0 is."""
+    d = source.dim
     diffs = _mean_diffs(mean_diffs, d)
-    eig = np.append(source.shift + source.spectrum, source.shift)
-    count = np.append(np.ones(k, dtype=int), d - k)
-    rank = int(count[eig > DEFAULT_RANK_TOL * eig.max()].sum())
-    if rank < d:
+    if (rank := source.rank) < d:
         raise NumericalError(
             f"covariance not invertible: C_S + lam I has rank {rank} of {d}"
         )

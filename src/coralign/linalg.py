@@ -73,15 +73,24 @@ class SymOperator:
             raise NumericalError("cannot raise a singular matrix to a negative power")
         return SymOperator(0.0, self.basis, self.spectrum**p)
 
-    def rank_mask(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Basis directions counted in the rank: eigenvalue above rank_tol
-        times the largest (none when no eigenvalue is positive)."""
-        return self.spectrum > rank_tol * self.spectrum.max(initial=0.0)
+    def rank_mask(self) -> np.ndarray:
+        """The rank rule: whether each eigenvalue, shift + spectrum on each
+        basis direction and then shift on the d - k directions outside a
+        d x k basis, lies above DEFAULT_RANK_TOL times the largest (none
+        does when no eigenvalue is positive)."""
+        eig = np.append(self.shift + self.spectrum, self.shift)
+        return eig > DEFAULT_RANK_TOL * eig.max()
 
-    def pinv_sqrt(self, rank_tol: float = DEFAULT_RANK_TOL) -> "SymOperator":
+    @property
+    def rank(self) -> int:
+        """How many eigenvalues, with multiplicity, pass rank_mask."""
+        d, k = self.basis.shape
+        return int(np.append(np.ones(k, dtype=int), d - k)[self.rank_mask()].sum())
+
+    def pinv_sqrt(self) -> "SymOperator":
         """Moore-Penrose inverse square root of an unshifted operator:
-        eigenvalues in rank_mask map to w^{-1/2}, the rest to 0."""
-        keep = self.rank_mask(rank_tol)
+        basis eigenvalues in rank_mask map to w^{-1/2}, the rest to 0."""
+        keep = self.rank_mask()[:-1]
         inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, self.spectrum, 1.0)), 0.0)
         return SymOperator(0.0, self.basis, inv_root)
 
@@ -119,27 +128,21 @@ def as_feature_matrix(D, name: str = "features") -> np.ndarray:
     return D
 
 
-def integer_labels(labels: np.ndarray, name: str = "labels") -> np.ndarray:
-    """Class labels as integers: an integer array as it is, integral float
-    values cast; InvalidInputError for NaN, infinite, fractional or
-    out-of-range ones."""
-    if np.issubdtype(labels.dtype, np.integer):
-        return labels
-    # in int64 range first (NaN and inf are not): casting other values
-    # warns instead of failing
-    if not (np.all(np.abs(labels) < 2.0**63) and np.all(labels == labels.astype(int))):
-        raise InvalidInputError(f"{name} must be integers")
-    return labels.astype(int)
-
-
 def class_labels(labels, n: int, name: str = "labels") -> np.ndarray:
     """One non-negative integer class index per row of n rows: the shape
-    checked, the values cast by integer_labels; InvalidInputError naming
-    ``name`` otherwise.  Callers add their own rules on the classes."""
+    checked, an integer array kept as it is and integral float values
+    cast; InvalidInputError naming ``name`` otherwise, for NaN, infinite,
+    fractional, out-of-range and negative values.  Callers add their own
+    rules on the classes."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise InvalidInputError(f"{name} must have shape ({n},), got {labels.shape}")
-    labels = integer_labels(labels, name)
+    if not np.issubdtype(labels.dtype, np.integer):
+        # in int64 range first (NaN and inf are not): casting other values
+        # warns instead of failing
+        if not (np.all(np.abs(labels) < 2.0**63) and np.all(labels == labels.astype(int))):
+            raise InvalidInputError(f"{name} must be integers")
+        labels = labels.astype(int)
     if labels.min() < 0:
         raise InvalidInputError(f"{name} must be non-negative class indices")
     return labels
@@ -219,7 +222,7 @@ def psd_operator(M, lam: float = 0.0) -> SymOperator:
     Eigenvalues are clamped below at lam: M + lam I has none smaller, and
     the clamp keeps negative powers finite against round-off without
     touching any other eigenvalue.  With lam = 0 the clamp is 1e-12 times
-    the largest eigenvalue, below the rank cutoff of rank_mask.
+    the largest eigenvalue, below the rank cutoff of SymOperator.rank.
     """
     _check_lam(lam)
     op = sym_eigen(M, lam)
@@ -239,7 +242,7 @@ def covariance_operator(X, lam: float = 0.0) -> SymOperator:
 
     The thin basis keeps every pair above the Gram matrix's round-off,
     n * eps * g_max, which also drops the null direction centring leaves.
-    Rank decisions are the caller's (rank_mask): a shifted power needs
+    Rank decisions are the caller's (SymOperator.rank): a shifted power needs
     none, and on raw features of very different scales a real direction
     can sit far below 1e-10 * g_max.
     """

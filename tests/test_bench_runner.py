@@ -645,8 +645,10 @@ class TestChosenC:
                 Xs = fmap(trial, config)[0]
                 C = classify.fit_cross_validated([Xs], trial.ys, config.svm_grid, config.svm_folds,
                                                  trial.seed, config.svm_epochs)[0].C
-                accs = classify._cv_accuracies(classify._stack_members([Xs]), trial.ys, grid,
-                                               config.svm_folds, trial.seed, config.svm_epochs)
+                perm = np.random.default_rng(trial.seed).permutation(len(trial.ys))
+                accs = classify._cv_accuracies(classify._stack_members([Xs], perm),
+                                               trial.ys[perm], grid, config.svm_folds,
+                                               trial.seed, config.svm_epochs)
                 want.append(C)
                 want_acc.append(accs[0, grid.index(C)].mean())
             assert report[name]["chosen_C"] == want, name

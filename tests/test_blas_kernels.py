@@ -1,12 +1,15 @@
 """Results reproduce across OpenBLAS kernels.
 
 numpy's bundled OpenBLAS, when built DYNAMIC_ARCH, picks its compute
-kernel per process from OPENBLAS_CORETYPE.  A small experiment (2 trials
+kernel per process from OPENBLAS_CORETYPE.  The frozen report (20 trials
 of the frozen shift, all ten methods) runs in a child process under the
 default kernel and under each named kernel.  Per-trial accuracies,
 chosen C and its cross-validated accuracy must be equal; every other
 float agrees to a relative 1e-9, or to 1e-12 absolute for values that
-are round-off (CORAL-analytical's post-alignment distances).  Under
+are round-off (CORAL-analytical's post-alignment distances).  Under each
+kernel the report, wall_clock_seconds dropped and keys sorted, must
+keep the sha256 recorded for that numpy, OpenBLAS and kernel; a build
+with no recorded digest skips that check.  Under
 every kernel, two lockstep deep runs of trial 0 must equal, bit for bit,
 the reference loop that trains one network on 2-D arrays
 (tests/test_deep.py): the runner's (both deep methods), and one of five
@@ -19,6 +22,7 @@ at both sizes.
 """
 
 import ctypes
+import functools
 import json
 import os
 import subprocess
@@ -31,11 +35,12 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-# Run in the child: the kernel OpenBLAS chose, the experiment's
-# per-method results, and whether each member of trial 0's lockstep deep
-# runs equals the reference loop in weights and loss curves.
+# Run in the child: the kernel OpenBLAS chose and its version, the frozen
+# report's per-method results and digest, and whether each member of
+# trial 0's lockstep deep runs equals the reference loop in weights and
+# loss curves.
 CHILD = """
-import ctypes, json, sys
+import ctypes, hashlib, json, sys
 import numpy as np
 from coralign import deep
 from coralign.bench import runner
@@ -45,9 +50,21 @@ lib = ctypes.CDLL(sys.argv[1])
 lib.scipy_openblas_get_corename64_.argtypes = []
 lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
 core = lib.scipy_openblas_get_corename64_().decode()
-config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=runner.METHODS,
-                                 trials=2)
-report = runner.run_experiment(config).to_dict()["methods"]
+lib.scipy_openblas_get_config64_.argtypes = []
+lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+openblas = ".".join(lib.scipy_openblas_get_config64_().decode().split()[1].split(".")[:3])
+config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=runner.METHODS)
+assert config.trials == 20
+report = runner.run_experiment(config).to_dict()
+
+
+def timeless(obj):
+    if isinstance(obj, dict):
+        return {k: timeless(v) for k, v in obj.items() if k != "wall_clock_seconds"}
+    return [timeless(v) for v in obj] if isinstance(obj, list) else obj
+
+
+digest = hashlib.sha256(json.dumps(timeless(report), sort_keys=True).encode()).hexdigest()
 
 sys.path.insert(0, sys.argv[2])
 from test_deep import reference_train
@@ -77,9 +94,21 @@ for d, n in ((512, 300), (2048, 100)):
     draws.append(src.features.tobytes() == want_s.tobytes())
     draws.append(tgt.features.tobytes() == want_t.tobytes())
     draws.append(data._shift_features(spec, keep_source=False)[1].tobytes() == want_t.tobytes())
-print(json.dumps({"core": core, "methods": report, "lockstep_bitwise": bitwise,
-                  "draws_bitwise": draws}))
+print(json.dumps({"core": core, "openblas": openblas, "numpy": np.__version__,
+                  "methods": report["methods"], "digest": digest,
+                  "lockstep_bitwise": bitwise, "draws_bitwise": draws}))
 """
+
+# sha256 of the frozen report, wall_clock_seconds dropped and keys
+# sorted, per (numpy version, OpenBLAS version, kernel) measured.
+FROZEN_DIGESTS = {
+    ("2.4.6", "0.3.31", "SkylakeX"):
+        "fec95953022a2fb040e9edd23e910b38440ec7d63c68093004a4674dd0b8cf64",
+    ("2.4.6", "0.3.31", "Haswell"):
+        "7de3f68b6e8da024b71c579a1ac5392bb39eef6833891bfdffc7e0000f1b0dcd",
+    ("2.4.6", "0.3.31", "Nehalem"):
+        "c3e6a7c50fe248828520afffe72dc515caa60672b10ce0bdf3b7f265e56d6bc7",
+}
 
 EXACT = ("target_acc", "source_acc", "target_acc_mean", "target_acc_std",
          "source_acc_mean", "source_acc_std", "chosen_C", "cv_acc")
@@ -102,6 +131,7 @@ def bundled_openblas():
     pytest.skip(f"no bundled OpenBLAS with scipy_openblas symbols in {libs}")
 
 
+@functools.cache
 def run_child(lib, core=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -116,6 +146,18 @@ def run_child(lib, core=None):
 def default_run():
     lib = bundled_openblas()
     return lib, run_child(lib)
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Nehalem"])
+def test_frozen_report_keeps_its_recorded_digest(default_run, core):
+    got = run_child(default_run[0], core)
+    if core is not None and got["core"].lower() != core.lower():
+        pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
+    key = (got["numpy"], got["openblas"], got["core"])
+    if key not in FROZEN_DIGESTS:
+        pytest.skip("no frozen-report digest recorded for numpy {}, OpenBLAS {}, "
+                    "kernel {}".format(*key))
+    assert got["digest"] == FROZEN_DIGESTS[key], key
 
 
 def test_lockstep_deep_run_matches_the_reference_loop(default_run):

@@ -113,10 +113,10 @@ def matrix_power(M, p):
     return psd_operator(M).power(p).dense()
 
 
-def pinv_root(M, rank_tol=1e-10):
+def pinv_root(M):
     """The operator's pseudo-inverse square root of M and its rank."""
     op = psd_operator(M)
-    return op.pinv_sqrt(rank_tol).dense(), int(op.rank_mask(rank_tol).sum())
+    return op.pinv_sqrt().dense(), op.rank
 
 
 class TestSymEigen:
@@ -228,7 +228,7 @@ class TestSymPower:
 
 
 class TestPseudoInvSqrt:
-    """SymOperator.pinv_sqrt and rank_mask on psd_operator(M)."""
+    """SymOperator.pinv_sqrt, rank_mask and rank on psd_operator(M)."""
 
     def test_full_rank_matches_sym_power(self):
         rng = np.random.default_rng(6)
@@ -253,15 +253,10 @@ class TestPseudoInvSqrt:
         assert rank == 0
         np.testing.assert_allclose(P, np.zeros((3, 3)))
 
-    def test_rank_monotone_in_tolerance(self):
+    def test_rank_of_a_rank_three_product(self):
         for seed in range(10):
-            g = np.random.default_rng(seed)
-            d = 8
-            A = g.standard_normal((d, 3))
-            M = A @ A.T  # rank 3
-            ranks = [pinv_root(M, rank_tol=t)[1] for t in (1e-14, 1e-10, 1e-4, 1e-1, 10.0)]
-            assert all(a >= b for a, b in zip(ranks, ranks[1:]))
-            assert ranks[1] == 3 and ranks[-1] == 0
+            A = np.random.default_rng(seed).standard_normal((8, 3))
+            assert pinv_root(A @ A.T)[1] == 3
 
     def test_deficient_matches_scipy_pinv(self):
         rng = np.random.default_rng(9)
@@ -291,6 +286,14 @@ class TestSymOperator:
         for op in (self._thin(rng), psd_operator(random_spd(7, rng), 0.2)):
             X = rng.standard_normal(7) if rows is None else rng.standard_normal((rows, 7))
             np.testing.assert_allclose(op.apply(X), X @ op.dense(), rtol=1e-12, atol=1e-12)
+
+    def test_rank_counts_the_shift_outside_a_thin_basis(self):
+        op = self._thin(np.random.default_rng(73))  # d = 7, k = 3, shift 0.4
+        assert op.rank == 7
+        assert SymOperator(0.0, op.basis, op.spectrum).rank == 3
+        # a shift below DEFAULT_RANK_TOL times the largest eigenvalue is 0
+        assert SymOperator(1e-12, op.basis, op.spectrum).rank == 3
+        assert SymOperator(0.0, op.basis, np.zeros(3)).rank == 0
 
     def test_power_composes(self):
         op = self._thin(np.random.default_rng(72))
@@ -441,10 +444,18 @@ def _label_callers():
     return y, {
         "fit_cross_validated": ("labels", lambda labels: classify.fit_cross_validated(
             [X], labels, [1.0], folds=2, seed=0, epochs=20)),
+        "train_svm": ("labels", lambda labels: classify.train_svm(X, labels, 1.0, 20, 0)),
         "train_joint source": ("source labels", lambda labels: train(labels, y)),
         "train_joint target": ("target labels", lambda labels: train(y, labels)),
         "Dataset": ("labels", lambda labels: Dataset(X, labels)),
     }
+
+
+# What each bad case's error says after the argument's name.
+_LABEL_ERRORS = {"short": "must have shape", "2-d": "must have shape",
+                 "fractional": "must be integers", "nan": "must be integers",
+                 "inf": "must be integers", "huge": "must be integers",
+                 "negative": "must be non-negative class indices"}
 
 
 def _bad_labels(y, case):
@@ -460,16 +471,15 @@ def _bad_labels(y, case):
 
 
 class TestClassLabels:
-    @pytest.mark.parametrize("case", ["short", "2-d", "fractional", "nan", "inf", "huge",
-                                      "negative"])
-    @pytest.mark.parametrize("caller", ["fit_cross_validated", "train_joint source",
-                                        "train_joint target", "Dataset"])
+    @pytest.mark.parametrize("case", list(_LABEL_ERRORS))
+    @pytest.mark.parametrize("caller", ["fit_cross_validated", "train_svm",
+                                        "train_joint source", "train_joint target", "Dataset"])
     def test_every_caller_rejects_bad_labels_naming_them(self, caller, case):
         y, callers = _label_callers()
         name, call = callers[caller]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+            with pytest.raises(InvalidInputError, match=f"^{name} {_LABEL_ERRORS[case]}"):
                 call(_bad_labels(y, case))
 
     def test_integral_floats_and_integers_give_the_same_labels(self):
