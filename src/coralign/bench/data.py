@@ -193,23 +193,8 @@ def _clusters(rng: np.random.Generator, means, labels, d: int) -> np.ndarray:
     return X
 
 
-def _skip_normals(rng: np.random.Generator, n: int, d: int) -> None:
-    """Advance rng past an n x d standard normal draw without keeping it.
-
-    The ziggurat takes a data-dependent number of raw values per normal,
-    so the draws must be made; they go, in row blocks, into one scratch
-    block, and drawing in row blocks leaves the stream where one whole
-    draw leaves it."""
-    rows = _row_blocks(n, d)
-    scratch = np.empty((min(rows[0].stop, n), d))
-    for block in rows:
-        rng.standard_normal(out=scratch[: min(block.stop, n) - block.start])
-
-
-def _shift_features(spec: ShiftSpec, keep_source: bool = True):
-    """The (source, target) features of generate_shift(spec); without
-    keep_source the source is None, its draws made only to advance the
-    generator, so no source matrix is ever held.
+def _shift_features(spec: ShiftSpec):
+    """The (source, target) features of generate_shift(spec).
 
     Entry for entry the arithmetic of the one-expression form
     ``(means[y] + z) @ M.T + mean_shift + noise_std * z'``, with every
@@ -224,12 +209,7 @@ def _shift_features(spec: ShiftSpec, keep_source: bool = True):
     M = (R * np.asarray(spec.scales)) @ R.T
     del R
 
-    if keep_source:
-        X_s = _clusters(rng, means, _balanced_labels(spec.n_source, spec.K), spec.d)
-    else:
-        X_s = None
-        _skip_normals(rng, spec.n_source, spec.d)
-
+    X_s = _clusters(rng, means, _balanced_labels(spec.n_source, spec.K), spec.d)
     base = _clusters(rng, means, _balanced_labels(spec.n_target, spec.K), spec.d)
     X_t = base @ M.T
     del base

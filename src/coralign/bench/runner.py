@@ -12,7 +12,8 @@ target-recolor-source-direction, which both train on the untouched
 source matrix, are one member of it, fit once; the LDA family
 decomposes each domain's covariance once and solves nothing; the two
 deep methods train side by side in one lockstep run, on the same source
-batches.  Every member is charged an equal share of its group's time.
+batches.  Every member is charged an equal share of its group's time;
+building the trial is charged to no method.
 ``lambda_sweep`` builds each trial once too, and fits CORAL-reg at every
 λ (and CORAL-analytical) as members of one such call.
 
@@ -36,7 +37,9 @@ methods they are Frobenius covariance distances in input space.
 CORAL-LDA against CORAL-LDA-mismatched is the statistics-mismatch
 experiment: the same source discriminant whitened with the target's
 statistics or with those of an unrelated domain.  Both use the source
-class means, so no target label enters either.
+class means, so no target label enters either.  When the config lists
+CORAL-LDA-mismatched, each trial draws the unrelated domain before its
+own data and keeps only its statistics.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
-from ..linalg import mean_and_covariance, psd_operator, standardize
+from ..linalg import DomainStats, mean_and_covariance, psd_operator, standardize
 from .data import Dataset, ShiftSpec, _rotation_seed, _shift_features, generate_shift
 from .io import load_dataset
 
@@ -192,17 +195,18 @@ class ExperimentReport:
 
 @dataclass
 class _Trial:
-    """Standardized per-trial data shared by every method."""
+    """Standardized per-trial data shared by every method; ``unrelated``
+    holds the unrelated domain's statistics for CORAL-LDA-mismatched."""
 
     Xs: np.ndarray
     ys: np.ndarray
     Xt: np.ndarray
     yt: Optional[np.ndarray]
-    stats_s: "object"
-    stats_t: "object"
+    stats_s: DomainStats
+    stats_t: DomainStats
     pre: float
     seed: int
-    spec: Optional[ShiftSpec]
+    unrelated: Optional[DomainStats]
 
 
 def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -219,12 +223,15 @@ def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
     """The trial's standardized domains and their statistics.  A generated
     domain's raw features are released once standardized, so the trial
     never holds both copies of it; a file pair, shared by every trial,
-    stays intact."""
+    stays intact.  For CORAL-LDA-mismatched the unrelated domain's
+    statistics are taken first, before the trial's own domains exist."""
     if file_pair is not None:
         src, tgt = file_pair
-        spec = None
+        unrelated = None
     else:
         spec = dataclasses.replace(config.spec, seed=seed)
+        unrelated = (_unrelated_stats(spec) if "CORAL-LDA-mismatched" in config.methods
+                     else None)
         src, tgt = generate_shift(spec)
     ys, yt = src.labels, tgt.labels
     Xs = standardize(src.features)[0]
@@ -236,7 +243,7 @@ def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
     pre = float(np.linalg.norm(stats_s.cov - stats_t.cov))
     return _Trial(
         Xs=Xs, ys=ys, Xt=Xt, yt=yt,
-        stats_s=stats_s, stats_t=stats_t, pre=pre, seed=seed, spec=spec,
+        stats_s=stats_s, stats_t=stats_t, pre=pre, seed=seed, unrelated=unrelated,
     )
 
 
@@ -304,7 +311,8 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
     gives the plain weights, the thresholds and the source accuracy.  LDA
     scores the target with the plain weights; each CORAL variant whitens
     with the source operator and its own target-side one: the target's
-    covariance, or an unrelated domain's for CORAL-LDA-mismatched."""
+    covariance, or for CORAL-LDA-mismatched that of the unrelated domain
+    the trial drew before its own data (``trial.unrelated``)."""
     mus = np.stack([trial.Xs[trial.ys == k].mean(axis=0)
                     for k in range(int(trial.ys.max()) + 1)])
     mu0 = trial.Xs.mean(axis=0)
@@ -319,7 +327,7 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
         if name == "LDA":
             W, dmd = V, lda.domain_distance(trial.stats_s, trial.stats_t)
         else:
-            stats = trial.stats_t if name == "CORAL-LDA" else _unrelated_stats(trial.spec)
+            stats = trial.stats_t if name == "CORAL-LDA" else trial.unrelated
             W = lda.fit_coral_lda(diffs, source, psd_operator(stats.cov, config.lda_lam))
             dmd = lda.domain_distance(stats, trial.stats_t)
         tacc = _acc(np.argmax(trial.Xt @ W.T - thr, axis=1), trial.yt)
@@ -327,15 +335,14 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
     return results
 
 
-def _unrelated_stats(spec: ShiftSpec):
+def _unrelated_stats(spec: ShiftSpec) -> DomainStats:
     """Statistics of a third, differently-shifted domain, standardized
-    like the trial's own: the target of generate_shift(spec_u), drawn
-    without its source (only the source's draws are made, to advance the
-    generator), and released once standardized."""
+    like the trial's own: the target of generate_shift(spec_u).  Its
+    source is released as the pair is indexed, and its target once
+    standardized."""
     spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET, rotation_angles=None,
                                  rotation_seed=_rotation_seed(spec) + UNRELATED_OFFSET)
-    Xu = standardize(_shift_features(spec_u, keep_source=False)[1])[0]
-    return mean_and_covariance(Xu)
+    return mean_and_covariance(standardize(_shift_features(spec_u)[1])[0])
 
 
 def _deep_network(trial: _Trial, cfg: TrainConfig):
@@ -414,12 +421,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     file_pair = _load_file_pair(config) if config.spec is None else None
     agg = {name: MethodAggregate() for name in config.methods}
     for t in range(config.trials):
-        trial = _make_trial(config, config.seed_base + t, file_pair)
-        results = _run_trial(trial, config, agg)
+        # unbound, so each trial is released before the next is built
+        results = _run_trial(_make_trial(config, config.seed_base + t, file_pair), config, agg)
         for name in config.methods:
             tacc, sacc, pre, post, dmd, extras = results[name]
-            if not np.isnan(tacc) and not 0.0 <= tacc <= 1.0:
-                raise InvalidInputError(f"{name}: accuracy {tacc} out of range")
             agg[name].target_acc.append(tacc)
             agg[name].source_acc.append(sacc)
             agg[name].pre_dist.append(pre)

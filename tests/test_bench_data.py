@@ -262,29 +262,6 @@ class TestGenerateShiftInRowBlocks:
         assert src.features.tobytes() == want_s.tobytes()
         assert tgt.features.tobytes() == want_t.tobytes()
 
-    @pytest.mark.parametrize("block_entries", [linalg._BLOCK_ENTRIES, 50])
-    @pytest.mark.parametrize("name", sorted(BLOCKED_SPECS))
-    def test_target_only_draw_bytes_equal_one_expression_form(self, name, block_entries,
-                                                             monkeypatch):
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
-        spec = BLOCKED_SPECS[name]
-        source, target = data._shift_features(spec, keep_source=False)
-        assert source is None
-        assert target.tobytes() == one_expression_shift(spec)[1].tobytes()
-
-    def test_target_only_draw_peaks_below_2_25_output_sized_arrays(self):
-        # the target and its pre-map draws; the source's draws pass
-        # through one row block
-        n, d = 4000, 256
-        spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
-        tracemalloc.start()
-        try:
-            data._shift_features(spec, keep_source=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * n * d * 8
-
     def test_peak_memory_at_most_3_25_output_sized_arrays(self):
         # source, target and the target's pre-map draws live at once; the
         # rest is row blocks and d x d matrices

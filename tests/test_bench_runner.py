@@ -32,6 +32,7 @@ from coralign.bench.runner import (
 )
 from coralign.deep import TrainConfig, forward, train_joint
 from coralign.errors import InvalidInputError, NumericalError
+from test_bench_data import BLOCKED_SPECS, one_expression_shift
 
 
 def count_eigendecompositions(monkeypatch):
@@ -52,6 +53,28 @@ def train_deep(trial, cfg):
     seed."""
     return train_joint(_deep_network(trial, cfg), trial.Xs, trial.ys, trial.Xt, cfg,
                        trial.seed, target_labels=trial.yt)
+
+
+LDA_FAMILY = ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")
+
+
+def lda_config(n, d, trials=1):
+    """The LDA family on K = 10 classes of the frozen shift at d, n rows
+    per domain.  A traced test runs it at a small size first, so that the
+    modules numpy imports on first use (numpy.random, numpy.ma) are not
+    counted as the trial's memory."""
+    return ExperimentConfig(
+        spec=rotated_anisotropic_spec(0, d=d, K=10, n_source=n, n_target=n),
+        methods=LDA_FAMILY, trials=trials,
+    )
+
+
+def unrelated_spec(spec):
+    """The spec of the unrelated domain drawn for spec's trial."""
+    rot = spec.seed + ROTATION_SEED_OFFSET if spec.rotation_seed is None else spec.rotation_seed
+    return dataclasses.replace(spec, seed=spec.seed + runner.UNRELATED_OFFSET,
+                               rotation_angles=None,
+                               rotation_seed=rot + runner.UNRELATED_OFFSET)
 
 
 def zero_shift_spec(n=300, d=4, K=2, seed=0):
@@ -320,39 +343,86 @@ class TestRunExperiment:
         dataclasses.replace(zero_shift_spec(seed=2), rotation_angles=None, rotation_seed=9),
     ], ids=["frozen", "wide-blocks", "rotation-angles", "rotation-seed"])
     def test_unrelated_stats_are_the_standardized_unrelated_target(self, spec):
-        rot = spec.seed + ROTATION_SEED_OFFSET if spec.rotation_seed is None else spec.rotation_seed
-        spec_u = dataclasses.replace(spec, seed=spec.seed + runner.UNRELATED_OFFSET,
-                                     rotation_angles=None,
-                                     rotation_seed=rot + runner.UNRELATED_OFFSET)
-        want = linalg.mean_and_covariance(linalg.standardize(generate_shift(spec_u)[1].features)[0])
+        want = linalg.mean_and_covariance(
+            linalg.standardize(generate_shift(unrelated_spec(spec))[1].features)[0])
         got = runner._unrelated_stats(spec)
         assert got.n == want.n
         assert got.mean.tobytes() == want.mean.tobytes()
         assert got.cov.tobytes() == want.cov.tobytes()
 
-    def test_lda_trial_holds_no_raw_or_source_copy(self):
-        # in arrays of n x d: the trial peaks while drawing its domains (3)
-        # and then holds its two standardized domains, to which the
-        # unrelated domain adds its target draws and product.  Raw domains
-        # beside their standardized copies took 5.4 in _make_trial, and
-        # with the unrelated source and a whole square in standardize the
-        # trial took 6.4
+    @pytest.mark.parametrize("block_entries", [linalg._BLOCK_ENTRIES, 50])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_SPECS))
+    def test_unrelated_stats_bytes_equal_one_expression_form(self, name, block_entries,
+                                                             monkeypatch):
+        # the unrelated target drawn in row blocks, 50 entries a block
+        # giving a few rows per block and a short last block
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block_entries)
+        spec = BLOCKED_SPECS[name]
+        target = one_expression_shift(unrelated_spec(spec))[1]
+        want = linalg.mean_and_covariance(linalg.standardize(target)[0])
+        got = runner._unrelated_stats(spec)
+        assert got.n == want.n
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+
+    def test_unrelated_stats_peak_at_most_3_25_output_sized_arrays(self):
+        # the unrelated domain peaks like generate_shift, while its source,
+        # target and the target's pre-map draws live at once; its
+        # standardized copy is made once the source is released
         n, d = 4000, 256
-        cfg = ExperimentConfig(
-            spec=rotated_anisotropic_spec(0, d=d, K=10, n_source=n, n_target=n),
-            methods=("LDA", "CORAL-LDA", "CORAL-LDA-mismatched"),
-            trials=1,
-        )
+        spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
+        runner._unrelated_stats(rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40))
         tracemalloc.start()
         try:
-            trial = _make_trial(cfg, 0, None)
-            _, make_peak = tracemalloc.get_traced_memory()
-            runner._lda_group(trial, cfg, list(cfg.methods))
+            runner._unrelated_stats(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert make_peak <= 3.75 * n * d * 8
-        assert peak <= 5.0 * n * d * 8
+        assert peak <= 3.25 * n * d * 8
+
+    def test_lda_trial_holds_no_raw_or_source_copy(self):
+        # in arrays of n x d: the trial peaks while drawing its domains
+        # (3.3); the unrelated domain, drawn whole before them, leaves only
+        # its statistics.  Drawing it beside the two standardized domains
+        # takes 4.35, and raw domains beside their standardized copies 5.4
+        n, d = 4000, 256
+        cfg = lda_config(n, d)
+        run_experiment(lda_config(40, 16))
+        tracemalloc.start()
+        try:
+            runner._lda_group(_make_trial(cfg, 0, None), cfg, list(LDA_FAMILY))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * d * 8
+
+    def test_each_trial_released_before_the_next_is_built(self):
+        # three trials peak like one (3.3 arrays of n x d); a trial still
+        # alive while the next draws its data adds its two standardized
+        # domains (5.3)
+        n, d = 4000, 256
+        run_experiment(lda_config(40, 16))
+        tracemalloc.start()
+        try:
+            run_experiment(lda_config(n, d, trials=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * n * d * 8
+
+    def test_unrelated_domain_drawn_only_for_the_mismatched_method(self, monkeypatch):
+        cfg = lda_config(40, 16)
+        got = _make_trial(cfg, 3, None).unrelated
+        want = runner._unrelated_stats(dataclasses.replace(cfg.spec, seed=3))
+        assert got.cov.tobytes() == want.cov.tobytes()
+
+        def no_draw(spec):
+            raise AssertionError("unrelated domain drawn")
+
+        monkeypatch.setattr(runner, "_unrelated_stats", no_draw)
+        cfg = dataclasses.replace(cfg, methods=("LDA", "CORAL-LDA"), trials=2)
+        assert _make_trial(cfg, 0, None).unrelated is None
+        assert list(run_experiment(cfg).methods) == ["LDA", "CORAL-LDA"]
 
     def test_every_method_runs_without_a_dense_solve(self, monkeypatch):
         def no_solve(*args):
