@@ -5,17 +5,19 @@ Each trial regenerates the synthetic shift from seed_base + trial_index
 statistics, trains the base classifier with a cross-validated hinge-loss
 C on the method's transformed source, and evaluates on the target.
 
-Methods run in groups, one call per group and trial for the group's
-requested members, which share its work.  The five SVM methods share one
-``classify.fit_cross_validated`` call, each at its own C, and NA and
-target-recolor-source-direction, which both train on the untouched
-source matrix, are one member of it, fit once; the LDA family
+One loop builds, runs and frees the trials.  Its members are (method
+name, config) pairs, the config the one the method's feature map reads:
+``run_experiment`` runs each requested method at the run's config, and
+``lambda_sweep`` runs CORAL-reg at each λ (and CORAL-analytical) as
+members of the same loop.  Methods run in groups, one call per group and
+trial for the group's members, which share its work.  The SVM members
+share one ``classify.fit_cross_validated`` call, each at its own C, and
+NA and target-recolor-source-direction, which both train on the
+untouched source matrix, are one member of it, fit once; the LDA family
 decomposes each domain's covariance once and solves nothing; the two
 deep methods train side by side in one lockstep run, on the same source
 batches.  Every member is charged an equal share of its group's time;
 building the trial is charged to no method.
-``lambda_sweep`` builds each trial once too, and fits CORAL-reg at every
-λ (and CORAL-analytical) as members of one such call.
 
 Method identifiers:
   NA                              no adaptation
@@ -278,15 +280,15 @@ def _recolor_target(trial, config):
     return trial.Xs, coral.apply_to_features(tr, trial.Xt)
 
 
-def _svm_group(trial: _Trial, config: ExperimentConfig, names):
-    """The SVM methods: each feature map, then one cross-validated fit of
-    all mapped sources, each at its own C, which each result carries with
-    its mean held-out accuracy.  NA and target-recolor-source-direction
-    both pass the trial's own source matrix, which that fit trains once.
-    Each method is scored on its own features; post and domain_distance
-    compare the covariances of its two sides, reusing the trial's
-    statistics for an unmapped side."""
-    mapped = [_FEATURE_MAPS[name](trial, config) for name in names]
+def _svm_group(trial: _Trial, config: ExperimentConfig, members):
+    """The SVM methods: each member's feature map at the member's own
+    config, then one cross-validated fit of all mapped sources, each at
+    its own C, which each result carries with its mean held-out accuracy.
+    NA and target-recolor-source-direction both pass the trial's own
+    source matrix, which that fit trains once.  Each member is scored on
+    its own features; post and domain_distance compare the covariances of
+    its two sides, reusing the trial's statistics for an unmapped side."""
+    mapped = [_FEATURE_MAPS[name](trial, cfg) for name, cfg in members]
     models = classify.fit_cross_validated(
         [Xs for Xs, _ in mapped], trial.ys, config.svm_grid, config.svm_folds,
         trial.seed, config.svm_epochs,
@@ -303,7 +305,7 @@ def _svm_group(trial: _Trial, config: ExperimentConfig, names):
     return results
 
 
-def _lda_group(trial: _Trial, config: ExperimentConfig, names):
+def _lda_group(trial: _Trial, config: ExperimentConfig, members):
     """The LDA family: one-vs-background discriminants, argmax over
     midpoint-shifted scores.
 
@@ -323,7 +325,7 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, names):
     thr = 0.5 * (V[:, None, :] @ (mus + mu0)[:, :, None]).ravel()
     sacc = _acc(np.argmax(trial.Xs @ V.T - thr, axis=1), trial.ys)
     results = []
-    for name in names:
+    for name, _ in members:
         if name == "LDA":
             W, dmd = V, lda.domain_distance(trial.stats_s, trial.stats_t)
         else:
@@ -352,7 +354,7 @@ def _deep_network(trial: _Trial, cfg: TrainConfig):
     return init_network([trial.Xs.shape[1], cfg.hidden, K], seed=trial.seed)
 
 
-def _deep_group(trial: _Trial, config: ExperimentConfig, names):
+def _deep_group(trial: _Trial, config: ExperimentConfig, members):
     """deep and deep-no-coral, the joint trainer with and without the
     alignment loss, in one lockstep run: each member is what train_joint
     gives from _deep_network at its weight, its batches drawn from the
@@ -360,6 +362,7 @@ def _deep_group(trial: _Trial, config: ExperimentConfig, names):
     after training, and the extras its loss balance at the end.  A
     diverging member's NumericalError names the method and the trial
     seed."""
+    names = [name for name, _ in members]
     weights = [config.deep.coral_weight if name == "deep" else 0.0 for name in names]
     try:
         runs = _train_members(_deep_network(trial, config.deep), trial.Xs, trial.ys,
@@ -386,53 +389,54 @@ _FEATURE_MAPS = {
     "target-recolor-source-direction": _recolor_target,
 }
 
-# Method groups: (group, members).  A group maps (trial, config, names),
-# names its requested members in config.methods order, to one
-# (target_acc, source_acc, pre, post, domain_distance, extras) per name,
-# extras the member's own fields (MethodAggregate.extras); members share
-# the group's work.
+# Method groups: (group, methods).  A group maps (trial, config, members),
+# its members the run's (name, config) pairs of its methods in run order,
+# to one (target_acc, source_acc, pre, post, domain_distance, extras) per
+# member, extras the member's own fields (MethodAggregate.extras); members
+# share the group's work.  Only the SVM group reads a member's config;
+# the others read the run's.
 _GROUPS = (
     (_svm_group, tuple(_FEATURE_MAPS)),
     (_lda_group, ("LDA", "CORAL-LDA", "CORAL-LDA-mismatched")),
     (_deep_group, ("deep", "deep-no-coral")),
 )
 
-METHODS = tuple(name for _, members in _GROUPS for name in members)
+METHODS = tuple(name for _, methods in _GROUPS for name in methods)
 
 
-def _run_trial(trial: _Trial, config: ExperimentConfig, agg: dict) -> dict:
-    """Method name -> result tuple for one trial: each group runs once
-    for its requested members, and each member is charged an equal share
-    of the group's time."""
-    results = {}
-    for group, members in _GROUPS:
-        names = [name for name in config.methods if name in members]
-        if names:
+def _run(config: ExperimentConfig, members) -> list[MethodAggregate]:
+    """One MethodAggregate per member, a (method name, config) pair whose
+    config the method's feature map reads, over config's trials.  Each
+    trial is built once and released before the next is built; each group
+    runs once per trial for its own members, and each member is charged
+    an equal share of the group's time."""
+    file_pair = _load_file_pair(config) if config.spec is None else None
+    aggs = [MethodAggregate() for _ in members]
+    groups = [(group, idx) for group, methods in _GROUPS
+              if (idx := [i for i, (name, _) in enumerate(members) if name in methods])]
+    for t in range(config.trials):
+        trial = _make_trial(config, config.seed_base + t, file_pair)
+        for group, idx in groups:
             t0 = time.perf_counter()
-            out = group(trial, config, names)
-            share = (time.perf_counter() - t0) / len(names)
-            for name, result in zip(names, out):
-                agg[name].wall_clock_seconds += share
-                results[name] = result
-    return results
+            out = group(trial, config, [members[i] for i in idx])
+            share = (time.perf_counter() - t0) / len(idx)
+            for i, (tacc, sacc, pre, post, dmd, extras) in zip(idx, out):
+                agg = aggs[i]
+                agg.wall_clock_seconds += share
+                agg.target_acc.append(tacc)
+                agg.source_acc.append(sacc)
+                agg.pre_dist.append(pre)
+                agg.post_dist.append(post)
+                agg.domain_distance.append(dmd)
+                for key, value in extras.items():
+                    agg.extras.setdefault(key, []).append(value)
+        del trial  # released before the next trial is built
+    return aggs
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    file_pair = _load_file_pair(config) if config.spec is None else None
-    agg = {name: MethodAggregate() for name in config.methods}
-    for t in range(config.trials):
-        # unbound, so each trial is released before the next is built
-        results = _run_trial(_make_trial(config, config.seed_base + t, file_pair), config, agg)
-        for name in config.methods:
-            tacc, sacc, pre, post, dmd, extras = results[name]
-            agg[name].target_acc.append(tacc)
-            agg[name].source_acc.append(sacc)
-            agg[name].pre_dist.append(pre)
-            agg[name].post_dist.append(post)
-            agg[name].domain_distance.append(dmd)
-            for key, value in extras.items():
-                agg[name].extras.setdefault(key, []).append(value)
-    return ExperimentReport(methods=agg, config=config)
+    aggs = _run(config, [(name, config) for name in config.methods])
+    return ExperimentReport(methods=dict(zip(config.methods, aggs)), config=config)
 
 
 @dataclass
@@ -447,32 +451,23 @@ def lambda_sweep(
     config: ExperimentConfig, lambdas, include_analytical: bool = True
 ) -> SweepReport:
     """CORAL-reg's target accuracy per trial at each λ, plus
-    CORAL-analytical's if asked: one row each, as ``run_experiment``
-    reports the method at ``lam`` = λ.  Each trial is built once, and all
-    rows' sources are the members of one ``classify.fit_cross_validated``
-    call, bitwise each row's own fit under OpenBLAS's default SkylakeX
-    kernel (Haswell and Nehalem can differ in the last bit, see
-    ``classify``)."""
-    runs = [(float(lam), _coral_regularized, dataclasses.replace(config, lam=float(lam)))
+    CORAL-analytical's if asked: one row each, what ``run_experiment``
+    reports for the method at ``lam`` = λ.  The rows are members of the
+    one run loop: each trial is built once, and all rows' sources are the
+    members of one ``classify.fit_cross_validated`` call, bitwise each
+    row's own fit under OpenBLAS's default SkylakeX kernel (Haswell and
+    Nehalem can differ in the last bit, see ``classify``)."""
+    rows = [(float(lam), ("CORAL-reg", dataclasses.replace(config, lam=float(lam))))
             for lam in lambdas]
     if include_analytical:
-        runs.append(("analytical", _coral_analytical, config))
-    if not runs:
+        rows.append(("analytical", ("CORAL-analytical", config)))
+    if not rows:
         raise InvalidInputError("empty lambda list")
-    file_pair = _load_file_pair(config) if config.spec is None else None
-    accs = [[] for _ in runs]
-    for t in range(config.trials):
-        trial = _make_trial(config, config.seed_base + t, file_pair)
-        models = classify.fit_cross_validated(
-            [fmap(trial, cfg)[0] for _, fmap, cfg in runs], trial.ys, config.svm_grid,
-            config.svm_folds, trial.seed, config.svm_epochs,
-        )
-        for row, model in zip(accs, models):
-            row.append(_acc(classify.predict(model, trial.Xt), trial.yt))
+    aggs = _run(config, [member for _, member in rows])
     return SweepReport(rows=[
-        {"lam": lam, "target_acc": row, "target_acc_mean": float(np.mean(row)),
-         "target_acc_std": float(np.std(row))}
-        for (lam, _, _), row in zip(runs, accs)
+        {"lam": lam, "target_acc": m.target_acc, "target_acc_mean": m.target_acc_mean,
+         "target_acc_std": m.target_acc_std}
+        for (lam, _), m in zip(rows, aggs)
     ])
 
 

@@ -2,9 +2,13 @@
 
 Each test prints exactly one [PASS]/[FAIL] line (visible with -s, or in
 captured output otherwise) and enforces both the quantitative bound and
-a wall-clock budget.  These intentionally re-derive expected values with
-independent constructions rather than calling back into the code under
-test, except where the check is about the public pipeline itself.
+a wall-clock budget.  The comparative gates (3 to 6) also print, from
+the report's per-trial accuracies, each paired difference with its
+seeded bootstrap 95% interval over trials and the trials won; gate 4
+prints the interval of its spread.  These are printed, not asserted.
+These intentionally re-derive expected values with independent
+constructions rather than calling back into the code under test, except
+where the check is about the public pipeline itself.
 """
 
 import struct
@@ -28,13 +32,36 @@ def check(label):
     """Print a single [PASS]/[FAIL] line for the enclosed block."""
     info = {"detail": ""}
     t0 = time.perf_counter()
+
+    def line(outcome):
+        detail = f" — {info['detail']}" if info["detail"] else ""
+        return f"\n[{outcome}] {label}{detail} ({time.perf_counter() - t0:.1f}s)"
+
     try:
         yield info
     except BaseException:
-        print(f"\n[FAIL] {label} ({time.perf_counter() - t0:.1f}s)")
+        print(line("FAIL"))
         raise
-    detail = f" — {info['detail']}" if info["detail"] else ""
-    print(f"\n[PASS] {label}{detail} ({time.perf_counter() - t0:.1f}s)")
+    print(line("PASS"))
+
+
+def _interval(per_trial, statistic, resamples=20_000, seed=15):
+    """Seeded percentile-bootstrap 95% interval of ``statistic`` over
+    trials: each resample draws the trials with replacement, and
+    ``statistic`` maps the rows' means over them (rows x resamples) to
+    one value per resample."""
+    per_trial = np.atleast_2d(np.asarray(per_trial, dtype=float))
+    n = per_trial.shape[1]
+    picks = np.random.default_rng(seed).integers(0, n, (resamples, n))
+    return np.percentile(statistic(per_trial[:, picks].mean(axis=2)), [2.5, 97.5])
+
+
+def _paired(a, b):
+    """a - b over paired per-trial accuracies, in points: the mean
+    difference, its bootstrap 95% interval and the trials a wins."""
+    a, b = 100 * np.asarray(a), 100 * np.asarray(b)
+    lo, hi = _interval([a, b], lambda means: means[0] - means[1])
+    return f"{np.mean(a - b):+.1f}pt [{lo:.1f}, {hi:.1f}], wins {np.sum(a > b)}/{len(a)}"
 
 
 def _random_full_rank(n, d, rng):
@@ -150,15 +177,17 @@ class TestAcceptance:
             na = report.methods["NA"].target_acc_mean
             cr = report.methods["CORAL-reg"].target_acc_mean
             wb = report.methods["whiten-both"].target_acc_mean
+            accs = {name: m.target_acc for name, m in report.methods.items()}
+            info["detail"] = (
+                f"CORAL-reg {cr:.3f} vs NA {na:.3f} "
+                f"({_paired(accs['CORAL-reg'], accs['NA'])}), whiten-both {wb:.3f} "
+                f"(CORAL-reg {_paired(accs['CORAL-reg'], accs['whiten-both'])})"
+            )
             assert cr >= na + 0.10
             assert wb <= cr
 
             elapsed = time.perf_counter() - t0
             assert elapsed < 120.0
-            info["detail"] = (
-                f"CORAL-reg {cr:.3f} vs NA {na:.3f} (+{(cr - na) * 100:.1f}pt), "
-                f"whiten-both {wb:.3f}"
-            )
 
     def test_4_regularization_stability(self):
         with check("4/9 accuracy stability across regularization strengths") as info:
@@ -170,12 +199,15 @@ class TestAcceptance:
             )
             means = {row["lam"]: row["target_acc_mean"] for row in sweep.rows}
             spread = max(means.values()) - min(means.values())
+            lo, hi = _interval([100 * np.asarray(row["target_acc"]) for row in sweep.rows],
+                               lambda means: means.max(axis=0) - means.min(axis=0))
+            info["detail"] = (f"spread {spread * 100:.2f}pt [{lo:.2f}, {hi:.2f}] "
+                              f"across {sorted(means, key=str)}")
             assert len(means) == 5
             assert spread <= 0.02
 
             elapsed = time.perf_counter() - t0
             assert elapsed < 180.0
-            info["detail"] = f"spread {spread * 100:.2f}pt across {sorted(means, key=str)}"
 
     def test_5_lda_reduction_and_stats_mismatch(self):
         with check("5/9 whitened-LDA reduction and stats-mismatch ordering") as info:
@@ -207,14 +239,16 @@ class TestAcceptance:
             rep = run_experiment(config)
             matched = rep.methods["CORAL-LDA"].target_acc_mean
             unrelated = rep.methods["CORAL-LDA-mismatched"].target_acc_mean
+            info["detail"] = (
+                f"max reduction gap {worst:.1e}; matched {matched:.3f} "
+                f"vs unrelated stats {unrelated:.3f} ("
+                + _paired(rep.methods["CORAL-LDA"].target_acc,
+                          rep.methods["CORAL-LDA-mismatched"].target_acc) + ")"
+            )
             assert matched >= unrelated
 
             elapsed = time.perf_counter() - t0
             assert elapsed < 60.0
-            info["detail"] = (
-                f"max reduction gap {worst:.1e}; matched {matched:.3f} "
-                f"vs unrelated stats {unrelated:.3f}"
-            )
 
     def test_6_joint_training_equilibrium(self):
         with check("6/9 joint training beats plain training and shrinks the gap") as info:
@@ -227,6 +261,7 @@ class TestAcceptance:
             with_align = report.methods["deep"]
             without = report.methods["deep-no-coral"]
             gap = with_align.target_acc_mean - without.target_acc_mean
+            info["detail"] = f"accuracy gap {_paired(with_align.target_acc, without.target_acc)}"
             assert gap >= 0.05
 
             dist_with = float(np.mean(with_align.post_dist))
@@ -251,9 +286,9 @@ class TestAcceptance:
 
             elapsed = time.perf_counter() - t0
             assert elapsed < 300.0
-            info["detail"] = (
-                f"accuracy gap +{gap * 100:.1f}pt, final distance ratio "
-                f"{dist_without / dist_with:.0f}x, zero-weight run bit-identical"
+            info["detail"] += (
+                f", final distance ratio {dist_without / dist_with:.0f}x, "
+                "zero-weight run bit-identical"
             )
 
     def test_7_high_dimensional_throughput(self):

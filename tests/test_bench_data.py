@@ -264,9 +264,11 @@ class TestGenerateShiftInRowBlocks:
 
     def test_peak_memory_at_most_3_25_output_sized_arrays(self):
         # source, target and the target's pre-map draws live at once; the
-        # rest is row blocks and d x d matrices
+        # rest is row blocks and d x d matrices.  A small untraced call
+        # first, so numpy's lazily imported modules are not counted
         n, d = 4000, 256
         spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
+        generate_shift(rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40))
         tracemalloc.start()
         try:
             generate_shift(spec)

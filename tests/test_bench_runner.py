@@ -390,7 +390,8 @@ class TestRunExperiment:
         run_experiment(lda_config(40, 16))
         tracemalloc.start()
         try:
-            runner._lda_group(_make_trial(cfg, 0, None), cfg, list(LDA_FAMILY))
+            runner._lda_group(_make_trial(cfg, 0, None), cfg,
+                              [(name, cfg) for name in LDA_FAMILY])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -817,3 +818,25 @@ class TestLambdaSweepInOnePass:
         # 300 rows in 5 folds: one fold group, then the final fit, each
         # run stepping the five rows' sources as members
         assert sgd_runs == [5] * 6
+
+    def test_runs_only_its_own_members(self, monkeypatch):
+        # a config listing every method: the sweep's members are its rows,
+        # so no LDA or deep method runs and the SVM fit steps only the rows
+        sgd_runs = []
+        kernel = classify._sgd
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("a method outside the sweep ran")
+
+        def counting_sgd(Xa, *args):
+            sgd_runs.append(Xa.shape[0])
+            return kernel(Xa, *args)
+
+        monkeypatch.setattr(lda, "fit_lda", not_called)
+        monkeypatch.setattr(runner, "_train_members", not_called)
+        monkeypatch.setattr(classify, "_sgd", counting_sgd)
+        cfg = ExperimentConfig(spec=self.SPEC, methods=METHODS, trials=1)
+        rep = lambda_sweep(cfg, [0.01, 1.0])
+        assert [row["lam"] for row in rep.rows] == [0.01, 1.0, "analytical"]
+        # one fold group, then the final fit, each stepping the three rows
+        assert sgd_runs == [3, 3]

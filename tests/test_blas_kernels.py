@@ -19,6 +19,14 @@ bit for bit, the one-expression form (tests/test_bench_data.py) at
 d = 512 and d = 2048 with more rows than one row block: a target product
 taken in row blocks moved entries in the last bits under Nehalem at both
 sizes.
+
+LAPACK builds are varied too.  The package's only LAPACK calls are
+np.linalg.eigh (linalg.sym_eigen) and np.linalg.qr (the random
+rotation of bench.data); one more child routes both to scipy.linalg,
+which bundles its own OpenBLAS build, eigh through the MRRR driver
+("evr"), a different algorithm from numpy's.  Its frozen report must
+agree with the default kernel's under the same equalities and
+tolerances.
 """
 
 import ctypes
@@ -98,6 +106,14 @@ print(json.dumps({"core": core, "openblas": openblas, "numpy": np.__version__,
                   "lockstep_bitwise": bitwise, "draws_bitwise": draws}))
 """
 
+# Run before CHILD in the LAPACK-build child: np.linalg.eigh and
+# np.linalg.qr routed to scipy's own OpenBLAS build.
+SCIPY_LAPACK = """
+import numpy as np, scipy.linalg
+np.linalg.eigh = lambda a: scipy.linalg.eigh(a, driver="evr")
+np.linalg.qr = lambda a: scipy.linalg.qr(a, mode="economic")
+"""
+
 # sha256 of the frozen report, wall_clock_seconds dropped and keys
 # sorted, per (numpy version, OpenBLAS version, kernel) measured.
 FROZEN_DIGESTS = {
@@ -131,12 +147,12 @@ def bundled_openblas():
 
 
 @functools.cache
-def run_child(lib, core=None):
+def run_child(lib, core=None, prelude=""):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if core is not None:
         env["OPENBLAS_CORETYPE"] = core
-    proc = subprocess.run([sys.executable, "-c", CHILD, lib, str(TESTS)], env=env,
+    proc = subprocess.run([sys.executable, "-c", prelude + CHILD, lib, str(TESTS)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -144,7 +160,9 @@ def run_child(lib, core=None):
 @pytest.fixture(scope="module")
 def default_run():
     lib = bundled_openblas()
-    return lib, run_child(lib)
+    # the cache key of the default-kernel digest test's call, so the
+    # default child runs once
+    return lib, run_child(lib, None)
 
 
 @pytest.mark.parametrize("core", [None, "Haswell", "Nehalem"])
@@ -167,6 +185,22 @@ def test_generated_shifts_match_the_one_expression_form(default_run):
     assert default_run[1]["draws_bitwise"] == [True] * 4
 
 
+def assert_reports_agree(got, want):
+    """Per-trial accuracies, chosen C and cv_acc equal; every other float
+    to a relative 1e-9, or 1e-12 absolute."""
+    assert list(got) == list(want)
+    for name, fields in want.items():
+        assert set(got[name]) == set(fields), name
+        for field, w in fields.items():
+            g = got[name][field]
+            if field == "wall_clock_seconds":
+                continue
+            elif field in EXACT:
+                assert g == w, (name, field)
+            else:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-12), (name, field)
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
 def test_results_agree_with_the_default_kernel(default_run, core):
     lib, want = default_run
@@ -175,14 +209,10 @@ def test_results_agree_with_the_default_kernel(default_run, core):
         pytest.skip(f"OPENBLAS_CORETYPE={core} ran the {got['core']} kernel")
     assert got["lockstep_bitwise"] == [True] * 7, core
     assert got["draws_bitwise"] == [True] * 4, core
-    assert list(got["methods"]) == list(want["methods"])
-    for name, fields in want["methods"].items():
-        assert set(got["methods"][name]) == set(fields), name
-        for field, w in fields.items():
-            g = got["methods"][name][field]
-            if field == "wall_clock_seconds":
-                continue
-            elif field in EXACT:
-                assert g == w, (name, field)
-            else:
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-12), (name, field)
+    assert_reports_agree(got["methods"], want["methods"])
+
+
+def test_results_agree_under_scipys_lapack_build(default_run):
+    pytest.importorskip("scipy.linalg")
+    lib, want = default_run
+    assert_reports_agree(run_child(lib, prelude=SCIPY_LAPACK)["methods"], want["methods"])
