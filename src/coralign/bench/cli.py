@@ -23,7 +23,6 @@ from .io import load_dataset, save_dataset
 from .runner import (
     ExperimentConfig,
     _deep_network,
-    _load_file_pair,
     _make_trial,
     config_from_dict,
     lambda_sweep,
@@ -151,8 +150,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_deep(args) -> int:
     cfg = _read_config(args.config)
-    pair = _load_file_pair(cfg) if cfg.spec is None else None
-    trial = _make_trial(cfg, cfg.seed_base, pair)
+    trial = _make_trial(dataclasses.replace(cfg, methods=("deep",)), cfg.seed_base)
     _, rep = deep_mod.train_joint(_deep_network(trial, cfg.deep), trial.Xs, trial.ys, trial.Xt,
                                   cfg.deep, trial.seed, target_labels=trial.yt,
                                   accuracy_curves=bool(args.curves_out))

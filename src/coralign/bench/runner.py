@@ -1,9 +1,10 @@
 """Experiment runner: adaptation methods x randomized trials.
 
-Each trial regenerates the synthetic shift from seed_base + trial_index
-(or reuses fixed input files), standardizes every domain with its own
-statistics, trains the base classifier with a cross-validated hinge-loss
-C on the method's transformed source, and evaluates on the target.
+Each trial regenerates the synthetic shift from seed_base + trial_index,
+standardizes every domain with its own statistics, trains the base
+classifier with a cross-validated hinge-loss C on the method's
+transformed source, and evaluates on the target.  A file pair is read
+and standardized once per run, and that one trial serves every seed.
 
 One loop builds, runs and frees the trials.  Its members are (method
 name, config) pairs, the config the one the method's feature map reads:
@@ -59,7 +60,7 @@ from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import DomainStats, mean_and_covariance, psd_operator, standardize
-from .data import Dataset, ShiftSpec, _rotation_seed, _shift_features, generate_shift
+from .data import ShiftSpec, _rotation_seed, _shift_features, generate_shift
 from .io import load_dataset
 
 # Seed offset deriving the "unrelated" third domain; a large prime so it
@@ -211,24 +212,20 @@ class _Trial:
     unrelated: Optional[DomainStats]
 
 
-def _load_file_pair(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    src = load_dataset(config.source_path, config.csv_has_header, True)
-    tgt = load_dataset(config.target_path, config.csv_has_header, config.target_csv_has_labels)
-    if src.labels is None:
-        raise InvalidInputError("source dataset must carry labels")
-    if src.d != tgt.d:
-        raise InvalidInputError("source and target dimensions differ")
-    return src, tgt
-
-
-def _make_trial(config: ExperimentConfig, seed: int, file_pair) -> _Trial:
-    """The trial's standardized domains and their statistics.  A generated
-    domain's raw features are released once standardized, so the trial
-    never holds both copies of it; a file pair, shared by every trial,
-    stays intact.  For CORAL-LDA-mismatched the unrelated domain's
-    statistics are taken first, before the trial's own domains exist."""
-    if file_pair is not None:
-        src, tgt = file_pair
+def _make_trial(config: ExperimentConfig, seed: int) -> _Trial:
+    """The trial's standardized domains and their statistics: the config's
+    file pair, whatever the seed, or the spec's shift drawn at ``seed``.
+    Raw features are released once standardized.  For CORAL-LDA-mismatched
+    the unrelated domain's statistics are taken first, before the trial's
+    own domains exist."""
+    if config.spec is None:
+        src = load_dataset(config.source_path, config.csv_has_header, True)
+        tgt = load_dataset(config.target_path, config.csv_has_header,
+                           config.target_csv_has_labels)
+        if src.labels is None:
+            raise InvalidInputError("source dataset must carry labels")
+        if src.d != tgt.d:
+            raise InvalidInputError("source and target dimensions differ")
         unrelated = None
     else:
         spec = dataclasses.replace(config.spec, seed=seed)
@@ -406,16 +403,18 @@ METHODS = tuple(name for _, methods in _GROUPS for name in methods)
 
 def _run(config: ExperimentConfig, members) -> list[MethodAggregate]:
     """One MethodAggregate per member, a (method name, config) pair whose
-    config the method's feature map reads, over config's trials.  Each
-    trial is built once and released before the next is built; each group
-    runs once per trial for its own members, and each member is charged
-    an equal share of the group's time."""
-    file_pair = _load_file_pair(config) if config.spec is None else None
+    config the method's feature map reads, over config's trials.  A file
+    pair's trial is built once and serves every trial seed; a spec's
+    trial is built per seed and released before the next is built.  Each
+    group runs once per trial for its own members, and each member is
+    charged an equal share of the group's time."""
+    shared = _make_trial(config, config.seed_base) if config.spec is None else None
     aggs = [MethodAggregate() for _ in members]
     groups = [(group, idx) for group, methods in _GROUPS
               if (idx := [i for i, (name, _) in enumerate(members) if name in methods])]
-    for t in range(config.trials):
-        trial = _make_trial(config, config.seed_base + t, file_pair)
+    for seed in range(config.seed_base, config.seed_base + config.trials):
+        trial = (_make_trial(config, seed) if shared is None
+                 else dataclasses.replace(shared, seed=seed))
         for group, idx in groups:
             t0 = time.perf_counter()
             out = group(trial, config, [members[i] for i in idx])
@@ -535,6 +534,8 @@ def _keywords(raw, cls, what: str, **defaults) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a JSON object describes.  Every key but the data source
+    has a default; without ``methods`` the config runs ("NA",)."""
     raw = _keywords(raw, ExperimentConfig, "config", spec=None, methods=("NA",))
     if raw["spec"] is not None:
         raw["spec"] = ShiftSpec(**_keywords(raw["spec"], ShiftSpec, "spec"))

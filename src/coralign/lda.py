@@ -34,6 +34,8 @@ def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
     diffs = np.asarray(mean_diffs, dtype=float)
     if diffs.ndim not in (1, 2) or diffs.shape[-1] != d:
         raise InvalidInputError("means and covariance operators disagree in dimension")
+    if not np.all(np.isfinite(diffs)):
+        raise InvalidInputError("mean differences must be finite")
     return diffs
 
 
@@ -44,8 +46,9 @@ def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
     ``covariance_operator(X, lam)``, whose thin basis leaves the d - k
     other directions at eigenvalue lam.
 
-    Raises NumericalError when the operator is singular by
-    ``SymOperator.rank``, as a thin operator at shift 0 is."""
+    Raises InvalidInputError on a non-finite mean difference, and
+    NumericalError when the operator is singular by ``SymOperator.rank``,
+    as a thin operator at shift 0 is."""
     d = source.dim
     diffs = _mean_diffs(mean_diffs, d)
     if (rank := source.rank) < d:
@@ -63,7 +66,8 @@ def fit_coral_lda(mean_diffs, source: SymOperator, target: SymOperator) -> np.nd
     row of a stack of them: source-whiten, then target-whiten the row
     space.  ``source`` and ``target`` are C + lam I of each domain, from
     ``psd_operator`` or, for wide data, ``covariance_operator(X, lam)``;
-    each W is its ``power(-0.5)``."""
+    each W is its ``power(-0.5)``.  Raises InvalidInputError on a
+    non-finite mean difference."""
     if target.dim != source.dim:
         raise InvalidInputError("means and covariance operators disagree in dimension")
     diffs = _mean_diffs(mean_diffs, source.dim)

@@ -16,7 +16,7 @@ from coralign import classify, coral, lda, linalg
 from coralign.bench import runner
 from coralign.bench.data import (ROTATION_SEED_OFFSET, ShiftSpec, generate_shift,
                                  rotated_anisotropic_spec)
-from coralign.bench.io import save_csv
+from coralign.bench.io import save_bin, save_csv
 from coralign.bench.runner import (
     LOSS_BALANCE_STEPS,
     METHODS,
@@ -165,6 +165,10 @@ class TestConfigSerialization:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(spec=None, methods=("NA",), trials=1)
 
+    def test_methods_default_to_na(self):
+        raw = {"spec": dataclasses.asdict(zero_shift_spec())}
+        assert config_from_dict(raw).methods == ("NA",)
+
     def test_mismatched_lda_needs_a_spec(self):
         # rejected when the config is read, before any method trains
         raw = {
@@ -280,7 +284,7 @@ class TestRunExperiment:
         # the lam CORAL-reg and target-recolor-source-direction use
         config = ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=("whiten-both",),
                                   trials=1, lam=0.5)
-        trial = _make_trial(config, 0, None)
+        trial = _make_trial(config, 0)
         got = _FEATURE_MAPS["whiten-both"](trial, config)
         want = coral.whiten_both_baseline(trial.Xs, trial.Xt, 0.5)
         for side, expected in zip(got, want):
@@ -390,7 +394,7 @@ class TestRunExperiment:
         run_experiment(lda_config(40, 16))
         tracemalloc.start()
         try:
-            runner._lda_group(_make_trial(cfg, 0, None), cfg,
+            runner._lda_group(_make_trial(cfg, 0), cfg,
                               [(name, cfg) for name in LDA_FAMILY])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -413,7 +417,7 @@ class TestRunExperiment:
 
     def test_unrelated_domain_drawn_only_for_the_mismatched_method(self, monkeypatch):
         cfg = lda_config(40, 16)
-        got = _make_trial(cfg, 3, None).unrelated
+        got = _make_trial(cfg, 3).unrelated
         want = runner._unrelated_stats(dataclasses.replace(cfg.spec, seed=3))
         assert got.cov.tobytes() == want.cov.tobytes()
 
@@ -422,7 +426,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner, "_unrelated_stats", no_draw)
         cfg = dataclasses.replace(cfg, methods=("LDA", "CORAL-LDA"), trials=2)
-        assert _make_trial(cfg, 0, None).unrelated is None
+        assert _make_trial(cfg, 0).unrelated is None
         assert list(run_experiment(cfg).methods) == ["LDA", "CORAL-LDA"]
 
     def test_every_method_runs_without_a_dense_solve(self, monkeypatch):
@@ -459,7 +463,7 @@ class TestRunExperiment:
             deep=TrainConfig(hidden=8, iterations=30, batch_size=32),
         )
         report = run_experiment(cfg)
-        trial = _make_trial(cfg, cfg.seed_base, None)
+        trial = _make_trial(cfg, cfg.seed_base)
         for name, weight in (("deep", cfg.deep.coral_weight), ("deep-no-coral", 0.0)):
             trained, _ = train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
             m = report.methods[name]
@@ -482,7 +486,7 @@ class TestRunExperiment:
         for name, weight in (("deep", 2.0), ("deep-no-coral", 0.0)):
             want_class, want_coral = [], []
             for t in range(cfg.trials):
-                trial = _make_trial(cfg, t, None)
+                trial = _make_trial(cfg, t)
                 _, rep = train_deep(trial, dataclasses.replace(cfg.deep, coral_weight=weight))
                 want_class.append(np.mean(rep.class_loss[10:]))
                 want_coral.append(weight * np.mean(rep.coral_loss[10:]))
@@ -560,6 +564,67 @@ class TestRunExperiment:
         assert parsed["trials"] == 2
         assert "NA" in parsed["methods"]
         assert len(parsed["methods"]["NA"]["target_acc"]) == 2
+
+
+def trial_bytes(trial):
+    """The bytes of every array a trial holds."""
+    stats = [s for s in (trial.stats_s, trial.stats_t, trial.unrelated) if s is not None]
+    arrays = [trial.Xs, trial.ys, trial.Xt, trial.yt] + [a for s in stats for a in (s.mean, s.cov)]
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+class TestFilePairTrial:
+    """A file pair's trial depends on no seed: it is read and standardized
+    once per run and serves every trial, which is safe because no method
+    group writes into a trial's arrays."""
+
+    SPEC = rotated_anisotropic_spec(seed=2, n_source=200, n_target=200)
+
+    def _bin_config(self, tmp_path, **overrides):
+        src, tgt = generate_shift(self.SPEC)
+        sp, tp = tmp_path / "s.bin", tmp_path / "t.bin"
+        save_bin(src, sp)
+        save_bin(tgt, tp)
+        return ExperimentConfig(spec=None, source_path=str(sp), target_path=str(tp),
+                                **{"methods": ("NA", "LDA"), "trials": 3, **overrides})
+
+    def test_read_and_standardized_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("load_dataset", "standardize"):
+            monkeypatch.setattr(runner, name, lambda *a, _fn=getattr(runner, name), _name=name:
+                                calls.append(_name) or _fn(*a))
+        run_experiment(self._bin_config(tmp_path))
+        assert sorted(calls) == ["load_dataset"] * 2 + ["standardize"] * 2
+
+    def test_each_trial_equals_a_one_trial_run_at_its_seed(self, tmp_path):
+        cfg = self._bin_config(tmp_path, seed_base=4)
+        got = per_trial_results(cfg)
+        for t in range(3):
+            one = per_trial_results(dataclasses.replace(cfg, trials=1, seed_base=4 + t))
+            for name, fields in one.items():
+                assert [f[t] for f in got[name]] == [f[0] for f in fields]
+
+    @pytest.mark.parametrize("source", ["spec", "file pair"])
+    def test_no_method_writes_into_the_trial(self, tmp_path, monkeypatch, source):
+        built, make = [], runner._make_trial
+
+        def recording_make(*args):
+            trial = make(*args)
+            built.append((trial, trial_bytes(trial)))
+            return trial
+
+        monkeypatch.setattr(runner, "_make_trial", recording_make)
+        small_deep = TrainConfig(hidden=4, iterations=10, batch_size=16)
+        if source == "spec":
+            cfg = ExperimentConfig(spec=self.SPEC, methods=METHODS, trials=1, deep=small_deep)
+        else:
+            cfg = self._bin_config(tmp_path, trials=2, deep=small_deep,
+                                   methods=tuple(m for m in METHODS
+                                                 if m != "CORAL-LDA-mismatched"))
+        run_experiment(cfg)
+        assert len(built) == 1
+        for trial, at_build in built:
+            assert trial_bytes(trial) == at_build
 
 
 RESULT_FIELDS = ("target_acc", "source_acc", "pre_dist", "post_dist", "domain_distance")
@@ -712,7 +777,7 @@ class TestChosenC:
             assert set(report[name]) == lda_keys | {"chosen_C", "cv_acc"}
             want, want_acc = [], []
             for t in range(2):
-                trial = _make_trial(config, t, None)
+                trial = _make_trial(config, t)
                 Xs = fmap(trial, config)[0]
                 C = classify.fit_cross_validated([Xs], trial.ys, config.svm_grid, config.svm_folds,
                                                  trial.seed, config.svm_epochs)[0].C

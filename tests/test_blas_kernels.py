@@ -76,7 +76,7 @@ digest = hashlib.sha256(json.dumps(timeless(report), sort_keys=True).encode()).h
 
 sys.path.insert(0, sys.argv[2])
 from test_deep import reference_train
-trial = runner._make_trial(config, 0, None)
+trial = runner._make_trial(config, 0)
 net = runner._deep_network(trial, config.deep)
 bitwise = []
 for weights in ((config.deep.coral_weight, 0.0), (0.5, 2.0, 0.0, 0.25, 1.0)):

@@ -437,7 +437,7 @@ def frozen_method_sources():
     """The mapped sources of the five SVM methods on trial 0 of the frozen
     benchmark config, as the runner trains them."""
     config = runner.ExperimentConfig(spec=rotated_anisotropic_spec(0), methods=("NA",))
-    trial = runner._make_trial(config, 0, None)
+    trial = runner._make_trial(config, 0)
     Ds = [fmap(trial, config)[0] for fmap in runner._FEATURE_MAPS.values()]
     return Ds, trial.ys, dict(folds=5, seed=0)
 

@@ -21,7 +21,8 @@ import coralign
 from coralign import coral, lda, linalg
 from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift, rotated_anisotropic_spec
-from coralign.bench.io import load_bin, load_csv, save_csv
+from coralign.bench import runner
+from coralign.bench.io import load_bin, load_csv, save_bin, save_csv
 from coralign.bench.runner import (ExperimentConfig, config_from_dict, config_to_dict,
                                    run_experiment)
 from coralign.deep import TrainConfig
@@ -155,6 +156,29 @@ class TestLdaCommand:
         want = lda.fit_coral_lda(mu1 - mu0, psd_operator(cov_s, 1.0), psd_operator(cov_t, 1.0))
         np.testing.assert_array_equal(w, want)
 
+    def test_weights_printed_without_out(self, tmp_path, capsys):
+        p, src, _ = self._binary_csv(tmp_path)
+        assert main(["lda", "--train", str(p)]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        mu1 = src.features[src.labels == 1].mean(axis=0)
+        mu0 = src.features[src.labels == 0].mean(axis=0)
+        cov = mean_and_covariance(src.features).cov
+        want = lda.fit_lda(mu1 - mu0, psd_operator(cov, 1.0))
+        np.testing.assert_array_equal([float(v) for v in printed.split(",")], want)
+
+    def test_unlabeled_training_file_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "train.bin"
+        save_bin(Dataset(generate_shift(small_spec())[0].features, None), p)
+        assert main(["lda", "--train", str(p)]) == 1
+        assert capsys.readouterr().err == "error: training dataset must carry labels\n"
+
+    def test_three_classes_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "train.csv"
+        save_csv(generate_shift(small_spec(K=3))[0], p)
+        assert main(["lda", "--train", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the lda command fits a binary discriminant")
+
     def test_coral_mode_requires_stats(self, tmp_path):
         p, _, _ = self._binary_csv(tmp_path)
         rc = main(["lda", "--train", str(p), "--mode", "coral",
@@ -215,6 +239,42 @@ class TestBenchCommand:
         assert rep["trials"] == 2
         assert len(rep["methods"]["NA"]["target_acc"]) == 2
         assert "NA" in capsys.readouterr().out
+
+    def test_report_printed_without_report_out(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(self._config_file(tmp_path))]) == 0
+        summary, blob = capsys.readouterr().out.split("\n", 1)
+        assert summary.startswith("NA: target ")
+        assert len(json.loads(blob)["methods"]["NA"]["target_acc"]) == 2
+
+    def test_report_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rep.json"
+        rc = main(["bench", "--config", str(self._config_file(tmp_path)),
+                   "--report-out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {tmp_path / 'none.json'}: ")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("unlabeled source", "error: source dataset must carry labels\n"),
+        ("differing widths", "error: source and target dimensions differ\n"),
+    ])
+    def test_unusable_file_pair_exits_1(self, tmp_path, capsys, fault, message):
+        src, tgt = generate_shift(small_spec())
+        if fault == "unlabeled source":
+            src = Dataset(src.features, None)
+        else:
+            tgt = Dataset(tgt.features[:, 1:], tgt.labels)
+        paths = [str(tmp_path / "s.bin"), str(tmp_path / "t.bin")]
+        save_bin(src, paths[0])
+        save_bin(tgt, paths[1])
+        cfg = self._config_file(tmp_path, spec=None, source_path=paths[0],
+                                target_path=paths[1])
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_trials_and_seed_overrides(self, tmp_path):
         cfg = self._config_file(tmp_path)
@@ -417,6 +477,12 @@ class TestSweepCommand:
         assert len(rep["rows"]) == 1
         assert rep["rows"][0]["lam"] == 1.0
 
+    def test_non_numeric_lambda_exits_1(self, tmp_path, capsys):
+        cfgp = TestBenchCommand()._config_file(tmp_path, methods=["CORAL-reg"], trials=1)
+        assert main(["sweep-lambda", "--config", str(cfgp), "--lambdas", "1,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected comma-separated numbers, got '1,x'\n")
+
     def test_default_includes_analytical(self, tmp_path):
         cfgp = TestBenchCommand()._config_file(
             tmp_path, methods=["CORAL-reg"], trials=1
@@ -483,6 +549,18 @@ class TestDeepCommand:
         assert f"alignment distance {m.post_dist[0]:.6g}\n" in printed
 
 
+    def test_draws_no_unrelated_domain(self, tmp_path, monkeypatch):
+        # the command trains deep alone, whatever else the config lists
+        def no_draw(spec):
+            raise AssertionError("unrelated domain drawn")
+
+        monkeypatch.setattr(runner, "_unrelated_stats", no_draw)
+        cfg = TestBenchCommand()._config_file(
+            tmp_path, methods=["deep", "CORAL-LDA-mismatched"],
+            deep={"hidden": 4, "iterations": 5, "batch_size": 16})
+        assert main(["deep", "--config", str(cfg)]) == 0
+
+
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
         rc = main(["gradcheck", "--n", "4,8", "--d", "2,5", "--seeds", "3"])
@@ -529,6 +607,22 @@ class TestConvertCommand:
         assert rc == 0
         again = load_csv(csvp, has_labels=True)
         np.testing.assert_array_equal(again.features, src.features)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("trailing bytes", "8 trailing bytes"),
+        ("label flag 2", "has_labels flag must be 0/1, got 2"),
+    ])
+    def test_malformed_bin_exits_1(self, tmp_path, capsys, fault, message):
+        p = tmp_path / "in.bin"
+        save_bin(Dataset(np.ones((4, 2)), None), p)
+        raw = bytearray(p.read_bytes())
+        if fault == "trailing bytes":
+            raw += bytes(8)
+        else:
+            raw[16] = 2  # the has_labels byte after magic, version, rows, cols
+        p.write_bytes(bytes(raw))
+        assert main(["convert", str(p), str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
     def test_unsupported_pair_exits_1(self, tmp_path):
         rc = main(["convert", str(tmp_path / "a.txt"), str(tmp_path / "b.csv")])

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coralign import coral, linalg
 from coralign.classify import LinearModel, predict
@@ -106,6 +108,73 @@ class TestFitRegularized:
         inv_root = scipy.linalg.fractional_matrix_power(Cs + lam * I, -0.5).real
         color = scipy.linalg.fractional_matrix_power(Ct + lam * I, 0.5).real
         np.testing.assert_allclose(T.A, inv_root @ color, atol=1e-9)
+
+
+# The relative Frobenius error fit_regularized's docstring states for its
+# three identities, at lam >= 1e-3 tr(C_S) / d.
+REGULARIZED_BOUND = 1e-10
+
+
+def conditioned_rows(rng, n, d, log_kappa, scale):
+    """n rows off the origin whose population covariance, in a random
+    rotation, has condition number 10**log_kappa and largest variance
+    scale**2."""
+    s = scale * 10.0 ** (-0.5 * log_kappa * np.linspace(0.0, 1.0, d))
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (rng.standard_normal((n, d)) * s) @ Q + rng.standard_normal(d)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def regularized_cases(test):
+    """test run on drawn (d, n_s, n_t, log_kappa, log_lam, seed) and on
+    fixed extremes: d = 1 and d = 12 with n = 2 rows on one side, and a
+    tall pair, at log_kappa 14 and the smallest lam of the bound."""
+    for d, n in ((1, 2), (12, 2), (12, 40)):
+        test = example(d=d, n_s=n, n_t=42 - n, log_kappa=14.0, log_lam=-3.0,
+                       seed=d + n)(test)
+    return settings(max_examples=60, deadline=None, database=None, derandomize=True)(
+        given(d=st.integers(1, 12), n_s=st.integers(2, 40), n_t=st.integers(2, 40),
+              log_kappa=st.floats(0.0, 14.0), log_lam=st.floats(-3.0, 1.0),
+              seed=st.integers(0, 2**32 - 1))(test))
+
+
+class TestRegularizedInvariants:
+    """Property tests of fit_regularized's stated bound, tall and wide,
+    n = 2 and d = 1 included, covariances conditioned up to 1e14."""
+
+    def case(self, d, n_s, n_t, log_kappa, log_lam, seed):
+        rng = np.random.default_rng(seed)
+        X = conditioned_rows(rng, n_s, d, log_kappa, 1.0)
+        Y = conditioned_rows(rng, n_t, d, rng.uniform(0.0, log_kappa),
+                             10.0 ** rng.uniform(-2.0, 2.0))
+        lam = 10.0 ** log_lam * np.trace(mean_and_covariance(X).cov) / d
+        return rng, X, Y, lam
+
+    @regularized_cases
+    def test_maps_the_source_operator_onto_the_target_one(self, d, n_s, n_t, log_kappa,
+                                                          log_lam, seed):
+        _, X, Y, lam = self.case(d, n_s, n_t, log_kappa, log_lam, seed)
+        A = fit_regularized(X, Y, lam).A
+        eye = lam * np.eye(d)
+        got = A.T @ (mean_and_covariance(X).cov + eye) @ A
+        assert relative_error(got, mean_and_covariance(Y).cov + eye) <= REGULARIZED_BOUND
+
+    @regularized_cases
+    def test_orthogonal_equivariance(self, d, n_s, n_t, log_kappa, log_lam, seed):
+        rng, X, Y, lam = self.case(d, n_s, n_t, log_kappa, log_lam, seed)
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        want = Q.T @ fit_regularized(X, Y, lam).A @ Q
+        assert relative_error(fit_regularized(X @ Q, Y @ Q, lam).A, want) <= REGULARIZED_BOUND
+
+    @regularized_cases
+    def test_scale_invariance(self, d, n_s, n_t, log_kappa, log_lam, seed):
+        rng, X, Y, lam = self.case(d, n_s, n_t, log_kappa, log_lam, seed)
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        got = fit_regularized(c * X, c * Y, c * c * lam).A
+        assert relative_error(got, fit_regularized(X, Y, lam).A) <= REGULARIZED_BOUND
 
 
 class TestFitAnalytical:

@@ -183,6 +183,17 @@ class TestFitCoralLda:
             fit_coral_lda(np.array([1.0]), C2, C2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit", ["lda", "coral-lda"])
+def test_fits_reject_non_finite_mean_differences(fit, bad):
+    # the input's fault: fit_coral_lda returned NaN weights without an
+    # error, and fit_lda raised NumericalError on the weights it computed
+    source = psd_operator(random_spd(3, np.random.default_rng(2)), 1.0)
+    for diffs in (np.array([1.0, bad, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, bad]])):
+        with pytest.raises(InvalidInputError, match="^mean differences must be finite$"):
+            fit_lda(diffs, source) if fit == "lda" else fit_coral_lda(diffs, source, source)
+
+
 class TestDomainDistance:
     def test_identical_stats(self):
         rng = np.random.default_rng(7)
