@@ -110,8 +110,13 @@ def _cmd_lda(args) -> int:
 
 
 def _read_run_config(args) -> ExperimentConfig:
-    """--config with the --trials and --seed overrides applied."""
+    """--config with the --trials and --seed overrides applied.  Opening
+    --report-out to append first fails a path that cannot be written
+    before any trial, and keeps an existing report if the run then fails
+    (a new path is then left as an empty file)."""
     cfg = _read_config(args.config)
+    if args.report_out:
+        open(args.report_out, "a").close()
     if args.trials is not None:
         cfg = dataclasses.replace(cfg, trials=args.trials)
     if args.seed is not None:

@@ -178,13 +178,17 @@ def _centred_covariance(D):
     return mean, Dc, (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
-def _check_symmetric(M, tol: float) -> np.ndarray:
+def _check_symmetric(M, rtol: float) -> np.ndarray:
+    """M as a float array, unless it is not square, not finite, or not
+    symmetric to within rtol times its largest entry: an absolute bound
+    rejects the round-off of large entries and accepts the asymmetry of
+    small ones, whose eigenvalues then depend on the triangle eigh reads."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError("matrix contains non-finite entries")
-    if np.abs(M - M.T).max() > tol:
+    if np.abs(M - M.T).max() > rtol * np.abs(M).max():
         raise InvalidInputError("matrix is not symmetric within tolerance")
     return M
 

@@ -8,7 +8,6 @@ where M applies the per-axis scales in the rotated frame.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,20 +261,14 @@ class TestGenerateShiftInRowBlocks:
         assert src.features.tobytes() == want_s.tobytes()
         assert tgt.features.tobytes() == want_t.tobytes()
 
-    def test_peak_memory_at_most_3_25_output_sized_arrays(self):
+    def test_peak_memory_at_most_3_25_output_sized_arrays(self, traced_peak):
         # source, target and the target's pre-map draws live at once; the
-        # rest is row blocks and d x d matrices.  A small untraced call
-        # first, so numpy's lazily imported modules are not counted
+        # rest is row blocks and d x d matrices
         n, d = 4000, 256
         spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
-        generate_shift(rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40))
-        tracemalloc.start()
-        try:
-            generate_shift(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.25 * n * d * 8
+        small = rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40)
+        assert traced_peak(lambda: generate_shift(spec), lambda: generate_shift(small),
+                           n * d * 8) <= 3.25
 
 
 class TestRotatedAnisotropicSpec:
@@ -366,15 +359,10 @@ class TestAnglesRotation:
             np.testing.assert_array_equal(_angles_rotation(d, angles),
                                           givens_product(d, angles))
 
-    def test_builds_no_matrix_beside_the_rotation(self):
+    def test_builds_no_matrix_beside_the_rotation(self, traced_peak):
         # one d x d Givens matrix and one product per angle cost O(k d^3):
         # 1.06 s at d = 512 with 256 angles
         d = 257
         angles = tuple(np.linspace(-3.0, 3.0, d // 2))
-        tracemalloc.start()
-        try:
-            R = _angles_rotation(d, angles)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * R.nbytes
+        assert traced_peak(lambda: _angles_rotation(d, angles),
+                           lambda: _angles_rotation(4, (0.5, 1.0)), d * d * 8) < 1.5

@@ -9,8 +9,9 @@ import struct
 import numpy as np
 import pytest
 
+from coralign.bench.cli import main
 from coralign.bench.data import Dataset
-from coralign.bench.io import load_bin, load_csv, save_bin, save_csv
+from coralign.bench.io import load_bin, load_csv, save_bin, save_csv, save_dataset
 from coralign.errors import FormatError, InvalidInputError
 
 
@@ -113,6 +114,21 @@ class TestCsvErrors:
         with pytest.raises(InvalidInputError):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999",
+                                       "9223372036854775808"])
+    def test_label_beyond_int64_exits_1(self, tmp_path, capsys, label):
+        p = tmp_path / "big.csv"
+        p.write_text(f"1.0,0\n2.0,{label}\n")
+        assert main(["convert", str(p), str(tmp_path / "out.bin"), "--csv-has-labels"]) == 1
+        assert capsys.readouterr().err == "error: labels must be integers\n"
+
+
+def test_csv_lines_split_as_str_splitlines_splits(tmp_path):
+    # a form feed, a record separator, \r\n and a lone \r each end a line
+    p = tmp_path / "lines.csv"
+    p.write_text("1,2\x0c3,4\x1e5,6\r\n7,8\r9,10\n")
+    np.testing.assert_array_equal(load_csv(p).features, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+
 
 class TestBinaryRoundTrip:
     def test_random_dataset_bit_identical(self, tmp_path):
@@ -161,6 +177,54 @@ class TestBinaryRoundTrip:
         back = load_bin(p)
         np.testing.assert_array_equal(back.features, [[0.5, -0.5, 42.0]])
         assert back.labels is None
+
+
+class TestBinaryArrays:
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_save_writes_the_header_then_the_arrays_bytes(self, tmp_path, labeled):
+        ds = random_dataset(12, n=9, d=4, labeled=labeled)
+        p = tmp_path / "a.bin"
+        save_bin(ds, p)
+        want = struct.pack("<4sIIIB3x", b"CORF", 1, 9, 4, int(labeled))
+        want += ds.features.astype("<f8").tobytes()
+        if labeled:
+            want += ds.labels.astype("<u4").tobytes()
+        assert p.read_bytes() == want
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_load_returns_writable_c_contiguous_arrays(self, tmp_path, labeled):
+        p = tmp_path / "a.bin"
+        save_bin(random_dataset(13, labeled=labeled), p)
+        back = load_bin(p)
+        arrays = [back.features] + ([back.labels] if labeled else [])
+        assert [a.dtype for a in arrays] == [np.dtype(float), np.dtype(int)][:len(arrays)]
+        assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays)
+
+
+class TestOnePass:
+    """Each reader and writer passes its payload once: its traced peak in
+    units of the feature bytes, at 2000 x 128 with labels, is 0.006, 1.13,
+    0.017 and 1.15, the loaders holding the features and Dataset's
+    isfinite mask.  Through byte copies, a list of lines and a list of
+    rows the four took 2.0, 4.0, 8.0 and 10.6."""
+
+    RUNS = {
+        "save_bin": lambda ds, p: save_bin(ds, p),
+        "load_bin": lambda ds, p: load_bin(p),
+        "save_csv": lambda ds, p: save_csv(ds, p),
+        "load_csv": lambda ds, p: load_csv(p, has_labels=True),
+    }
+
+    @pytest.mark.parametrize("name, bound", [("save_bin", 0.25), ("load_bin", 1.25),
+                                             ("save_csv", 0.25), ("load_csv", 1.25)])
+    def test_traced_peak(self, tmp_path, traced_peak, name, bound):
+        run = self.RUNS[name]
+        big, small = random_dataset(10, n=2000, d=128), random_dataset(11)
+        pb, ps = tmp_path / f"big.{name[-3:]}", tmp_path / f"small.{name[-3:]}"
+        save_dataset(big, pb)
+        save_dataset(small, ps)
+        assert traced_peak(lambda: run(big, pb), lambda: run(small, ps),
+                           big.features.nbytes) <= bound
 
 
 class TestBinaryErrors:

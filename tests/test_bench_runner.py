@@ -7,7 +7,6 @@ plus exact checks for shapes, determinism, and serialization.
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,51 +368,34 @@ class TestRunExperiment:
         assert got.mean.tobytes() == want.mean.tobytes()
         assert got.cov.tobytes() == want.cov.tobytes()
 
-    def test_unrelated_stats_peak_at_most_3_25_output_sized_arrays(self):
+    def test_unrelated_stats_peak_at_most_3_25_output_sized_arrays(self, traced_peak):
         # the unrelated domain peaks like generate_shift, while its source,
         # target and the target's pre-map draws live at once; its
         # standardized copy is made once the source is released
         n, d = 4000, 256
         spec = rotated_anisotropic_spec(0, d=d, n_source=n, n_target=n)
-        runner._unrelated_stats(rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40))
-        tracemalloc.start()
-        try:
-            runner._unrelated_stats(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.25 * n * d * 8
+        small = rotated_anisotropic_spec(0, d=16, n_source=40, n_target=40)
+        assert traced_peak(lambda: runner._unrelated_stats(spec),
+                           lambda: runner._unrelated_stats(small), n * d * 8) <= 3.25
 
-    def test_lda_trial_holds_no_raw_or_source_copy(self):
+    def test_lda_trial_holds_no_raw_or_source_copy(self, traced_peak):
         # in arrays of n x d: the trial peaks while drawing its domains
         # (3.3); the unrelated domain, drawn whole before them, leaves only
         # its statistics.  Drawing it beside the two standardized domains
         # takes 4.35, and raw domains beside their standardized copies 5.4
         n, d = 4000, 256
         cfg = lda_config(n, d)
-        run_experiment(lda_config(40, 16))
-        tracemalloc.start()
-        try:
-            runner._lda_group(_make_trial(cfg, 0), cfg,
-                              [(name, cfg) for name in LDA_FAMILY])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * n * d * 8
+        members = [(name, cfg) for name in LDA_FAMILY]
+        assert traced_peak(lambda: runner._lda_group(_make_trial(cfg, 0), cfg, members),
+                           lambda: run_experiment(lda_config(40, 16)), n * d * 8) <= 3.5
 
-    def test_each_trial_released_before_the_next_is_built(self):
+    def test_each_trial_released_before_the_next_is_built(self, traced_peak):
         # three trials peak like one (3.3 arrays of n x d); a trial still
         # alive while the next draws its data adds its two standardized
         # domains (5.3)
         n, d = 4000, 256
-        run_experiment(lda_config(40, 16))
-        tracemalloc.start()
-        try:
-            run_experiment(lda_config(n, d, trials=3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.75 * n * d * 8
+        assert traced_peak(lambda: run_experiment(lda_config(n, d, trials=3)),
+                           lambda: run_experiment(lda_config(40, 16)), n * d * 8) <= 3.75
 
     def test_unrelated_domain_drawn_only_for_the_mismatched_method(self, monkeypatch):
         cfg = lda_config(40, 16)
@@ -580,9 +562,9 @@ class TestFilePairTrial:
 
     SPEC = rotated_anisotropic_spec(seed=2, n_source=200, n_target=200)
 
-    def _bin_config(self, tmp_path, **overrides):
-        src, tgt = generate_shift(self.SPEC)
-        sp, tp = tmp_path / "s.bin", tmp_path / "t.bin"
+    def _bin_config(self, tmp_path, spec=SPEC, **overrides):
+        src, tgt = generate_shift(spec)
+        sp, tp = tmp_path / f"s{spec.d}.bin", tmp_path / f"t{spec.d}.bin"
         save_bin(src, sp)
         save_bin(tgt, tp)
         return ExperimentConfig(spec=None, source_path=str(sp), target_path=str(tp),
@@ -595,6 +577,17 @@ class TestFilePairTrial:
                                 calls.append(_name) or _fn(*a))
         run_experiment(self._bin_config(tmp_path))
         assert sorted(calls) == ["load_dataset"] * 2 + ["standardize"] * 2
+
+    def test_bin_pair_run_peaks_like_a_spec_trial(self, tmp_path, traced_peak):
+        # in arrays of n x d: both domains as read, then their standardized
+        # copies (3.2); reading each file through two byte copies and a
+        # cast peaked at 5.0
+        n, d = 4000, 256
+        big, small = (self._bin_config(tmp_path, lda_config(m, width).spec,
+                                       methods=("LDA", "CORAL-LDA"))
+                      for m, width in ((n, d), (40, 16)))
+        assert traced_peak(lambda: run_experiment(big), lambda: run_experiment(small),
+                           n * d * 8) <= 3.5
 
     def test_each_trial_equals_a_one_trial_run_at_its_seed(self, tmp_path):
         cfg = self._bin_config(tmp_path, seed_base=4)

@@ -21,11 +21,12 @@ import coralign
 from coralign import coral, lda, linalg
 from coralign.bench.cli import main
 from coralign.bench.data import Dataset, ShiftSpec, generate_shift, rotated_anisotropic_spec
-from coralign.bench import runner
+from coralign.bench import cli, runner
 from coralign.bench.io import load_bin, load_csv, save_bin, save_csv
 from coralign.bench.runner import (ExperimentConfig, config_from_dict, config_to_dict,
                                    run_experiment)
 from coralign.deep import TrainConfig
+from coralign.errors import NumericalError
 from coralign.linalg import mean_and_covariance, psd_operator
 
 
@@ -252,6 +253,33 @@ class TestBenchCommand:
                    "--report-out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    @staticmethod
+    def _patch_runs(monkeypatch, error):
+        def run(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_experiment", run)
+        monkeypatch.setattr(cli, "lambda_sweep", run)
+
+    @pytest.mark.parametrize("command", ["bench", "sweep-lambda"])
+    def test_report_out_checked_before_the_first_trial(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        self._patch_runs(monkeypatch, AssertionError("the run started"))
+        out = tmp_path / "missing" / "rep.json"
+        rc = main([command, "--config", str(self._config_file(tmp_path)),
+                   "--report-out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("command", ["bench", "sweep-lambda"])
+    def test_failed_run_keeps_an_existing_report(self, tmp_path, capsys, monkeypatch, command):
+        self._patch_runs(monkeypatch, NumericalError("trial diverged"))
+        out = tmp_path / "rep.json"
+        out.write_text("earlier report\n")
+        rc = main([command, "--config", str(self._config_file(tmp_path)),
+                   "--report-out", str(out)])
+        assert rc == 2
+        assert out.read_text() == "earlier report\n"
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "none.json")]) == 1

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coralign import coral, linalg
@@ -175,6 +175,48 @@ class TestRegularizedInvariants:
         c = 10.0 ** rng.uniform(-3.0, 3.0)
         got = fit_regularized(c * X, c * Y, c * c * lam).A
         assert relative_error(got, fit_regularized(X, Y, lam).A) <= REGULARIZED_BOUND
+
+
+# The relative Frobenius error fit_analytical's docstring states for its
+# orthogonal equivariance, for covariances conditioned up to 1e6.
+ANALYTICAL_BOUND = 1e-8
+
+
+def spectrum_rows(rng, n, d, log_kappa, scale):
+    """n rows off the origin whose sample covariance has, in a random
+    rotation, min(n - 1, d) nonzero eigenvalues evenly spaced in log from
+    scale**2 down to scale**2 / 10**log_kappa."""
+    m = min(n - 1, d)
+    Z = rng.standard_normal((n, m))
+    U = np.linalg.qr(Z - Z.mean(axis=0))[0]  # orthonormal columns of zero mean
+    s = scale * 10.0 ** (-0.5 * log_kappa * np.linspace(0.0, 1.0, m))
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0][:m]
+    return np.sqrt(n - 1) * (U * s) @ Q + rng.standard_normal(d)
+
+
+class TestAnalyticalInvariants:
+    """Property test of fit_analytical's stated bound, tall and wide, n = 2
+    and d = 1 included: each covariance's nonzero eigenvalues span up to
+    1e6 and, where the target is truncated to the source's rank, its
+    eigenvalues there are 1% apart."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(1, 12), n_s=st.integers(2, 40), n_t=st.integers(2, 40),
+           log_kappa_s=st.floats(0.0, 6.0), log_kappa_t=st.floats(0.0, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=1, n_s=2, n_t=40, log_kappa_s=6.0, log_kappa_t=6.0, seed=3)
+    @example(d=12, n_s=2, n_t=40, log_kappa_s=6.0, log_kappa_t=6.0, seed=14)
+    @example(d=12, n_s=40, n_t=2, log_kappa_s=6.0, log_kappa_t=6.0, seed=52)
+    def test_orthogonal_equivariance(self, d, n_s, n_t, log_kappa_s, log_kappa_t, seed):
+        m_t = min(n_t - 1, d)
+        if min(n_s - 1, d) < m_t:
+            assume(10.0 ** (log_kappa_t / (m_t - 1)) >= 1.01)
+        rng = np.random.default_rng(seed)
+        X = spectrum_rows(rng, n_s, d, log_kappa_s, 1.0)
+        Y = spectrum_rows(rng, n_t, d, log_kappa_t, 10.0 ** rng.uniform(-2.0, 2.0))
+        Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        want = Q.T @ fit_analytical(X, Y).A @ Q
+        assert relative_error(fit_analytical(X @ Q, Y @ Q).A, want) <= ANALYTICAL_BOUND
 
 
 class TestFitAnalytical:

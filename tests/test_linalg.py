@@ -5,7 +5,6 @@ covariance estimator, scipy's matrix-function routines, elementwise
 Python loops, and hand-worked small cases.
 """
 
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -149,6 +148,27 @@ class TestSymEigen:
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             sym_eigen(M)
+
+    def test_round_off_asymmetry_of_large_entries_accepted(self):
+        # Q (X^T X) Q^T has entries up to 6.4e8 and is PSD; its round-off
+        # asymmetry, 4.5e-8, is 7e-17 of the largest entry but was rejected
+        # against an absolute 1e-9
+        rng = np.random.default_rng(0)
+        X = 3e3 * rng.standard_normal((60, 8))
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        M = Q @ (X.T @ X) @ Q.T
+        assert np.abs(M - M.T).max() > 1e-9
+        op = psd_operator(M)
+        assert np.linalg.norm(op.dense() - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_asymmetry_of_tiny_entries_rejected(self):
+        # an absolute 1e-9 accepted it, and its eigenvalues then depended on
+        # the triangle eigh reads: [2e-12, 2e-12], its transpose's [1e-12, 3e-12]
+        M = np.array([[2e-12, 1e-12], [0.0, 2e-12]])
+        for m in (M, M.T):
+            with pytest.raises(InvalidInputError, match="not symmetric"):
+                sym_eigen(m)
+        assert sym_eigen(np.zeros((2, 2))).spectrum.tolist() == [0.0, 0.0]
 
 
 class TestSymPower:
@@ -411,18 +431,13 @@ class TestStandardize:
             _, _, stds = standardize(X)
         assert stds.tobytes() == np.sqrt(want / (n - 1)).tobytes()
 
-    def test_forms_no_square_beside_its_output(self):
+    def test_forms_no_square_beside_its_output(self, traced_peak):
         # the returned array and one row block of squares; a whole n x d
         # square of the centred rows beside it took 2.0 arrays
         n, d = 4000, 256
         X = np.random.default_rng(18).standard_normal((n, d))
-        tracemalloc.start()
-        try:
-            standardize(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * X.nbytes
+        assert traced_peak(lambda: standardize(X), lambda: standardize(X[:4, :3]),
+                           X.nbytes) <= 1.5
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
