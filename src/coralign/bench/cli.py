@@ -124,9 +124,20 @@ def _read_run_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _strict_json(value):
+    """value with each float NaN (an accuracy without target labels) as
+    None, so that the report is strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return None if isinstance(value, float) and np.isnan(value) else value
+
+
 def _write_report(report, path) -> None:
-    """The report's JSON to ``path`` (--report-out), else to stdout."""
-    blob = json.dumps(report.to_dict(), indent=2)
+    """The report's JSON to ``path`` (--report-out), else to stdout; a
+    NaN is written as null."""
+    blob = json.dumps(_strict_json(report.to_dict()), indent=2, allow_nan=False)
     if path:
         Path(path).write_text(blob + "\n")
     else:

@@ -193,46 +193,35 @@ def _clusters(rng: np.random.Generator, means, labels, d: int) -> np.ndarray:
     return X
 
 
-def _shift_features(spec: ShiftSpec):
-    """The (source, target) features of generate_shift(spec).
+def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
+    """Draw one (source, target) pair; deterministic per spec.
 
     Entry for entry the arithmetic of the one-expression form
     ``(means[y] + z) @ M.T + mean_shift + noise_std * z'``, with every
     draw in the same order, so the output is bitwise the same.  Only the
-    product is formed whole, the rest runs in row blocks: products of
-    row blocks are bitwise under OpenBLAS's SkylakeX and Haswell kernels,
-    but under Nehalem they moved entries by up to 7e-15 at d = 512 and
-    d = 2048."""
+    target product ``base @ M.T`` is formed whole, the rest runs in row
+    blocks: products of row blocks are bitwise under OpenBLAS's SkylakeX
+    and Haswell kernels, but under Nehalem they moved entries by up to
+    7e-15 at d = 512 and d = 2048."""
     rng = np.random.default_rng(spec.seed)
     R = _rotation_for(spec)
     means = (_simplex(spec.K) * spec.separation) @ R[:, : spec.K - 1].T
     M = (R * np.asarray(spec.scales)) @ R.T
     del R
 
-    X_s = _clusters(rng, means, _balanced_labels(spec.n_source, spec.K), spec.d)
-    base = _clusters(rng, means, _balanced_labels(spec.n_target, spec.K), spec.d)
+    y_s = _balanced_labels(spec.n_source, spec.K)
+    y_t = _balanced_labels(spec.n_target, spec.K)
+    X_s = _clusters(rng, means, y_s, spec.d)
+    base = _clusters(rng, means, y_t, spec.d)
     X_t = base @ M.T
-    del base
+    # freed first: held through the Datasets' checks, they cost fit-wide 15 MiB of peak RSS
+    del base, M, means
     shift = np.asarray(spec.mean_shift)
     for rows in _row_blocks(spec.n_target, spec.d):
         block = X_t[rows]
         block += shift
         block += spec.noise_std * rng.standard_normal(block.shape)
-    return X_s, X_t
-
-
-def generate_shift(spec: ShiftSpec) -> tuple[Dataset, Dataset]:
-    """Draw one (source, target) pair; deterministic per spec.
-
-    The features are ``_shift_features(spec)``, bitwise the one-expression
-    form; its target product ``base @ M.T`` stays whole, because in row
-    blocks it would move the target's last bits under OpenBLAS's Nehalem
-    kernel."""
-    X_s, X_t = _shift_features(spec)
-    return (
-        Dataset(features=X_s, labels=_balanced_labels(spec.n_source, spec.K)),
-        Dataset(features=X_t, labels=_balanced_labels(spec.n_target, spec.K)),
-    )
+    return Dataset(X_s, y_s), Dataset(X_t, y_t)
 
 
 def rotated_anisotropic_spec(

@@ -60,7 +60,7 @@ from .. import classify, coral, lda
 from ..deep import TrainConfig, _Diverged, _train_members, init_network
 from ..errors import InvalidInputError, NumericalError
 from ..linalg import DomainStats, mean_and_covariance, psd_operator, standardize
-from .data import ShiftSpec, _rotation_seed, _shift_features, generate_shift
+from .data import ShiftSpec, _rotation_seed, generate_shift
 from .io import load_dataset
 
 # Seed offset deriving the "unrelated" third domain; a large prime so it
@@ -106,6 +106,10 @@ class ExperimentConfig:
         if self.spec is None and not (self.source_path and self.target_path):
             raise InvalidInputError(
                 "config needs either a spec or source+target file paths"
+            )
+        if self.spec is not None and (self.source_path or self.target_path):
+            raise InvalidInputError(
+                "config takes a spec or source+target file paths, not both"
             )
         if self.spec is None and "CORAL-LDA-mismatched" in self.methods:
             raise InvalidInputError(
@@ -314,7 +318,7 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, members):
     the trial drew before its own data (``trial.unrelated``)."""
     mus = np.stack([trial.Xs[trial.ys == k].mean(axis=0)
                     for k in range(int(trial.ys.max()) + 1)])
-    mu0 = trial.Xs.mean(axis=0)
+    mu0 = trial.stats_s.mean
     diffs = mus - mu0
     source = psd_operator(trial.stats_s.cov, config.lda_lam)
     V = lda.fit_lda(diffs, source)
@@ -336,12 +340,12 @@ def _lda_group(trial: _Trial, config: ExperimentConfig, members):
 
 def _unrelated_stats(spec: ShiftSpec) -> DomainStats:
     """Statistics of a third, differently-shifted domain, standardized
-    like the trial's own: the target of generate_shift(spec_u).  Its
-    source is released as the pair is indexed, and its target once
-    standardized."""
+    like the trial's own: the target of generate_shift(spec_u), drawn
+    through the same entry as the trial's own data.  Its source is
+    released as the pair is indexed, and its target once standardized."""
     spec_u = dataclasses.replace(spec, seed=spec.seed + UNRELATED_OFFSET, rotation_angles=None,
                                  rotation_seed=_rotation_seed(spec) + UNRELATED_OFFSET)
-    return mean_and_covariance(standardize(_shift_features(spec_u)[1])[0])
+    return mean_and_covariance(standardize(generate_shift(spec_u)[1].features)[0])
 
 
 def _deep_network(trial: _Trial, cfg: TrainConfig):

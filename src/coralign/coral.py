@@ -135,7 +135,14 @@ def fit_analytical(D_S, D_T) -> CoralTransform:
     closest covariance of rank r, exactly when C_T's top-r eigenvectors
     lie in that range.  That always holds when C_S has full rank, and
     then the result is C_T itself.  Otherwise, as on most wide source
-    data, R P_S R falls short of C_T,r.
+    data, R P_S R falls short of C_T,r, and this A is not the optimum:
+    with C_S = U_S diag(s) U_S^T on its range, every A = U_S diag(s)^{-1/2}
+    O diag(w_r)^{1/2} U_r^T with O^T O = I_r minimizes the gap, and this A
+    is the one with O = U_S^T U_r, which has orthonormal columns only in
+    the case above.  The closest minimizer, O the polar factor of U_S^T U_r,
+    reaches C_T,r but did not raise target accuracy on wide synthetic
+    shifts (3 seeds, cross-validated SGD SVM), so the paper's formula is
+    kept.
 
     Accuracy: fit(D_S Q, D_T Q) = Q^T fit(D_S, D_T) Q for an orthogonal
     Q holds to a relative Frobenius error of 1e-8, tall or wide data,
@@ -184,6 +191,11 @@ def apply_to_weights(T: CoralTransform, model: LinearModel) -> LinearModel:
     W A^T = (W · target) · source, the route taken unless both factors
     have a full basis.  Biases and every other field (C, cv_acc) are
     untouched.  NumericalError if the weights overflow.
+
+    Accuracy: on the source rows of either fit, tall or wide, where the
+    nonzero eigenvalues of each covariance span a ratio kappa <= 1e6,
+    the two routes' scores differ by at most 1e-9 times the largest
+    score.
     """
     if model.dim != T.source_dim:
         raise InvalidInputError(

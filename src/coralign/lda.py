@@ -17,7 +17,9 @@ each is raised to its power in O(d) on its spectrum.  Both fits take one
 mean difference or a stack of them, one row per class, and handle a stack
 in one pass of the operators.  An operator is applied in factored form,
 O(d k) per row for a d x k basis: one built from wide data by
-``covariance_operator`` is never formed as a d x d matrix.
+``covariance_operator`` is never formed as a d x d matrix.  Both fits
+invert each operator by one rule (``_inverse_power``): singular by
+``SymOperator.rank``, or non-finite weights, is a NumericalError.
 
 Also provides the normalized covariance+mean distance between domains.
 """
@@ -39,6 +41,22 @@ def _mean_diffs(mean_diffs, d: int) -> np.ndarray:
     return diffs
 
 
+def _inverse_power(op: SymOperator, p: float, rows, name: str) -> np.ndarray:
+    """op^p applied to rows for a negative p, the one step of both fits:
+    NumericalError when op, C + lam I of the domain ``name`` (C_S or
+    C_T), is singular by ``SymOperator.rank``, as a thin operator at
+    shift 0 is, or when the product is not finite."""
+    if (rank := op.rank) < op.dim:
+        raise NumericalError(
+            f"covariance not invertible: {name} + lam I has rank {rank} of {op.dim}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op.power(p).apply(rows)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("discriminant weights are non-finite")
+    return out
+
+
 def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
     """w = (C_S + lam I)^{-1} (mu_pos - mu_neg) for one mean difference,
     or one weight row per row of a stack of them, for the operator
@@ -47,18 +65,9 @@ def fit_lda(mean_diffs, source: SymOperator) -> np.ndarray:
     other directions at eigenvalue lam.
 
     Raises InvalidInputError on a non-finite mean difference, and
-    NumericalError when the operator is singular by ``SymOperator.rank``,
-    as a thin operator at shift 0 is."""
-    d = source.dim
-    diffs = _mean_diffs(mean_diffs, d)
-    if (rank := source.rank) < d:
-        raise NumericalError(
-            f"covariance not invertible: C_S + lam I has rank {rank} of {d}"
-        )
-    w = source.power(-1).apply(diffs)
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("discriminant weights are non-finite")
-    return w
+    NumericalError on a singular operator or non-finite weights
+    (``_inverse_power``)."""
+    return _inverse_power(source, -1, _mean_diffs(mean_diffs, source.dim), "C_S")
 
 
 def fit_coral_lda(mean_diffs, source: SymOperator, target: SymOperator) -> np.ndarray:
@@ -67,11 +76,12 @@ def fit_coral_lda(mean_diffs, source: SymOperator, target: SymOperator) -> np.nd
     space.  ``source`` and ``target`` are C + lam I of each domain, from
     ``psd_operator`` or, for wide data, ``covariance_operator(X, lam)``;
     each W is its ``power(-0.5)``.  Raises InvalidInputError on a
-    non-finite mean difference."""
+    non-finite mean difference, and NumericalError under the same rule
+    as fit_lda, for each operator."""
     if target.dim != source.dim:
         raise InvalidInputError("means and covariance operators disagree in dimension")
     diffs = _mean_diffs(mean_diffs, source.dim)
-    return target.power(-0.5).apply(source.power(-0.5).apply(diffs))
+    return _inverse_power(target, -0.5, _inverse_power(source, -0.5, diffs, "C_S"), "C_T")
 
 
 def domain_distance(a: DomainStats, b: DomainStats) -> float:

@@ -164,6 +164,17 @@ class TestConfigSerialization:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(spec=None, methods=("NA",), trials=1)
 
+    @pytest.mark.parametrize("paths", [
+        {"source_path": "a.csv", "target_path": "b.csv"}, {"source_path": "a.csv"},
+        {"target_path": "b.csv"},
+    ], ids=["both", "source", "target"])
+    def test_spec_and_file_paths_rejected_together(self, paths):
+        # the spec was used and the paths silently ignored
+        raw = {"spec": dataclasses.asdict(zero_shift_spec()), **paths}
+        with pytest.raises(InvalidInputError, match="^config takes a spec or source\\+target "
+                                                    "file paths, not both$"):
+            config_from_dict(raw)
+
     def test_methods_default_to_na(self):
         raw = {"spec": dataclasses.asdict(zero_shift_spec())}
         assert config_from_dict(raw).methods == ("NA",)
@@ -410,6 +421,20 @@ class TestRunExperiment:
         cfg = dataclasses.replace(cfg, methods=("LDA", "CORAL-LDA"), trials=2)
         assert _make_trial(cfg, 0).unrelated is None
         assert list(run_experiment(cfg).methods) == ["LDA", "CORAL-LDA"]
+
+    def test_every_domain_is_drawn_by_generate_shift(self, monkeypatch):
+        # the unrelated domain too, each trial's before the trial's own
+        seeds = []
+
+        def record(spec, _fn=generate_shift):
+            seeds.append(spec.seed)
+            return _fn(spec)
+
+        monkeypatch.setattr(runner, "generate_shift", record)
+        cfg = dataclasses.replace(lda_config(40, 16, trials=2), seed_base=5)
+        run_experiment(cfg)
+        u = runner.UNRELATED_OFFSET
+        assert seeds == [5 + u, 5, 6 + u, 6]
 
     def test_every_method_runs_without_a_dense_solve(self, monkeypatch):
         def no_solve(*args):

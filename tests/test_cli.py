@@ -213,6 +213,20 @@ class TestLdaCommand:
                    "--lam", "0", "--out", str(tmp_path / "w.csv")])
         assert rc == 2
 
+    def test_singular_covariance_exits_2_in_coral_mode(self, tmp_path, capsys):
+        # the same duplicated column: the coral fit obeys the plain fit's rule
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 2))
+        X = np.hstack([X, X[:, :1]])
+        p, stats_p = tmp_path / "sing.csv", tmp_path / "stats.csv"
+        save_csv(Dataset(X, np.array([0, 1] * 20)), p)
+        save_csv(Dataset(rng.standard_normal((40, 3)), None), stats_p)
+        rc = main(["lda", "--train", str(p), "--mode", "coral", "--stats-from", str(stats_p),
+                   "--lam", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: covariance not invertible: C_S + lam I has rank 2 of 3\n")
+
 
 class TestBenchCommand:
     def _config_file(self, tmp_path, **overrides):
@@ -303,6 +317,35 @@ class TestBenchCommand:
                                 target_path=paths[1])
         assert main(["bench", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == message
+
+    def test_spec_and_file_paths_together_exit_1(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path, source_path=str(tmp_path / "s.csv"),
+                                target_path=str(tmp_path / "t.csv"))
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config takes a spec or source+target file paths, not both\n")
+
+    @pytest.mark.parametrize("command", ["bench", "sweep-lambda"])
+    def test_report_without_target_labels_is_strict_json(self, tmp_path, command):
+        # an accuracy without target labels is NaN, written as null
+        src, tgt = generate_shift(small_spec())
+        paths = [str(tmp_path / "s.bin"), str(tmp_path / "t.bin")]
+        save_bin(src, paths[0])
+        save_bin(Dataset(tgt.features, None), paths[1])
+        cfg = self._config_file(tmp_path, spec=None, source_path=paths[0],
+                                target_path=paths[1], methods=["CORAL-reg"])
+        out = tmp_path / "rep.json"
+        argv = [command, "--config", str(cfg), "--report-out", str(out)]
+        assert main(argv + (["--lambdas", "1"] if command == "sweep-lambda" else [])) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        rows = rep["rows"] if command == "sweep-lambda" else rep["methods"].values()
+        for row in rows:
+            assert row["target_acc"] == [None, None]
+            assert row["target_acc_mean"] is None and row["target_acc_std"] is None
 
     def test_trials_and_seed_overrides(self, tmp_path):
         cfg = self._config_file(tmp_path)

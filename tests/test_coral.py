@@ -219,6 +219,41 @@ class TestAnalyticalInvariants:
         assert relative_error(fit_analytical(X @ Q, Y @ Q).A, want) <= ANALYTICAL_BOUND
 
 
+# The bound apply_to_weights' docstring states for the scores of the two
+# routes, relative to the largest score, for covariances conditioned up
+# to 1e6.
+EQUIVALENCE_BOUND = 1e-9
+
+
+class TestWeightFeatureEquivalence:
+    """Property test of apply_to_weights' stated bound: scoring the mapped
+    source rows with a model, or the raw rows with the mapped model, on
+    TestAnalyticalInvariants' cases, tall and wide, in both fit modes."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(1, 12), n_s=st.integers(2, 40), n_t=st.integers(2, 40),
+           log_kappa_s=st.floats(0.0, 6.0), log_kappa_t=st.floats(0.0, 6.0),
+           regularized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(d=1, n_s=2, n_t=40, log_kappa_s=6.0, log_kappa_t=6.0, regularized=False, seed=3)
+    @example(d=12, n_s=2, n_t=40, log_kappa_s=6.0, log_kappa_t=6.0, regularized=True, seed=14)
+    @example(d=12, n_s=40, n_t=2, log_kappa_s=6.0, log_kappa_t=6.0, regularized=False, seed=52)
+    def test_scores_agree(self, d, n_s, n_t, log_kappa_s, log_kappa_t, regularized, seed):
+        rng = np.random.default_rng(seed)
+        X = spectrum_rows(rng, n_s, d, log_kappa_s, 1.0)
+        Y = spectrum_rows(rng, n_t, d, log_kappa_t, 10.0 ** rng.uniform(-2.0, 2.0))
+        if regularized:
+            lam = 10.0 ** rng.uniform(-3.0, 1.0) * np.trace(mean_and_covariance(X).cov) / d
+            T = fit_regularized(X, Y, lam)
+        else:
+            T = fit_analytical(X, Y)
+        model = LinearModel(W=rng.standard_normal((3, d)), b=rng.standard_normal(3), C=1.0)
+        by_features = apply_to_features(T, X) @ model.W.T + model.b
+        mapped = apply_to_weights(T, model)
+        by_weights = X @ mapped.W.T + mapped.b
+        error = np.abs(by_weights - by_features).max()
+        assert error <= EQUIVALENCE_BOUND * np.abs(by_features).max()
+
+
 class TestFitAnalytical:
     def test_full_rank_reaches_target_covariance(self):
         rng = np.random.default_rng(10)

@@ -194,6 +194,42 @@ def test_fits_reject_non_finite_mean_differences(fit, bad):
             fit_lda(diffs, source) if fit == "lda" else fit_coral_lda(diffs, source, source)
 
 
+def singular_covariance():
+    """The covariance of 40 rows whose third column copies the first:
+    rank 2 of 3."""
+    X = np.random.default_rng(0).standard_normal((40, 2))
+    return mean_and_covariance(np.hstack([X, X[:, :1]])).cov
+
+
+class TestOneRuleForBothFits:
+    """fit_coral_lda checks each operator by fit_lda's rank and
+    finiteness rules."""
+
+    def test_singular_source_rejected_at_lam_0(self):
+        # the clamp at lam = 0 keeps W_S finite: the rank rule must reject
+        source = psd_operator(singular_covariance(), 0.0)
+        with pytest.raises(NumericalError, match="^covariance not invertible: "
+                                                 "C_S \\+ lam I has rank 2 of 3$"):
+            fit_coral_lda(np.array([1.0, 0.5, 1.0]), source, psd_operator(np.eye(3), 0.0))
+
+    def test_thin_target_at_shift_zero_rejected(self):
+        # n - 1 = 8 of 30 directions; the other 22 have eigenvalue 0
+        thin = covariance_operator(np.random.default_rng(5).standard_normal((9, 30)), 0.0)
+        with pytest.raises(NumericalError, match="^covariance not invertible: "
+                                                 "C_T \\+ lam I has rank 8 of 30$"):
+            fit_coral_lda(np.ones(30), psd_operator(np.eye(30), 1.0), thin)
+
+    @pytest.mark.parametrize("fit", ["lda", "coral-lda"])
+    def test_overflowing_weights_rejected_without_a_warning(self, fit):
+        # full rank, but 1e10 / 1e-300 overflows; any warning would fail
+        # the suite before the NumericalError surfaced
+        op = psd_operator(1e-300 * np.eye(3), 0.0)
+        assert op.rank == 3
+        diff = 1e10 * np.ones(3)
+        with pytest.raises(NumericalError, match="^discriminant weights are non-finite$"):
+            fit_lda(diff, op) if fit == "lda" else fit_coral_lda(diff, op, op)
+
+
 class TestDomainDistance:
     def test_identical_stats(self):
         rng = np.random.default_rng(7)
