@@ -115,6 +115,12 @@ class ShiftSpec:
         # numpy's generators take only non-negative seeds
         if self.seed < 0 or (self.rotation_seed is not None and self.rotation_seed < 0):
             raise InvalidInputError("seed and rotation_seed must be >= 0")
+        entries = {"separation": (self.separation,), "noise_std": (self.noise_std,),
+                   "scales": self.scales, "mean_shift": self.mean_shift,
+                   "rotation_angles": self.rotation_angles or ()}
+        for name, values in entries.items():
+            if not all(-np.inf < v < np.inf for v in values):  # NaN fails
+                raise InvalidInputError(f"{name} must be finite")
 
 
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -203,15 +203,16 @@ class ExperimentReport:
 @dataclass
 class _Trial:
     """Standardized per-trial data shared by every method; ``unrelated``
-    holds the unrelated domain's statistics for CORAL-LDA-mismatched."""
+    holds the unrelated domain's statistics for CORAL-LDA-mismatched, and
+    the domains' statistics and ``pre`` are None when every method is deep."""
 
     Xs: np.ndarray
     ys: np.ndarray
     Xt: np.ndarray
     yt: Optional[np.ndarray]
-    stats_s: DomainStats
-    stats_t: DomainStats
-    pre: float
+    stats_s: Optional[DomainStats]
+    stats_t: Optional[DomainStats]
+    pre: Optional[float]
     seed: int
     unrelated: Optional[DomainStats]
 
@@ -219,9 +220,10 @@ class _Trial:
 def _make_trial(config: ExperimentConfig, seed: int) -> _Trial:
     """The trial's standardized domains and their statistics: the config's
     file pair, whatever the seed, or the spec's shift drawn at ``seed``.
-    Raw features are released once standardized.  For CORAL-LDA-mismatched
-    the unrelated domain's statistics are taken first, before the trial's
-    own domains exist."""
+    Raw features are released once standardized.  The statistics are
+    formed only when the config lists a method that is not deep.  For
+    CORAL-LDA-mismatched the unrelated domain's statistics are taken
+    first, before the trial's own domains exist."""
     if config.spec is None:
         src = load_dataset(config.source_path, config.csv_has_header, True)
         tgt = load_dataset(config.target_path, config.csv_has_header,
@@ -241,9 +243,10 @@ def _make_trial(config: ExperimentConfig, seed: int) -> _Trial:
     del src
     Xt = standardize(tgt.features)[0]
     del tgt
-    stats_s = mean_and_covariance(Xs)
-    stats_t = mean_and_covariance(Xt)
-    pre = float(np.linalg.norm(stats_s.cov - stats_t.cov))
+    stats_s = stats_t = pre = None
+    if not set(config.methods) <= {"deep", "deep-no-coral"}:
+        stats_s, stats_t = mean_and_covariance(Xs), mean_and_covariance(Xt)
+        pre = float(np.linalg.norm(stats_s.cov - stats_t.cov))
     return _Trial(
         Xs=Xs, ys=ys, Xt=Xt, yt=yt,
         stats_s=stats_s, stats_t=stats_t, pre=pre, seed=seed, unrelated=unrelated,
@@ -459,14 +462,16 @@ def lambda_sweep(
     one run loop: each trial is built once, and all rows' sources are the
     members of one ``classify.fit_cross_validated`` call, bitwise each
     row's own fit under OpenBLAS's default SkylakeX kernel (Haswell and
-    Nehalem can differ in the last bit, see ``classify``)."""
+    Nehalem can differ in the last bit, see ``classify``).  Trials are
+    built for the rows' methods alone, so none draws an unrelated domain."""
     rows = [(float(lam), ("CORAL-reg", dataclasses.replace(config, lam=float(lam))))
             for lam in lambdas]
     if include_analytical:
         rows.append(("analytical", ("CORAL-analytical", config)))
     if not rows:
         raise InvalidInputError("empty lambda list")
-    aggs = _run(config, [member for _, member in rows])
+    methods = tuple(dict.fromkeys(name for _, (name, _) in rows))
+    aggs = _run(dataclasses.replace(config, methods=methods), [member for _, member in rows])
     return SweepReport(rows=[
         {"lam": lam, "target_acc": m.target_acc, "target_acc_mean": m.target_acc_mean,
          "target_acc_std": m.target_acc_std}

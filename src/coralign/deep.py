@@ -7,9 +7,9 @@ The loss compares the unbiased covariances of two activation batches:
 Its analytic gradient with respect to the source batch is
 (1/(d^2 (n_S - 1))) * centered(D_S) @ (C_S - C_T); the target gradient is
 the same expression with the opposite sign.  Differentiating the loss
-through the covariance formula reproduces exactly this constant, and the
-finite-difference verifier below is the arbiter should the transcription
-ever drift.
+through the covariance formula reproduces exactly this constant.  One
+kernel, ``_gap_grad``, forms it for every training step and for
+``coral_loss_and_grad``, which the finite-difference verifier checks.
 
 The trainer runs a plain feedforward network (manual forward/backward,
 SGD with momentum) on labeled source batches plus unlabeled target
@@ -143,6 +143,14 @@ def _gap_loss(diff):
     return np.add.reduce(squares, axis=-1) / (4.0 * d * d)
 
 
+def _gap_grad(centred, diff):
+    """_gap_loss(C_S - C_T)'s gradient w.r.t. a batch from its centred rows
+    (..., n, d); negate it for the target batch.  Stacks as in matmul."""
+    g = centred @ diff
+    g /= diff.shape[-1] ** 2 * (centred.shape[-2] - 1)
+    return g
+
+
 def _check_batches(S, T):
     """Two activation batches as validated feature matrices."""
     S = as_feature_matrix(S, "source batch")
@@ -167,10 +175,7 @@ def coral_loss_and_grad(S, T) -> tuple[float, np.ndarray, np.ndarray]:
     _, Sc, cov_s = _centred_covariance(S)
     _, Tc, cov_t = _centred_covariance(T)
     diff = cov_s - cov_t
-    d = diff.shape[0]
-    grad_S = Sc @ diff / (d * d * (S.shape[0] - 1))
-    grad_T = -(Tc @ diff) / (d * d * (T.shape[0] - 1))
-    return float(_gap_loss(diff)), grad_S, grad_T
+    return float(_gap_loss(diff)), _gap_grad(Sc, diff), -_gap_grad(Tc, diff)
 
 
 def finite_diff_check(S, T, step: float = 1e-5) -> float:
@@ -186,25 +191,21 @@ def finite_diff_check(S, T, step: float = 1e-5) -> float:
     """
     if step <= 0:
         raise InvalidInputError("step must be positive")
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
+    # working copies: each probe moves one entry and restores it exactly
+    S, T = np.array(S, dtype=float), np.array(T, dtype=float)
     loss, grad_S, grad_T = coral_loss_and_grad(S, T)
-    eps = np.finfo(float).eps
-    floor = max(1e-8, eps * (1.0 + abs(loss)) / step**2)
+    floor = max(1e-8, np.finfo(float).eps * (1.0 + abs(loss)) / step**2)
     worst = 0.0
-    for X, G, other, is_source in ((S, grad_S, T, True), (T, grad_T, S, False)):
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                up = X.copy()
-                up[i, j] += step
-                dn = X.copy()
-                dn[i, j] -= step
-                if is_source:
-                    num = (coral_loss(up, other) - coral_loss(dn, other)) / (2 * step)
-                else:
-                    num = (coral_loss(other, up) - coral_loss(other, dn)) / (2 * step)
-                denom = max(abs(G[i, j]), abs(num), floor)
-                worst = max(worst, abs(G[i, j] - num) / denom)
+    for X, G in ((S, grad_S), (T, grad_T)):
+        for i, j in np.ndindex(X.shape):
+            x = X[i, j]
+            X[i, j] = x + step
+            up = coral_loss(S, T)
+            X[i, j] = x - step
+            num = (up - coral_loss(S, T)) / (2 * step)
+            X[i, j] = x
+            denom = max(abs(G[i, j]), abs(num), floor)
+            worst = max(worst, abs(G[i, j] - num) / denom)
     return worst
 
 
@@ -465,8 +466,7 @@ def _train_members(net, source, labels, target, cfg: TrainConfig, weights, seed:
             if A:
                 _, centred, cov = _centred_covariance(logits[U:])
                 diff = np.subtract(cov[:A], cov[A:], out=diffs[j])
-                g = centred.reshape(2, A, batch, K) @ diff
-                g /= K * K * (batch - 1)
+                g = _gap_grad(centred.reshape(2, A, batch, K), diff)
                 g *= signed_w
                 d_logits[U:M] += g[0]
                 d_logits[M:] = g[1]

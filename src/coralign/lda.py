@@ -77,7 +77,12 @@ def fit_coral_lda(mean_diffs, source: SymOperator, target: SymOperator) -> np.nd
     ``psd_operator`` or, for wide data, ``covariance_operator(X, lam)``;
     each W is its ``power(-0.5)``.  Raises InvalidInputError on a
     non-finite mean difference, and NumericalError under the same rule
-    as fit_lda, for each operator."""
+    as fit_lda, for each operator.
+
+    Given one operator as both ``source`` and ``target``, the weights
+    equal fit_lda's to a relative error of at most 1e-10 per row, for a
+    dense or thin C whose nonzero eigenvalues span a condition number up
+    to 1e6 and lam from 1e-3 to 10 times tr(C) / d."""
     if target.dim != source.dim:
         raise InvalidInputError("means and covariance operators disagree in dimension")
     diffs = _mean_diffs(mean_diffs, source.dim)

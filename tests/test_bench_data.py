@@ -8,6 +8,7 @@ where M applies the per-axis scales in the rotated frame.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ class TestShiftSpecValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidInputError):
             make_spec(noise_std=-0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["separation", "noise_std", "scales", "mean_shift",
+                                      "rotation_angles"])
+    def test_non_finite_number_rejected_naming_its_field(self, name, value):
+        spelled = {"scales": (1.0, value, 1.0, 1.0), "mean_shift": (0.0, 0.0, value, 0.0),
+                   "rotation_angles": (0.5, value)}.get(name, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{name} must be finite$"):
+                make_spec(**{name: spelled})
 
     @pytest.mark.parametrize("angles", [None, (0.5,)])
     def test_spec_from_lists_equals_spec_from_tuples(self, angles):

@@ -904,7 +904,9 @@ class TestLambdaSweepInOnePass:
 
     def test_runs_only_its_own_members(self, monkeypatch):
         # a config listing every method: the sweep's members are its rows,
-        # so no LDA or deep method runs and the SVM fit steps only the rows
+        # so no LDA or deep method runs and the SVM fit steps only the rows;
+        # its trials are built for the rows' methods, so none draws the
+        # unrelated domain
         sgd_runs = []
         kernel = classify._sgd
 
@@ -917,6 +919,7 @@ class TestLambdaSweepInOnePass:
 
         monkeypatch.setattr(lda, "fit_lda", not_called)
         monkeypatch.setattr(runner, "_train_members", not_called)
+        monkeypatch.setattr(runner, "_unrelated_stats", not_called)
         monkeypatch.setattr(classify, "_sgd", counting_sgd)
         cfg = ExperimentConfig(spec=self.SPEC, methods=METHODS, trials=1)
         rep = lambda_sweep(cfg, [0.01, 1.0])

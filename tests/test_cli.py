@@ -445,6 +445,24 @@ class TestBenchCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("separation", float("inf")), ("noise_std", float("nan")),
+        ("scales", [2.0, float("inf"), 1.0, 1.0]), ("mean_shift", [0.0, float("nan"), 0.0, 0.0]),
+        ("rotation_angles", [float("-inf")]),
+    ], ids=["separation", "noise_std", "scales", "mean_shift", "rotation_angles"])
+    def test_non_finite_spec_number_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                                key, value):
+        # Python's JSON reader takes NaN and Infinity; the spec rejects
+        # them before any data is drawn, so no warning reaches stderr
+        raw = json.loads(self._config_file(tmp_path).read_text())
+        raw["spec"][key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bench", "--config", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: {key} must be finite\n")
+
 
 class TestOutOfRangeNumbers:
     """Non-finite regularization strengths and negative seeds are the
@@ -630,6 +648,19 @@ class TestDeepCommand:
             tmp_path, methods=["deep", "CORAL-LDA-mismatched"],
             deep={"hidden": 4, "iterations": 5, "batch_size": 16})
         assert main(["deep", "--config", str(cfg)]) == 0
+
+    def test_deep_only_runs_form_no_trial_statistics(self, tmp_path, monkeypatch):
+        # neither deep method reads the domains' covariances, so a trial
+        # whose methods are all deep forms none
+        def no_stats(X):
+            raise AssertionError("trial statistics formed")
+
+        monkeypatch.setattr(runner, "mean_and_covariance", no_stats)
+        cfg = TestBenchCommand()._config_file(
+            tmp_path, methods=["deep", "deep-no-coral"],
+            deep={"hidden": 4, "iterations": 5, "batch_size": 16})
+        assert main(["deep", "--config", str(cfg)]) == 0
+        assert main(["bench", "--config", str(cfg)]) == 0
 
 
 class TestGradcheckCommand:

@@ -105,6 +105,21 @@ class TestCoralLoss:
                 whole = np.add.reduce(diffs[s, a] * diffs[s, a], axis=None) / (4.0 * K * K)
                 assert want.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_gap_grad_of_a_stack_equals_each_pair_bit_for_bit(self, K):
+        # a (2, A, B, K) stack of centred batches against A gaps, as the
+        # trainer forms its aligned members' gradients; each lone pair is
+        # what coral_loss_and_grad computes
+        rng = np.random.default_rng(5)
+        centred = rng.standard_normal((2, 3, 16, K))
+        diffs = rng.standard_normal((3, K, K))
+        got = deep_mod._gap_grad(centred, diffs)
+        assert got.shape == (2, 3, 16, K)
+        for s in range(2):
+            for a in range(3):
+                want = deep_mod._gap_grad(centred[s, a], diffs[a])
+                assert got[s, a].tobytes() == want.tobytes()
+
 
 class TestCoralLossGrad:
     def test_identical_batches_zero_gradient(self):
@@ -203,7 +218,48 @@ class TestInitNetwork:
             init_network(widths, seed=0)
 
 
+def copying_finite_diff_check(S, T, step):
+    """Oracle: finite_diff_check as a loop that perturbs a fresh copy of
+    the batch for each probe, the source and target cases apart."""
+    S = np.asarray(S, dtype=float)
+    T = np.asarray(T, dtype=float)
+    loss, grad_S, grad_T = coral_loss_and_grad(S, T)
+    eps = np.finfo(float).eps
+    floor = max(1e-8, eps * (1.0 + abs(loss)) / step**2)
+    worst = 0.0
+    for X, G, other, is_source in ((S, grad_S, T, True), (T, grad_T, S, False)):
+        for i in range(X.shape[0]):
+            for j in range(X.shape[1]):
+                up = X.copy()
+                up[i, j] += step
+                dn = X.copy()
+                dn[i, j] -= step
+                if is_source:
+                    num = (coral_loss(up, other) - coral_loss(dn, other)) / (2 * step)
+                else:
+                    num = (coral_loss(other, up) - coral_loss(other, dn)) / (2 * step)
+                denom = max(abs(G[i, j]), abs(num), floor)
+                worst = max(worst, abs(G[i, j] - num) / denom)
+    return worst
+
+
 class TestFiniteDiffCheck:
+    @pytest.mark.parametrize("case", ["rectangular", "identical", "coarse step"])
+    def test_equals_the_copying_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(15)
+        S, step = rng.standard_normal((4, 3)), 1e-5
+        T = 1.5 * rng.standard_normal((9, 3))
+        if case == "identical":
+            T = S.copy()
+        elif case == "coarse step":
+            step = 1e-1
+        S_in, T_in = S.copy(), T.copy()
+        got = finite_diff_check(S, T, step)
+        assert np.float64(got).tobytes() == np.float64(
+            copying_finite_diff_check(S, T, step)).tobytes()
+        # the caller's batches are left as they were
+        assert S.tobytes() == S_in.tobytes() and T.tobytes() == T_in.tobytes()
+
     def test_identical_batches_noise_bounded(self):
         # analytic gradient is exactly zero here, so the check reports
         # finite-difference rounding noise over the resolution-limit

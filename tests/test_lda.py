@@ -8,12 +8,15 @@ independently, and direct formula evaluation.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from coralign.errors import InvalidInputError, NumericalError
 from coralign.lda import domain_distance, fit_coral_lda, fit_lda
 from coralign.bench.data import generate_shift, rotated_anisotropic_spec
 from coralign.linalg import (DomainStats, covariance_operator, mean_and_covariance,
                              psd_operator, standardize)
+from test_coral import spectrum_rows
 
 
 def random_spd(d, rng):
@@ -107,6 +110,43 @@ class TestFitLda:
         for w, diff in zip(W, D):
             want = fit_lda(diff, source)
             assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# The relative error per weight row fit_coral_lda's docstring states
+# against fit_lda when one operator serves both domains.
+REDUCTION_BOUND = 1e-10
+
+
+class TestLdaReduction:
+    """Property test of fit_coral_lda's stated bound: with one operator
+    for both domains it is fit_lda, on a dense C + lam I or on the thin
+    operator of wide rows (n <= d), one to four mean differences."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(1, 12), log_kappa=st.floats(0.0, 6.0), log_lam=st.floats(-3.0, 1.0),
+           k=st.integers(1, 4), thin=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(d=1, log_kappa=6.0, log_lam=-3.0, k=1, thin=False, seed=1)
+    @example(d=12, log_kappa=6.0, log_lam=-3.0, k=4, thin=False, seed=2)
+    @example(d=12, log_kappa=6.0, log_lam=-3.0, k=4, thin=True, seed=3)
+    def test_one_operator_for_both_domains_is_plain_lda(self, d, log_kappa, log_lam, k,
+                                                        thin, seed):
+        assume(d >= 2 or not thin)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        if thin:
+            X = spectrum_rows(rng, int(rng.integers(2, d + 1)), d, log_kappa, scale)
+            lam = 10.0 ** log_lam * np.trace(mean_and_covariance(X).cov) / d
+            op = covariance_operator(X, lam)
+            assert op.basis.shape[1] < d
+        else:
+            w = scale**2 * 10.0 ** (-log_kappa * np.linspace(0.0, 1.0, d))
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            C = (Q * w) @ Q.T
+            op = psd_operator(C, 10.0 ** log_lam * np.trace(C) / d)
+        diffs = rng.standard_normal((k, d)) if k > 1 else rng.standard_normal(d)
+        plain = np.atleast_2d(fit_lda(diffs, op))
+        error = np.linalg.norm(np.atleast_2d(fit_coral_lda(diffs, op, op)) - plain, axis=1)
+        assert (error <= REDUCTION_BOUND * np.linalg.norm(plain, axis=1)).all()
 
 
 class TestFitCoralLda:
